@@ -179,17 +179,18 @@ def _axis_overlaps(lo: Fraction, hi: Fraction, level: int) -> tuple[int, np.ndar
     """Exact overlap lengths of [lo, hi) with the level-j cells it meets.
 
     Returns the first cell index and the vector of per-cell overlap lengths
-    (converted to float after exact computation).
+    (converted to float after exact computation).  Only the end cells can be
+    partial, so only they are computed in rational arithmetic; every cell in
+    between is covered whole, and 1.0 / side is its exact length.
     """
     side = 1 << level
     first = math.floor(lo * side)
     last = math.ceil(hi * side) - 1
-    lengths = []
-    for k in range(first, last + 1):
-        a = max(lo, Fraction(k, side))
-        b = min(hi, Fraction(k + 1, side))
-        lengths.append(float(b - a) if b > a else 0.0)
-    return first, np.array(lengths)
+    lengths = np.full(max(last - first + 1, 0), 1.0 / side)
+    if lengths.size:
+        lengths[0] = float(min(hi, Fraction(first + 1, side)) - lo)
+        lengths[-1] = float(hi - max(lo, Fraction(last, side)))
+    return first, lengths
 
 
 def project_regions(

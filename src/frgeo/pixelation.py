@@ -23,7 +23,9 @@ catalogs, so alpha(x), beta(x) are exact per overlay region and the flowed
 density is realized at a reference level J_ref by exact box/cell averaging
 (no projection of the initial data is involved).  Test functions phi are
 fixed once as a staircase at J_ref (midpoint sampling) and both integrals
-are evaluated exactly against that staircase.
+are evaluated exactly against that staircase.  Neither the staircase nor
+the continuum pairings depend on the level, so a ladder summary builds
+them once per ladder and adds only the discrete pairings per level.
 """
 
 from __future__ import annotations
@@ -44,6 +46,11 @@ from .spaces import DyadicGrid, FiniteDensity, SignedFunction
 DEGENERATE_ALPHA = 1e-14
 HYPOTHESIS_TOL = 1e-12
 J_REF_OFFSET = 4
+# columns of a ladder summary row, in CSV and JSON order
+LADDER_FIELDS = (
+    "j", "alpha_j", "degenerate", "e_f", "e_g", "e_q",
+    "weak_error_t0", "weak_error_tpi2",
+)
 
 
 @dataclass(frozen=True)
@@ -239,6 +246,60 @@ def continuum_cell_averages(
     return project_regions(grid, bounds, values)
 
 
+def _reference_staircase(ladder: PixelationLadder, phi: TentFunction, j_ref):
+    """Resolved j_ref (default: max + 4) and phi's staircase at that level."""
+    j_ref = ladder.max_level + J_REF_OFFSET if j_ref is None else j_ref
+    if j_ref <= ladder.max_level:
+        raise ValueError("j_ref must exceed the deepest ladder level")
+    return j_ref, phi_staircase(phi, ladder.dimension, j_ref)
+
+
+def _ladder_level(ladder: PixelationLadder, j: int) -> LadderLevel:
+    if j not in ladder.levels:
+        raise ValueError(f"level {j} is not a ladder level {sorted(ladder.levels)}")
+    return ladder.levels[j]
+
+
+def _pairing(values: np.ndarray, phi_values: np.ndarray, grid: DyadicGrid) -> float:
+    """Integral of the product of two cell-constant functions on ``grid``."""
+    return float(np.dot(values * phi_values, grid.weights))
+
+
+def _cont_pairings(ladder, stair, j_ref, *region_values) -> list[float]:
+    """Pairings of phi's j_ref staircase with functions constant per region."""
+    grid_ref = DyadicGrid(ladder.dimension, j_ref)
+    bounds = [(r.lo, r.hi) for r in ladder.regions]
+    return [
+        _pairing(project_regions(grid_ref, bounds, v), stair, grid_ref)
+        for v in region_values
+    ]
+
+
+def _block_values(regions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-region f0, g0 and g0^2/f0: the continuum sides of three_term_errors."""
+    f = np.array([float(r.f_value) for r in regions])
+    g = np.array([float(r.g_value) for r in regions])
+    return f, g, g**2 / f
+
+
+def _block_errors(level: LadderLevel, phi_coarse: np.ndarray, cont) -> tuple:
+    """(e_f, e_g, e_q) at one level, given the continuum block pairings."""
+    e_f = abs(_pairing(level.f_values, phi_coarse, level.grid) - cont[0])
+    if level.degenerate:
+        return e_f, None, None
+    g_unit = level.state.g0
+    e_g = abs(_pairing(g_unit, phi_coarse, level.grid) - cont[1])
+    q_unit = g_unit**2 / level.f_values
+    return e_f, e_g, abs(_pairing(q_unit, phi_coarse, level.grid) - cont[2])
+
+
+def _flow_error(level: LadderLevel, t: float, phi_coarse, cont: float) -> float:
+    """weak_error of a non-degenerate level, given the continuum pairing."""
+    phase = t / 2.0 - level.state.beta
+    disc = _pairing(level.state.alpha * np.cos(phase) ** 2, phi_coarse, level.grid)
+    return abs(disc - cont)
+
+
 def weak_error(
     ladder: PixelationLadder,
     j: int,
@@ -252,27 +313,16 @@ def weak_error(
     J_ref staircase of phi, so the only representation error left is phi's.
     Requires j_ref strictly above every ladder level (default: max + 4).
     """
-    level = ladder.levels[j]
+    level = _ladder_level(ladder, j)
     if level.degenerate:
         raise HypothesisViolation(
             "degenerate-level", f"level {j} carries no geodesic state"
         )
-    if j_ref is None:
-        j_ref = ladder.max_level + J_REF_OFFSET
-    if j_ref <= ladder.max_level:
-        raise ValueError("j_ref must exceed the deepest ladder level")
-    m = ladder.dimension
-    stair = phi_staircase(phi, m, j_ref)
-    phi_coarse = _coarsen_mean(stair, m, j_ref, j)
-
-    state = level.state
-    phase = t / 2.0 - state.beta
-    disc_values = state.alpha * np.cos(phase) ** 2
-    disc = float(np.dot(disc_values * phi_coarse, level.grid.weights))
-
-    cont_values = continuum_cell_averages(ladder, t, j_ref)
-    cont = float(np.dot(cont_values * stair, DyadicGrid(m, j_ref).weights))
-    return abs(disc - cont)
+    j_ref, stair = _reference_staircase(ladder, phi, j_ref)
+    phi_coarse = _coarsen_mean(stair, ladder.dimension, j_ref, j)
+    flow = region_flow_values(ladder.regions, t)
+    (cont,) = _cont_pairings(ladder, stair, j_ref, flow)
+    return _flow_error(level, t, phi_coarse, cont)
 
 
 def three_term_errors(
@@ -287,38 +337,12 @@ def three_term_errors(
     e_q the discrete kinetic ratio g_j^2/f0_j against g0^2/f0.  At a
     degenerate level only e_f is defined; the other two come back as None.
     """
-    if j_ref is None:
-        j_ref = ladder.max_level + J_REF_OFFSET
-    if j_ref <= ladder.max_level:
-        raise ValueError("j_ref must exceed the deepest ladder level")
-    m = ladder.dimension
-    level = ladder.levels[j]
-    grid_ref = DyadicGrid(m, j_ref)
-    stair = phi_staircase(phi, m, j_ref)
-    phi_coarse = _coarsen_mean(stair, m, j_ref, j)
-    bounds = [(r.lo, r.hi) for r in ladder.regions]
-
-    def cont_pairing(region_values: np.ndarray) -> float:
-        avg = project_regions(grid_ref, bounds, region_values)
-        return float(np.dot(avg * stair, grid_ref.weights))
-
-    f_region = np.array([float(r.f_value) for r in ladder.regions])
-    g_region = np.array([float(r.g_value) for r in ladder.regions])
-
-    disc_f = float(np.dot(level.f_values * phi_coarse, level.grid.weights))
-    e_f = abs(disc_f - cont_pairing(f_region))
-    if level.degenerate:
-        return e_f, None, None
-
-    g_unit = level.state.g0
-    disc_g = float(np.dot(g_unit * phi_coarse, level.grid.weights))
-    e_g = abs(disc_g - cont_pairing(g_region))
-
-    disc_q = float(
-        np.dot(g_unit**2 / level.f_values * phi_coarse, level.grid.weights)
-    )
-    e_q = abs(disc_q - cont_pairing(g_region**2 / f_region))
-    return e_f, e_g, e_q
+    j_ref, stair = _reference_staircase(ladder, phi, j_ref)
+    level = _ladder_level(ladder, j)
+    phi_coarse = _coarsen_mean(stair, ladder.dimension, j_ref, j)
+    values = _block_values(ladder.regions)[: 1 if level.degenerate else 3]
+    cont = _cont_pairings(ladder, stair, j_ref, *values)
+    return _block_errors(level, phi_coarse, cont)
 
 
 def ladder_summary_rows(
@@ -326,28 +350,30 @@ def ladder_summary_rows(
     phi: TentFunction,
     j_ref: int | None = None,
 ) -> list[dict]:
-    """Per-level summary used by the CSV export (see write_ladder_csv)."""
+    """Per-level summary used by the CSV export (see write_ladder_csv).
+
+    Each row holds three_term_errors and weak_error at t = 0 and t = pi/2.
+    The staircase and the five continuum pairings (f0, g0, g0^2/f0 and the
+    flow at both times) do not depend on the level, so they are built once
+    per ladder; each level adds only its discrete pairings.
+    """
+    j_ref, stair = _reference_staircase(ladder, phi, j_ref)
+    times = (0.0, math.pi / 2.0)
+    flows = [region_flow_values(ladder.regions, t) for t in times]
+    cont = _cont_pairings(ladder, stair, j_ref, *_block_values(ladder.regions), *flows)
     rows = []
     for j in sorted(ladder.levels):
         level = ladder.levels[j]
-        e_f, e_g, e_q = three_term_errors(ladder, j, phi, j_ref)
+        phi_coarse = _coarsen_mean(stair, ladder.dimension, j_ref, j)
+        e_f, e_g, e_q = _block_errors(level, phi_coarse, cont[:3])
         if level.degenerate:
             w0 = wpi2 = None
         else:
-            w0 = weak_error(ladder, j, 0.0, phi, j_ref)
-            wpi2 = weak_error(ladder, j, math.pi / 2.0, phi, j_ref)
-        rows.append(
-            {
-                "j": j,
-                "alpha_j": level.alpha,
-                "degenerate": level.degenerate,
-                "e_f": e_f,
-                "e_g": e_g,
-                "e_q": e_q,
-                "weak_error_t0": w0,
-                "weak_error_tpi2": wpi2,
-            }
-        )
+            w0, wpi2 = (
+                _flow_error(level, t, phi_coarse, c) for t, c in zip(times, cont[3:])
+            )
+        row = (j, level.alpha, level.degenerate, e_f, e_g, e_q, w0, wpi2)
+        rows.append(dict(zip(LADDER_FIELDS, row)))
     return rows
 
 
@@ -360,19 +386,9 @@ def write_ladder_csv(
     """Ladder summary as CSV: j, alpha_j, degenerate, e_f, e_g, e_q,
     weak_error_t0, weak_error_tpi2 (empty fields at degenerate levels)."""
     rows = ladder_summary_rows(ladder, phi, j_ref)
-    fields = [
-        "j",
-        "alpha_j",
-        "degenerate",
-        "e_f",
-        "e_g",
-        "e_q",
-        "weak_error_t0",
-        "weak_error_tpi2",
-    ]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(fields)
+        writer.writerow(LADDER_FIELDS)
         for row in rows:
             writer.writerow(
                 [
@@ -381,7 +397,7 @@ def write_ladder_csv(
                     str(row["degenerate"]).lower(),
                     *(
                         "" if row[k] is None else f"{row[k]:.17g}"
-                        for k in ("e_f", "e_g", "e_q", "weak_error_t0", "weak_error_tpi2")
+                        for k in LADDER_FIELDS[3:]
                     ),
                 ]
             )

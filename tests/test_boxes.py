@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,10 +18,13 @@ from frgeo import (
     overlay,
     overlay_energy,
 )
+from frgeo import boxes
+from frgeo.boxes import _axis_overlaps
 from frgeo.catalogs import (
     g01_1d,
     g02_1d,
     misaligned_f0_1d,
+    misaligned_f0_2d,
     misaligned_g0_1d,
     uniform1d,
 )
@@ -195,3 +199,90 @@ def test_random_dyadic_catalogs_project_exactly():
             grid = DyadicGrid(1, level)
             proj = catalog.cell_averages(grid)
             assert np.array_equal(proj, catalog.evaluate(grid.centers()))
+
+
+# ---------------------------------------------------------------------------
+# per-axis overlaps: only the end cells are computed in rational arithmetic
+
+
+def _reference_axis_overlaps(lo, hi, level):
+    """One exact Fraction per covered cell (the direct definition)."""
+    side = 1 << level
+    first = math.floor(lo * side)
+    last = math.ceil(hi * side) - 1
+    lengths = []
+    for k in range(first, last + 1):
+        a = max(lo, F(k, side))
+        b = min(hi, F(k + 1, side))
+        lengths.append(float(b - a) if b > a else 0.0)
+    return first, np.array(lengths)
+
+
+def _assert_same_overlaps(lo, hi, level):
+    first, lengths = _axis_overlaps(lo, hi, level)
+    ref_first, ref_lengths = _reference_axis_overlaps(lo, hi, level)
+    assert first == ref_first, (lo, hi, level)
+    assert lengths.dtype == ref_lengths.dtype
+    assert np.array_equal(lengths, ref_lengths), (lo, hi, level)
+
+
+def _random_bounds(rng, count):
+    # odd denominators never sit on a dyadic cell edge
+    out = []
+    for _ in range(count):
+        den = int(rng.integers(1, 500)) * 2 + 1
+        a, b = sorted(rng.choice(den + 1, size=2, replace=False))
+        out.append((F(int(a), den), F(int(b), den)))
+    return out
+
+
+@pytest.mark.parametrize("level", range(15))
+def test_axis_overlaps_match_reference_random_bounds(level):
+    rng = np.random.default_rng(100 + level)
+    for lo, hi in _random_bounds(rng, 20):
+        _assert_same_overlaps(lo, hi, level)
+
+
+@pytest.mark.parametrize("level", range(15))
+def test_axis_overlaps_match_reference_special_bounds(level):
+    side = 1 << level
+    cases = [
+        (F(0), F(1)),  # the whole axis
+        (F(1, 3 * side), F(2, 3 * side)),  # inside the first cell
+        (F(3 * side - 2, 3 * side), F(3 * side - 1, 3 * side)),  # inside the last
+        (F(0), F(1, 3)),  # starts on an edge
+        (F(1, 3), F(1)),  # ends on an edge
+        (F(0), F(1, side)),  # exactly one cell
+    ]
+    if side > 2:
+        cases += [
+            (F(1, side), F(side - 1, side)),  # both ends on edges
+            (F(1, side), F(5, 3 * side)),  # starts on an edge, ends inside
+            (F(4, 3 * side), F(2, side)),  # starts inside, ends on an edge
+        ]
+    for lo, hi in cases:
+        _assert_same_overlaps(lo, hi, level)
+
+
+def test_axis_overlaps_single_cell_is_region_length():
+    first, lengths = _axis_overlaps(F(5, 17), F(6, 17), 2)
+    assert first == 1
+    assert lengths.tolist() == [float(F(1, 17))]
+
+
+def test_project_regions_2d_misaligned_matches_reference(monkeypatch):
+    f = misaligned_f0_2d()
+    bounds = [(b.lo, b.hi) for b in f.boxes]
+    values = np.array([float(b.value) for b in f.boxes])
+    # plus overlapping regions with odd-denominator bounds on both axes
+    rng = np.random.default_rng(5)
+    xs, ys = _random_bounds(rng, 6), _random_bounds(rng, 6)
+    bounds += [((x0, y0), (x1, y1)) for (x0, x1), (y0, y1) in zip(xs, ys)]
+    values = np.concatenate([values, rng.normal(size=6)])
+    for level in (1, 3, 6):
+        grid = DyadicGrid(2, level)
+        fast = boxes.project_regions(grid, bounds, values)
+        monkeypatch.setattr(boxes, "_axis_overlaps", _reference_axis_overlaps)
+        reference = boxes.project_regions(grid, bounds, values)
+        monkeypatch.undo()
+        assert np.array_equal(fast, reference)

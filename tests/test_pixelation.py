@@ -32,7 +32,11 @@ from frgeo.catalogs import (
     uniform1d,
     uniform2d,
 )
-from frgeo.pixelation import continuum_cell_averages, phi_staircase
+from frgeo.pixelation import (
+    continuum_cell_averages,
+    ladder_summary_rows,
+    phi_staircase,
+)
 from frgeo.pixelation import test_functions_1d as tents_1d
 from frgeo.pixelation import test_functions_2d as tents_2d
 from frgeo.spaces import DyadicGrid
@@ -250,6 +254,53 @@ def test_weak_error_guards():
     assert info.value.condition == "degenerate-level"
     with pytest.raises(ValueError):
         weak_error(ladder, 3, 0.0, phi, j_ref=3)
+
+
+def test_unknown_level_is_a_value_error():
+    ladder = misaligned_ladder([3, 5])
+    phi = tents_1d()[0]
+    for call in (
+        lambda: weak_error(ladder, 4, 0.0, phi),
+        lambda: three_term_errors(ladder, 4, phi),
+    ):
+        with pytest.raises(ValueError, match=r"level 4 .*\[3, 5\]"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "make_ladder, phi, j_ref, degenerate_levels",
+    [
+        (lambda: misaligned_ladder([3, 4, 6]), tents_1d()[4], None, []),
+        (lambda: misaligned_ladder([3, 5]), tents_1d()[7], 9, []),
+        (lambda: misaligned_ladder([2, 3], 2), tents_2d()[5], None, []),
+        (
+            lambda: build_ladder(uniform1d(), g01_1d(), [2, 3, 5]),
+            tents_1d()[0],
+            None,
+            [2],
+        ),
+    ],
+    ids=["misaligned-1d", "misaligned-1d-jref", "misaligned-2d", "degenerate-level"],
+)
+def test_summary_rows_equal_public_calls(make_ladder, phi, j_ref, degenerate_levels):
+    # the summary shares one staircase and one set of continuum pairings
+    # across levels; every number must still equal the public call exactly
+    ladder = make_ladder()
+    rows = ladder_summary_rows(ladder, phi, j_ref)
+    assert [row["j"] for row in rows] == sorted(ladder.levels)
+    assert [row["j"] for row in rows if row["degenerate"]] == degenerate_levels
+    for row in rows:
+        j = row["j"]
+        assert (row["e_f"], row["e_g"], row["e_q"]) == three_term_errors(
+            ladder, j, phi, j_ref
+        )
+        if row["degenerate"]:
+            assert row["weak_error_t0"] is None and row["weak_error_tpi2"] is None
+            continue
+        assert row["weak_error_t0"] == weak_error(ladder, j, 0.0, phi, j_ref)
+        assert row["weak_error_tpi2"] == weak_error(
+            ladder, j, math.pi / 2.0, phi, j_ref
+        )
 
 
 def test_three_term_errors():
