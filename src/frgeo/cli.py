@@ -13,7 +13,8 @@ Configuration is a flat ``key = value`` text file (``--config PATH``) plus
 ``key=value`` command-line overrides; every key must belong to the chosen
 subcommand (unknown or duplicate keys are rejected, exit code 2).  Numeric
 values accept plain floats, exact fractions (``1/3``), and multiples of pi
-(``pi``, ``pi/2``, ``3pi/4``).  Domain failures of a valid configuration
+(``pi``, ``pi/2``, ``3pi/4``); NaN, infinities and overflowing values are
+rejected with exit code 2.  Domain failures of a valid configuration
 (hitting the simplex boundary, degenerate projected velocities, the ODE
 leaving its domain, ...) exit with code 3; both error classes print a single
 JSON object to stderr.
@@ -21,6 +22,12 @@ JSON object to stderr.
 Outputs are deterministic: the same configuration produces byte-identical
 files.  Floats are written with 17 significant digits in CSV and with
 ``repr`` round-trip formatting in JSON, so re-importing loses nothing.
+Time and memory follow the output size: CSV lines are ``%`` fills of line
+templates, written in blocks of rows (a frame's index and center columns
+are formatted once per grid), and JSON is written piece by piece, each
+float list through json's C encoder.  ``moments`` values are evaluated
+through the three-term identity and may differ from the dense evaluation of
+version 0.1.0 in the last ulp; every other output keeps the 0.1.0 bytes.
 ``FRG_THREADS`` caps the thread pool used to evaluate frames in parallel;
 writes happen serially in frame order regardless.
 """
@@ -28,7 +35,6 @@ writes happen serially in frame order regardless.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -73,7 +79,7 @@ from .pixelation import (
 from .simplex import BOUNDARY_FLOOR, SimplexPoint, TangentVector
 from .spaces import DyadicGrid, FiniteDensity, SignedFunction
 
-FLOAT_FMT = "{:.17g}"
+FLOAT_FMT = "%.17g"
 
 # ---------------------------------------------------------------------------
 # value parsing
@@ -86,16 +92,27 @@ _PI_TOKEN = re.compile(
 
 
 def parse_number(token: str) -> float:
-    """Float from a config token: plain, fraction ``a/b`` or pi-multiple."""
+    """Finite float from a config token: plain, fraction ``a/b`` or pi-multiple.
+
+    NaN and infinities, spelled out or reached by overflow (``1e400``),
+    raise ``ValueError``: no experiment has a meaning for them.
+    """
     token = token.strip()
     m = _PI_TOKEN.match(token)
-    if m:
-        num = float(m.group("num")) if m.group("num") else 1.0
-        den = float(m.group("den")) if m.group("den") else 1.0
-        return num * math.pi / den
-    if "/" in token:
-        return float(Fraction(token))
-    return float(token)
+    try:
+        if m:
+            num = float(m.group("num")) if m.group("num") else 1.0
+            den = float(m.group("den")) if m.group("den") else 1.0
+            value = num * math.pi / den
+        elif "/" in token:
+            value = float(Fraction(token))
+        else:
+            value = float(token)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{token!r} is not a finite number")
+    return value
 
 
 def _parse_int(token: str) -> int:
@@ -395,20 +412,84 @@ def _map_ordered(fn: Callable, items: list) -> list:
 # output helpers
 
 
-def _fmt(x) -> str:
-    return FLOAT_FMT.format(float(x))
+# CSV rows or JSON float-list items formatted per write: bounds the text
+# held in memory whatever the output's length
+_ITEMS_PER_WRITE = 1024
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_rows(
+    path: Path, header: list[str], blocks: list[str], table: np.ndarray
+) -> None:
+    """CSV file: the header line, then ``blocks[k] % tuple(rows of block k)``.
+
+    Block k is the text of table rows ``k * _ITEMS_PER_WRITE`` onward:
+    CRLF-terminated lines with one ``%.17g`` slot per value of the row (a
+    1-D table has one value per row).  These are the bytes ``csv.writer``
+    writes, as no number or column name needs quoting.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        for k, block in enumerate(blocks):
+            rows = table[k * _ITEMS_PER_WRITE : (k + 1) * _ITEMS_PER_WRITE]
+            fh.write(block % tuple(rows.ravel().tolist()))
+
+
+def _write_table(path: Path, header: list[str], table: np.ndarray) -> None:
+    """All-float (rows, columns) table as CSV."""
+    line = ",".join([FLOAT_FMT] * table.shape[1]) + "\r\n"
+    n = table.shape[0]
+    blocks = [
+        line * min(_ITEMS_PER_WRITE, n - s) for s in range(0, n, _ITEMS_PER_WRITE)
+    ]
+    _write_rows(path, header, blocks, table)
+
+
+def _json_chunks(obj, indent: str):
+    """Pieces of ``json.dumps(obj, indent=2)`` for a value nested at ``indent``.
+
+    A list of floats goes through the C encoder a block of items at a time,
+    and the item separators are then widened to one item per line; float
+    reprs hold no ``", "``, so this is exact.  Everything else keeps
+    ``json.dumps`` semantics.
+    """
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        brackets = "{}"
+        items = (
+            # json turns int, float, bool and None keys into their JSON text
+            (json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": ", v)
+            for k, v in obj.items()
+        )
+    elif isinstance(obj, (list, tuple)):
+        if obj and all(type(v) is float for v in obj):
+            lead = "[\n" + inner
+            for start in range(0, len(obj), _ITEMS_PER_WRITE):
+                block = json.dumps(obj[start : start + _ITEMS_PER_WRITE])
+                yield lead + block[1:-1].replace(", ", sep)
+                lead = sep
+            yield "\n" + indent + "]"
+            return
+        brackets = "[]"
+        items = (("", v) for v in obj)
+    else:
+        yield json.dumps(obj)
+        return
+    if not obj:
+        yield brackets
+        return
+    lead = brackets[0] + "\n" + inner
+    for prefix, value in items:
+        yield lead + prefix
+        yield from _json_chunks(value, inner)
+        lead = sep
+    yield "\n" + indent + brackets[1]
 
 
 def _write_json(path: Path, obj: dict) -> None:
+    """The bytes of ``json.dump(obj, fh, indent=2)`` plus a final newline."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
+        fh.writelines(_json_chunks(obj, ""))
         fh.write("\n")
 
 
@@ -444,11 +525,7 @@ def _run_simplex_geodesic(cfg: ExperimentConfig) -> list[Path]:
         if cfg.fmt == "csv":
             path = cfg.out_dir / _indexed_name("trajectory", k, len(results), "csv")
             header = ["t"] + [f"theta_{i + 1}" for i in range(p0.n)]
-            rows = (
-                [_fmt(t)] + [_fmt(x) for x in y[s, : p0.n]]
-                for s, t in enumerate(times)
-            )
-            _write_csv(path, header, rows)
+            _write_table(path, header, np.column_stack([times, y[:, : p0.n]]))
         else:
             path = cfg.out_dir / _indexed_name("trajectory", k, len(results), "json")
             state = simplex_state(p0, v)
@@ -486,19 +563,22 @@ def _run_density_geodesic(cfg: ExperimentConfig) -> list[Path]:
 
     written: list[Path] = []
     if cfg.fmt == "csv":
-        centers = grid.centers()
         header = (
             ["cell_index"]
             + [f"x_center_{d + 1}" for d in range(grid.dimension)]
             + ["f_value"]
         )
+        # index and center columns are the same in every frame: format them
+        # once, leaving a %.17g slot (escaped as %%) per cell for f_value
+        cell = "%d" + f",{FLOAT_FMT}" * grid.dimension + f",%{FLOAT_FMT}\r\n"
+        centers = grid.centers()
+        blocks = []
+        for s in range(0, grid.cell_count, _ITEMS_PER_WRITE):
+            block = centers[s : s + _ITEMS_PER_WRITE].tolist()
+            blocks.append("".join([cell % (s + i, *c) for i, c in enumerate(block)]))
         for k, values in enumerate(frames):
             path = cfg.out_dir / _indexed_name("frame", k, len(frames), "csv")
-            rows = (
-                [i] + [_fmt(c) for c in centers[i]] + [_fmt(values[i])]
-                for i in range(grid.cell_count)
-            )
-            _write_csv(path, header, rows)
+            _write_rows(path, header, blocks, values)
             written.append(path)
     else:
         path = cfg.out_dir / "density_geodesic.json"
@@ -588,14 +668,8 @@ def _run_oracle_compare(cfg: ExperimentConfig) -> list[Path]:
             + [f"rk4_theta_{i + 1}" for i in range(p0.n)]
             + ["abs_diff"]
         )
-        rows = (
-            [_fmt(traj.times[s])]
-            + [_fmt(x) for x in closed[s]]
-            + [_fmt(x) for x in traj.positions[s]]
-            + [_fmt(diff[s])]
-            for s in range(traj.n_samples)
-        )
-        _write_csv(path, header, rows)
+        table = np.column_stack([traj.times, closed, traj.positions, diff])
+        _write_table(path, header, table)
     else:
         path = cfg.out_dir / "oracle_compare.json"
         _write_json(

@@ -15,8 +15,13 @@ coordinate is the three-term curve
 
     mean_d(t) = A_d cos^2(t/2) + B_d sin^2(t/2) + C_d sin t
 
-with A = int x f0, B = int x g0^2/f0, C = int x g0.  The fit and the direct
-integrals are both provided so they can be checked against each other.
+with A = int x f0, B = int x g0^2/f0, C = int x g0, and the second moments
+are the same curve with x^2 in place of x.  ``moments`` evaluates exactly
+this: it contracts the per-cell rows (f0 w, g0^2/f0 w, g0 w) with x and x^2
+once, giving two (3, d) matrices, and multiplies them by the (T, 3) matrix
+of time functions.  Cost and memory are O(N + T) for N cells and T times;
+no (T, N) array is built.  The fit and the direct integrals are both
+provided so they can be checked against each other.
 
 ``classify_conic`` sorts planar point sets into ellipse / line / degenerate.
 Collinearity is decided first on the centered, RMS-scaled scatter, because a
@@ -35,7 +40,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InsufficientPoints, SpaceMismatch
-from .geodesics import GeodesicState, evaluate_scalar
+from .geodesics import GeodesicState
+# perfbench/spans.py wraps frgeo.moments.evaluate_scalar by name
+from .geodesics import evaluate_scalar  # noqa: F401
 from .spaces import DyadicGrid
 
 ELLIPSE = "ellipse"
@@ -81,24 +88,35 @@ class MomentCurve:
         return self.mean.shape[1]
 
 
+def _moment_matrices(state: GeodesicState) -> tuple[np.ndarray, np.ndarray]:
+    """(3, d) contractions of the rows (f0 w, g0^2/f0 w, g0 w) with x and x^2."""
+    grid = state.space
+    if not isinstance(grid, DyadicGrid):
+        raise SpaceMismatch("moments need a geodesic on a dyadic grid")
+    w = grid.weights
+    rows = np.stack([state.f0 * w, state.g0**2 / state.f0 * w, state.g0 * w])
+    x = grid.centers()
+    return rows @ x, rows @ (x * x)
+
+
+def _time_design(t: np.ndarray) -> np.ndarray:
+    """(T, 3) matrix of the time functions cos^2(t/2), sin^2(t/2), sin t."""
+    half = t / 2.0
+    return np.stack([np.cos(half) ** 2, np.sin(half) ** 2, np.sin(t)], axis=1)
+
+
 def moments(state: GeodesicState, times) -> MomentCurve:
     """Mean and variance curves of a grid geodesic at the given times.
 
     mean(t) = sum_k f(x_k, t) x_k w_k and variance(t) = sum f x_k^2 w
-    - mean^2, per coordinate, with x_k the cell centers.
+    - mean^2, per coordinate, with x_k the cell centers; both sums are
+    evaluated through the three-term identity of the module docstring.
     """
-    grid = state.space
-    if not isinstance(grid, DyadicGrid):
-        raise SpaceMismatch("moments need a geodesic on a dyadic grid")
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    x = grid.centers()
-    y, _, _ = evaluate_scalar(
-        state.alpha[None, :], state.beta[None, :], times[:, None]
-    )
-    yw = y * grid.weights
-    mean = yw @ x
-    second = yw @ (x * x)
-    var = second - mean * mean
+    m1, m2 = _moment_matrices(state)
+    design = _time_design(times)
+    mean = design @ m1
+    var = design @ m2 - mean * mean
     # center quadrature keeps genuine variances positive; only rounding can
     # push a (near-)concentrated coordinate a few ulp below zero
     var[(var < 0.0) & (var > -1e-12)] = 0.0
@@ -111,15 +129,7 @@ def mean_coefficients_direct(state: GeodesicState) -> np.ndarray:
     A = int x f0, B = int x g0^2/f0, C = int x g0 against the grid measure,
     cell centers standing in for x.
     """
-    grid = state.space
-    if not isinstance(grid, DyadicGrid):
-        raise SpaceMismatch("mean coefficients need a geodesic on a dyadic grid")
-    x = grid.centers()
-    w = grid.weights
-    a = (state.f0 * w) @ x
-    b = (state.g0**2 / state.f0 * w) @ x
-    c = (state.g0 * w) @ x
-    return np.stack([a, b, c])
+    return _moment_matrices(state)[0]
 
 
 def fit_mean_coefficients(times, values) -> np.ndarray:
@@ -137,11 +147,7 @@ def fit_mean_coefficients(times, values) -> np.ndarray:
             f"need at least 3 samples to fit 3 coefficients, got {t.size}"
         )
     v = v.reshape(t.size, -1)
-    half = t / 2.0
-    design = np.stack(
-        [np.cos(half) ** 2, np.sin(half) ** 2, np.sin(t)], axis=1
-    )
-    coef, *_ = np.linalg.lstsq(design, v, rcond=None)
+    coef, *_ = np.linalg.lstsq(_time_design(t), v, rcond=None)
     return coef[:, 0] if squeeze else coef
 
 

@@ -3,15 +3,32 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
-from frgeo.cli import _parse_levels, main, parse_number, read_config_file
+from frgeo import (
+    DyadicGrid,
+    FiniteDensity,
+    IntegratorConfig,
+    SignedFunction,
+    SimplexPoint,
+    density_at,
+    ellipse_param_n2,
+    geodesic_flow,
+    integrate_coupled,
+    normalize_velocity,
+    simplex_flow_samples,
+    simplex_trajectory,
+)
+from frgeo.catalogs import BUILTIN_CATALOGS
+from frgeo.cli import _parse_levels, _write_json, main, parse_number, read_config_file
 from frgeo.errors import ConfigError
 from frgeo.geodesics import evaluate_scalar
+from frgeo.simplex import TangentVector
 
 
 def run_cli(*argv):
@@ -28,6 +45,17 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
+def csv_writer_bytes(header, rows):
+    """Reference CSV bytes: csv.writer, floats as {:.17g}."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(
+        [v if isinstance(v, int) else "{:.17g}".format(v) for v in row] for row in rows
+    )
+    return buf.getvalue().encode()
+
+
 # ---------------------------------------------------------------------------
 # token parsing
 
@@ -42,6 +70,17 @@ def test_parse_number_forms():
     assert parse_number("2 * pi") == 2.0 * math.pi
     with pytest.raises(ValueError):
         parse_number("two")
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["nan", "-NaN", "inf", "-inf", "Infinity", "1e400", "1" + "0" * 400 + "/3",
+     "1" + "0" * 400 + "pi"],
+    ids=["nan", "-NaN", "inf", "-inf", "Infinity", "1e400", "huge_fraction", "huge_pi"],
+)
+def test_parse_number_rejects_non_finite(token):
+    with pytest.raises(ValueError):
+        parse_number(token)
 
 
 def test_parse_levels_forms():
@@ -209,6 +248,30 @@ def test_bad_values_rejected(tmp_path):
     assert run_cli("density-geodesic", "--out", str(tmp_path), "level=0") == 2
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("simplex-geodesic", "tau=nan"), "tau"),
+        (("simplex-geodesic", "tau=1e400"), "tau"),
+        (("simplex-geodesic", "theta0=nan,0.3", "w_raw=1,-1"), "theta0"),
+        (("density-geodesic", "t_end=inf"), "t_end"),
+        (("moments", "t_end=-inf"), "t_end"),
+        (("oracle-compare", "w_raw=nan,1"), "w_raw"),
+        (("oracle-compare", "step=1" + "0" * 400 + "/3"), "step"),
+    ],
+    ids=["tau_nan", "tau_1e400", "theta0_nan", "t_end_inf", "moments_t_end_-inf",
+         "w_raw_nan", "step_huge_fraction"],
+)
+def test_non_finite_numbers_rejected(tmp_path, capsys, argv, field):
+    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "ConfigError"
+    assert payload["field"] == field
+    assert not any(tmp_path.iterdir())
+
+
 def test_catalog_token_errors(tmp_path, capsys):
     code = run_cli(
         "pixelation-convergence", "f0=no_such_catalog", "--out", str(tmp_path)
@@ -310,6 +373,86 @@ def test_density_csv_frames(tmp_path):
     assert len(rows) == 9
     # uniform at t = 0, up to the amplitude/phase reconstruction rounding
     assert np.allclose([float(r[2]) for r in rows[1:]], 1.0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "f0, g0, level",
+    # level 6 in 2-D has 4,096 cells, several write blocks
+    [
+        ("uniform1d", "g01_1d", 3),
+        ("uniform2d", "g02_2d", 3),
+        ("uniform2d", "g02_2d", 6),
+    ],
+)
+def test_density_csv_frames_match_csv_writer(tmp_path, f0, g0, level):
+    argv = ("density-geodesic", f"f0={f0}", f"g0={g0}", f"level={level}", "n_frames=4")
+    assert run_cli(*argv, "t_end=3pi/4", "--out", str(tmp_path)) == 0
+    f0_cat, g0_cat = BUILTIN_CATALOGS[f0](), BUILTIN_CATALOGS[g0]()
+    grid = DyadicGrid(f0_cat.dimension, level)
+    f = FiniteDensity(grid, f0_cat.cell_averages(grid))
+    g = normalize_velocity(f, SignedFunction(grid, g0_cat.cell_averages(grid)))
+    state = geodesic_flow(f, g)
+    header = (
+        ["cell_index"]
+        + [f"x_center_{d + 1}" for d in range(grid.dimension)]
+        + ["f_value"]
+    )
+    centers = grid.centers()
+    for k, t in enumerate(np.linspace(0.0, 3.0 * math.pi / 4.0, 4)):
+        values = density_at(state, t).values
+        rows = ([i, *centers[i], values[i]] for i in range(grid.cell_count))
+        expected = csv_writer_bytes(header, rows)
+        assert (tmp_path / f"frame_{k:02d}.csv").read_bytes() == expected
+
+
+def test_simplex_and_oracle_csv_match_csv_writer(tmp_path):
+    p0 = SimplexPoint(np.array([1.0 / 3.0, 1.0 / 3.0]))
+    v = TangentVector(ellipse_param_n2(1.0))
+    # 2,500 rows span several write blocks, the last one partial
+    assert run_cli("simplex-geodesic", "tau=1", "n_times=2500", "t_end=1",
+                   "--out", str(tmp_path)) == 0
+    times = np.linspace(0.0, 1.0, 2500)
+    y, _ = simplex_flow_samples(p0, v, times)
+    expected = csv_writer_bytes(
+        ["t", "theta_1", "theta_2"], ([t, *y[s, :2]] for s, t in enumerate(times))
+    )
+    assert (tmp_path / "trajectory_00.csv").read_bytes() == expected
+
+    assert run_cli("oracle-compare", "tau=1", "step=0.01", "t_end=0.5",
+                   "--out", str(tmp_path)) == 0
+    traj = integrate_coupled(p0, v, IntegratorConfig(0.01, 0.5))
+    closed = np.array([q.theta for q in simplex_trajectory(p0, v, traj.times)])
+    diff = np.abs(closed - traj.positions).max(axis=1)
+    header = ["t", "theta_1", "theta_2", "rk4_theta_1", "rk4_theta_2", "abs_diff"]
+    rows = (
+        [t, *closed[s], *traj.positions[s], diff[s]] for s, t in enumerate(traj.times)
+    )
+    expected = csv_writer_bytes(header, rows)
+    assert (tmp_path / "oracle_compare.csv").read_bytes() == expected
+
+
+def test_write_json_matches_json_dump(tmp_path):
+    obj = {
+        "config": {"kind": "k", "nested": {"empty_list": [], "empty_dict": {}}},
+        "ints": [1, -2, 0],
+        "flags": [True, False, None],
+        "text": ["a, b", "", "c"],
+        "floats": [-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 0.1, 2.0],
+        "single": [0.5],
+        "long": [k / 7.0 for k in range(2500)],  # several write blocks
+        "mixed": [1.0, 2, "3, 4", None, 5.5],
+        "rows": [[0.5, 1.5], [], [[2.5, -0.0], {"a": 1}]],
+        "tuple": (1.5, 2.5),
+        "scalars": {"f": 1e-7, "i": 3, "b": False, "n": None, "s": "x, y"},
+        "keys": {2: "int", 0.5: "float", False: "bool", None: "none"},
+    }
+    path = tmp_path / "ours.json"
+    _write_json(path, obj)
+    reference = tmp_path / "reference.json"
+    with open(reference, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+    assert path.read_bytes() == reference.read_bytes()
 
 
 def test_ladder_csv_default_run(tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from frgeo import (
     DEGENERATE,
     ELLIPSE,
     LINE,
+    DyadicGrid,
     FiniteDensity,
     FiniteMeasureSpace,
     InsufficientPoints,
@@ -31,12 +33,28 @@ from frgeo import (
     simplex_trajectory,
     write_moments_csv,
 )
-from frgeo.catalogs import g01_1d, g02_2d, g03_2d, uniform1d, uniform2d
+from frgeo.catalogs import (
+    g01_1d,
+    g02_2d,
+    g03_2d,
+    misaligned_f0_2d,
+    misaligned_g0_2d,
+    uniform1d,
+    uniform2d,
+)
+from frgeo.geodesics import evaluate_scalar
 from frgeo.simplex import TangentVector
 
 
 def g01_state(level=6):
     return build_ladder(uniform1d(), g01_1d(), [level]).levels[level].state
+
+
+def grid_state(f0_cat, g0_cat, level):
+    grid = DyadicGrid(f0_cat.dimension, level)
+    f0 = FiniteDensity(grid, f0_cat.cell_averages(grid))
+    g_raw = SignedFunction(grid, g0_cat.cell_averages(grid))
+    return geodesic_flow(f0, normalize_velocity(f0, g_raw))
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +90,35 @@ def test_moments_match_three_term_curve():
     )
     assert np.max(np.abs(curve.mean - pred)) < 1e-14
     assert np.all(curve.variance >= 0.0)
+
+
+def test_moments_match_dense_evaluation():
+    # reference: the flow evaluated on the full (T, N) array, then summed;
+    # the three-term path reorders the sums, which moves a few ulp only
+    state = grid_state(misaligned_f0_2d(), misaligned_g0_2d(), 7)
+    times = np.linspace(0.0, 2.0 * math.pi, 37)
+    curve = moments(state, times)
+    x = state.space.centers()
+    y, _, _ = evaluate_scalar(state.alpha[None, :], state.beta[None, :], times[:, None])
+    yw = y * state.space.weights
+    mean = yw @ x
+    var = yw @ (x * x) - mean * mean
+    assert np.max(np.abs(curve.mean - mean)) <= 1e-14
+    assert np.max(np.abs(curve.variance - var)) <= 1e-14
+
+
+def test_moments_memory_is_linear_in_cells_plus_times():
+    # level 10 in 2-D has 2^20 cells; a (100, N) float array alone is 800 MB,
+    # while the cell rows, centers and their squares take about 56 MB
+    state = grid_state(uniform2d(), g02_2d(), 10)
+    tracemalloc.start()
+    try:
+        curve = moments(state, np.linspace(0.0, math.pi, 100))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert curve.mean.shape == (100, 2)
+    assert peak < 64 * 2**20
 
 
 def test_fit_recovers_direct_coefficients():
