@@ -1,13 +1,21 @@
 #!/usr/bin/env python3
-"""Time the RK4 stepping kernels: numba JIT against the pure-numpy fallback.
+"""Time the RK4 stepping kernels in microseconds per step, and cross-check them.
 
-Both backends run the same loop factories from ``frgeo.kernels`` on the same
-unit-speed geodesic data, so the comparison is apples to apples.  JIT
-compilation is triggered before any clock starts, the reported figure is the
-best of ``--repeats`` runs, and positions are cross-checked between backends
-before printing.
+Kernels timed on the same unit-speed geodesic data:
 
-    python3 benchmarks/bench_kernels.py --n 5 --step 2e-5
+* coupled: the float loop ``rk4_coupled_numpy`` (the backend without numba),
+  the factory loop as numpy (``_make_coupled(_coupled_accel, _coupled_low)``,
+  the reference) and, when numba imports, the factory loop compiled;
+* decoupled: the factory loop as numpy and, when numba imports, compiled.
+
+JIT compilation is triggered before any clock starts, and each figure is the
+best of ``--repeats`` runs.  Before printing, the float loop is checked
+against the reference: bit for bit below 8 coordinates (where ``np.sum``
+adds left to right, as the float loop does), within 1e-13 from 8 on.
+Compiled kernels are checked against numpy within 1e-12.  A failed check
+exits non-zero.
+
+    python3 benchmarks/bench_kernels.py --n 5 --step 1e-4
 """
 
 from __future__ import annotations
@@ -20,6 +28,10 @@ import numpy as np
 
 from frgeo import SimplexPoint, boundary_touch_time, ellipsoid_tangent
 from frgeo import kernels
+
+PAIRWISE_SUM_FROM = 8  # np.sum adds pairwise from this many items
+FLOAT_LOOP_TOL = 1e-13
+BACKEND_TOL = 1e-12
 
 
 def geodesic_data(n: int, seed: int):
@@ -42,10 +54,25 @@ def best_time(fn, args, repeats: int) -> tuple[float, tuple]:
     return best, out
 
 
+def check(name: str, out, ref, tol: float) -> str:
+    """Same exit record and valid rows: bit for bit at tol 0, else within tol."""
+    if out[3:] != ref[3:]:
+        raise SystemExit(f"{name}: exit records differ: {out[3:]} != {ref[3:]}")
+    rows = ref[3]
+    drift = max(float(np.max(np.abs(a[:rows] - b[:rows]))) for a, b in zip(out[:3], ref[:3]))
+    if tol == 0.0:
+        if not all(np.array_equal(a[:rows], b[:rows]) for a, b in zip(out[:3], ref[:3])):
+            raise SystemExit(f"{name}: not bit-identical to the reference (drift {drift:.3e})")
+        return "bit-identical"
+    if drift > tol:
+        raise SystemExit(f"{name}: differs from the reference by {drift:.3e}")
+    return f"max |diff| {drift:.1e}"
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, default=5, help="free simplex dimension")
-    ap.add_argument("--step", type=float, default=2e-5, help="RK4 step size")
+    ap.add_argument("--step", type=float, default=1e-4, help="RK4 step size")
     ap.add_argument(
         "--t-end", type=float, default=1.2, help="horizon (capped below exit)"
     )
@@ -55,41 +82,46 @@ def main() -> None:
 
     p0, v0 = geodesic_data(args.n, args.seed)
     horizon = min(args.t_end, 0.9 * boundary_touch_time(p0, v0))
-    n_steps = int(np.ceil(horizon / args.step))
+    n_steps = kernels.step_count(args.step, horizon)
     eps = 1e-9
+    reference = kernels._make_coupled(kernels._coupled_accel, kernels._coupled_low)
+    float_tol = 0.0 if args.n < PAIRWISE_SUM_FROM else FLOAT_LOOP_TOL
 
     coupled_args = (p0.theta, v0.v, args.step, horizon, eps)
     decoupled_args = (p0.full, v0.full, args.step, horizon, eps)
+    # (name, kernel, arguments, kernel whose output it is checked against, tol)
     cases = [
-        ("coupled", kernels.rk4_coupled_numpy, kernels.rk4_coupled_jit, coupled_args),
-        (
-            "decoupled",
-            kernels.rk4_decoupled_numpy,
-            kernels.rk4_decoupled_jit,
-            decoupled_args,
-        ),
+        ("coupled numpy (reference)", reference, coupled_args, None, None),
+        ("coupled floats", kernels.rk4_coupled_numpy, coupled_args,
+         "coupled numpy (reference)", float_tol),
+        ("coupled numba", kernels.rk4_coupled_jit, coupled_args,
+         "coupled numpy (reference)", BACKEND_TOL),
+        ("decoupled numpy", kernels.rk4_decoupled_numpy, decoupled_args, None, None),
+        ("decoupled numba", kernels.rk4_decoupled_jit, decoupled_args,
+         "decoupled numpy", BACKEND_TOL),
     ]
 
     print(
         f"n = {args.n}, horizon = {horizon:.4f}, step = {args.step:g} "
-        f"({n_steps} steps), best of {args.repeats}"
+        f"({n_steps} steps), best of {args.repeats}; active backend: "
+        f"{kernels.backend_name()}"
     )
     if not kernels.HAVE_NUMBA:
-        print("numba not importable: timing the numpy fallback only")
-    header = f"{'kernel':<10} {'numpy':>11} {'numba':>11} {'speedup':>9}"
+        print("numba not importable: its kernels are not timed")
+    header = f"{'kernel':<26} {'seconds':>9} {'us/step':>9}  check"
     print(header)
     print("-" * len(header))
-    for name, numpy_fn, jit_fn, call_args in cases:
-        t_np, out_np = best_time(numpy_fn, call_args, args.repeats)
-        if jit_fn is None:
-            print(f"{name:<10} {t_np:>10.4f}s {'-':>11} {'-':>9}")
+    outputs = {}
+    for name, fn, call_args, against, tol in cases:
+        if fn is None:
             continue
-        jit_fn(*call_args)  # compile before timing
-        t_jit, out_jit = best_time(jit_fn, call_args, args.repeats)
-        drift = float(np.max(np.abs(out_np[1] - out_jit[1])))
-        if drift > 1e-12:
-            raise SystemExit(f"{name}: backends disagree by {drift:.3e}")
-        print(f"{name:<10} {t_np:>10.4f}s {t_jit:>10.4f}s {t_np / t_jit:>8.1f}x")
+        if fn in (kernels.rk4_coupled_jit, kernels.rk4_decoupled_jit):
+            fn(*call_args)  # compile before timing
+        seconds, out = best_time(fn, call_args, args.repeats)
+        outputs[name] = out
+        verdict = "-" if against is None else check(name, out, outputs[against], tol)
+        us = 1e6 * seconds / max(out[3] - 1, 1)
+        print(f"{name:<26} {seconds:>9.4f} {us:>9.1f}  {verdict}")
 
 
 if __name__ == "__main__":

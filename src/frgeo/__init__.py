@@ -43,6 +43,7 @@ from .geodesics import (
     geodesic_flow,
     normalize_velocity,
     simplex_flow_samples,
+    simplex_positions,
     simplex_state,
     simplex_trajectory,
     solve_scalar_ivp,

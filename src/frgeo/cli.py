@@ -25,11 +25,10 @@ files.  Floats are written with 17 significant digits in CSV and with
 Time and memory follow the output size: CSV lines are ``%`` fills of line
 templates, written in blocks of rows (a frame's index and center columns
 are formatted once per grid), and JSON is written piece by piece, each
-float list through json's C encoder.  ``moments`` values are evaluated
+float list or array through json's C encoder, a block at a time, so no
+array is held as Python floats in full.  ``moments`` values are evaluated
 through the three-term identity and may differ from the dense evaluation of
 version 0.1.0 in the last ulp; every other output keeps the 0.1.0 bytes.
-``FRG_THREADS`` caps the thread pool used to evaluate frames in parallel;
-writes happen serially in frame order regardless.
 """
 
 from __future__ import annotations
@@ -37,10 +36,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -51,7 +48,6 @@ import numpy as np
 from .boxes import BoxFunction, load_catalog
 from .catalogs import BUILTIN_CATALOGS
 from .errors import (
-    BoundaryTouch,
     ConfigError,
     FrgeoError,
     InvalidCatalogFunction,
@@ -63,9 +59,10 @@ from .geodesics import (
     ellipsoid_tangent,
     geodesic_flow,
     normalize_velocity,
-    simplex_flow_samples,
+    simplex_flow_samples,  # noqa: F401  (perfbench/spans.py wraps it by name)
+    simplex_positions,
     simplex_state,
-    simplex_trajectory,
+    simplex_trajectory,  # noqa: F401  (perfbench/spans.py wraps it by name)
 )
 from .moments import moments, write_moments_csv
 from .oracle import IntegratorConfig, integrate_coupled
@@ -381,34 +378,6 @@ def _resolve_velocities(params: dict, allow_sweep: bool) -> list[tuple[float | N
 
 
 # ---------------------------------------------------------------------------
-# parallel evaluation
-
-
-def worker_count(n_tasks: int) -> int:
-    """Thread count for frame evaluation; FRG_THREADS caps it."""
-    cap = os.environ.get("FRG_THREADS")
-    if cap is None:
-        limit = os.cpu_count() or 1
-    else:
-        try:
-            limit = int(cap)
-        except ValueError:
-            raise ConfigError("FRG_THREADS", f"not an integer: {cap!r}")
-        if limit < 1:
-            raise ConfigError("FRG_THREADS", "must be >= 1")
-    return max(1, min(n_tasks, limit))
-
-
-def _map_ordered(fn: Callable, items: list) -> list:
-    """fn over items, possibly in a thread pool; results in input order."""
-    workers = worker_count(len(items))
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-# ---------------------------------------------------------------------------
 # output helpers
 
 
@@ -447,10 +416,11 @@ def _write_table(path: Path, header: list[str], table: np.ndarray) -> None:
 def _json_chunks(obj, indent: str):
     """Pieces of ``json.dumps(obj, indent=2)`` for a value nested at ``indent``.
 
-    A list of floats goes through the C encoder a block of items at a time,
-    and the item separators are then widened to one item per line; float
-    reprs hold no ``", "``, so this is exact.  Everything else keeps
-    ``json.dumps`` semantics.
+    A numpy array is written as its ``tolist()``, converted one block of
+    items at a time.  A list of floats, or a 1-D float array, goes through
+    the C encoder a block of items at a time, and the item separators are
+    then widened to one item per line; float reprs hold no ``", "``, so
+    this is exact.  Everything else keeps ``json.dumps`` semantics.
     """
     inner = indent + "  "
     sep = ",\n" + inner
@@ -461,21 +431,27 @@ def _json_chunks(obj, indent: str):
             (json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": ", v)
             for k, v in obj.items()
         )
-    elif isinstance(obj, (list, tuple)):
-        if obj and all(type(v) is float for v in obj):
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        starts = range(0, len(obj), _ITEMS_PER_WRITE)
+        if isinstance(obj, np.ndarray):
+            floats = obj.ndim == 1 and obj.dtype.kind == "f"
+            blocks = (obj[s : s + _ITEMS_PER_WRITE].tolist() for s in starts)
+        else:
+            floats = all(type(v) is float for v in obj)
+            blocks = (obj[s : s + _ITEMS_PER_WRITE] for s in starts)
+        if len(obj) and floats:
             lead = "[\n" + inner
-            for start in range(0, len(obj), _ITEMS_PER_WRITE):
-                block = json.dumps(obj[start : start + _ITEMS_PER_WRITE])
-                yield lead + block[1:-1].replace(", ", sep)
+            for block in blocks:
+                yield lead + json.dumps(block)[1:-1].replace(", ", sep)
                 lead = sep
             yield "\n" + indent + "]"
             return
         brackets = "[]"
-        items = (("", v) for v in obj)
+        items = (("", v) for block in blocks for v in block)
     else:
         yield json.dumps(obj)
         return
-    if not obj:
+    if not len(obj):
         yield brackets
         return
     lead = brackets[0] + "\n" + inner
@@ -507,19 +483,10 @@ def _run_simplex_geodesic(cfg: ExperimentConfig) -> list[Path]:
     p0 = SimplexPoint(p["theta0"])
     pairs = _resolve_velocities(p, allow_sweep=True)
     times = np.linspace(0.0, p["t_end"], p["n_times"])
-
-    def one(pair):
-        tau, v = pair
-        # full-coordinate closed form; archived exactly as evaluated, so a
-        # JSON re-import reproduces every frame bit for bit
-        y, _ = simplex_flow_samples(p0, v, times)
-        bad = y < BOUNDARY_FLOOR
-        if np.any(bad):
-            t_idx, k_idx = np.argwhere(bad)[0]
-            raise BoundaryTouch(int(k_idx) + 1, float(times[t_idx]))
-        return tau, v, y
-
-    results = _map_ordered(one, pairs)
+    # full-coordinate closed form, archived exactly as evaluated so that a
+    # JSON re-import reproduces every frame bit for bit; every trajectory is
+    # checked for a boundary touch before any file is written
+    results = [(tau, v, simplex_positions(p0, v, times)) for tau, v in pairs]
     written: list[Path] = []
     for k, (tau, v, y) in enumerate(results):
         if cfg.fmt == "csv":
@@ -532,11 +499,9 @@ def _run_simplex_geodesic(cfg: ExperimentConfig) -> list[Path]:
             obj = {
                 "config": {**cfg.echo, "trajectory_index": k, "tau": tau},
                 "space": {"kind": "counting", "n_points": p0.n + 1},
-                "alpha": state.alpha.tolist(),
-                "beta": state.beta.tolist(),
-                "frames": {
-                    repr(float(t)): y[s].tolist() for s, t in enumerate(times)
-                },
+                "alpha": state.alpha,
+                "beta": state.beta,
+                "frames": {repr(float(t)): y[s] for s, t in enumerate(times)},
             }
             _write_json(path, obj)
         written.append(path)
@@ -559,7 +524,7 @@ def _run_density_geodesic(cfg: ExperimentConfig) -> list[Path]:
     state = _grid_state(p["f0"], p["g0"], p["level"])
     grid: DyadicGrid = state.space
     times = np.linspace(0.0, p["t_end"], p["n_frames"])
-    frames = _map_ordered(lambda t: density_at(state, t).values, list(times))
+    frames = [density_at(state, t).values for t in times]
 
     written: list[Path] = []
     if cfg.fmt == "csv":
@@ -589,12 +554,9 @@ def _run_density_geodesic(cfg: ExperimentConfig) -> list[Path]:
                 "dimension": grid.dimension,
                 "level": grid.level,
             },
-            "alpha": state.alpha.tolist(),
-            "beta": state.beta.tolist(),
-            "frames": {
-                repr(float(t)): values.tolist()
-                for t, values in zip(times, frames)
-            },
+            "alpha": state.alpha,
+            "beta": state.beta,
+            "frames": {repr(float(t)): values for t, values in zip(times, frames)},
         }
         _write_json(path, obj)
         written.append(path)
@@ -642,9 +604,9 @@ def _run_moments(cfg: ExperimentConfig) -> list[Path]:
             path,
             {
                 "config": cfg.echo,
-                "times": curve.times.tolist(),
-                "mean": curve.mean.tolist(),
-                "variance": curve.variance.tolist(),
+                "times": curve.times,
+                "mean": curve.mean,
+                "variance": curve.variance,
             },
         )
     return [path]
@@ -655,9 +617,7 @@ def _run_oracle_compare(cfg: ExperimentConfig) -> list[Path]:
     p0 = SimplexPoint(p["theta0"])
     ((tau, v),) = _resolve_velocities(p, allow_sweep=False)
     traj = integrate_coupled(p0, v, IntegratorConfig(p["step"], p["t_end"]))
-    closed = np.array(
-        [pt.theta for pt in simplex_trajectory(p0, v, traj.times)]
-    )
+    closed = simplex_positions(p0, v, traj.times)[:, : p0.n]
     diff = np.abs(closed - traj.positions).max(axis=1)
 
     if cfg.fmt == "csv":
@@ -676,9 +636,9 @@ def _run_oracle_compare(cfg: ExperimentConfig) -> list[Path]:
             path,
             {
                 "config": {**cfg.echo, "tau": tau},
-                "times": traj.times.tolist(),
-                "closed": closed.tolist(),
-                "rk4": traj.positions.tolist(),
+                "times": traj.times,
+                "closed": closed,
+                "rk4": traj.positions,
                 "max_abs_diff": float(diff.max()),
             },
         )

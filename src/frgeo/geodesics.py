@@ -229,10 +229,10 @@ def simplex_flow_samples(
     return y, ydot
 
 
-def simplex_trajectory(
+def simplex_positions(
     p0: sx.SimplexPoint, v0: sx.TangentVector, times: np.ndarray
-) -> list[sx.SimplexPoint]:
-    """Closed-form geodesic through (p0, v0) sampled at the given times.
+) -> np.ndarray:
+    """Closed-form geodesic through (p0, v0) at the given times, shape (T, n+1).
 
     theta_i(t) = theta_i cos^2(t/2) + (v_i^2 / theta_i) sin^2(t/2)
                  + v_i sin(t)   for i = 1..n+1,
@@ -248,7 +248,14 @@ def simplex_trajectory(
     if np.any(bad):
         t_idx, k_idx = np.argwhere(bad)[0]
         raise BoundaryTouch(int(k_idx) + 1, float(times[t_idx]))
-    return [sx.SimplexPoint(row[:-1]) for row in y]
+    return y
+
+
+def simplex_trajectory(
+    p0: sx.SimplexPoint, v0: sx.TangentVector, times: np.ndarray
+) -> list[sx.SimplexPoint]:
+    """``simplex_positions`` as one SimplexPoint per sample time."""
+    return [sx.SimplexPoint(row[:-1]) for row in simplex_positions(p0, v0, times)]
 
 
 def boundary_touch_time(p0: sx.SimplexPoint, v0: sx.TangentVector) -> float:

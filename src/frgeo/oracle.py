@@ -23,7 +23,6 @@ equations are singular on the boundary, so no step across it is attempted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +38,8 @@ DOMAIN_EPS = 1e-9
 class IntegratorConfig:
     """Fixed-step RK4 configuration.
 
-    The number of steps is ceil(t_end / step); the final step is shortened
-    to land exactly on t_end.
+    Step i ends at min((i + 1) * step, t_end): the final step is shortened
+    to land exactly on t_end, and is never empty (``kernels.step_count``).
     """
 
     step: float
@@ -54,7 +53,7 @@ class IntegratorConfig:
 
     @property
     def n_steps(self) -> int:
-        return int(math.ceil(self.t_end / self.step)) if self.t_end > 0 else 0
+        return kernels.step_count(self.step, self.t_end)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -445,14 +446,37 @@ def test_write_json_matches_json_dump(tmp_path):
         "tuple": (1.5, 2.5),
         "scalars": {"f": 1e-7, "i": 3, "b": False, "n": None, "s": "x, y"},
         "keys": {2: "int", 0.5: "float", False: "bool", None: "none"},
+        # arrays are written as their tolist(), a block of items at a time
+        "array": np.arange(2500) / 7.0,
+        "matrix": np.arange(7500.0).reshape(2500, 3) / 3.0,
+        "column_view": np.arange(12.0).reshape(4, 3)[:, :2],
+        "int_array": np.arange(5),
+        "bool_array": np.array([True, False]),
+        "empty_array": np.empty(0),
+        "empty_matrix": np.empty((0, 2)),
+        "array_of_one": np.array([-0.0]),
     }
     path = tmp_path / "ours.json"
     _write_json(path, obj)
     reference = tmp_path / "reference.json"
     with open(reference, "w") as fh:
-        json.dump(obj, fh, indent=2)
+        json.dump(obj, fh, indent=2, default=np.ndarray.tolist)
         fh.write("\n")
     assert path.read_bytes() == reference.read_bytes()
+
+
+def test_json_archive_is_not_held_as_python_floats(tmp_path):
+    # 12 frames of 65,536 cells are 6 MiB as arrays; as Python float lists
+    # they would add about 24 MiB (a 24-byte float and an 8-byte slot each)
+    args = ("density-geodesic", "f0=uniform2d", "g0=g01_2d", "level=8",
+            "n_frames=12", "--format", "json", "--out", str(tmp_path))
+    tracemalloc.start()
+    try:
+        assert run_cli(*args) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_ladder_csv_default_run(tmp_path):
@@ -543,33 +567,21 @@ def test_oracle_compare_json_uses_w_raw(tmp_path):
     assert obj["max_abs_diff"] < 1e-8
 
 
-# ---------------------------------------------------------------------------
-# threading
+def test_oracle_compare_time_grid_ends_on_t_end(tmp_path):
+    # 3 * 0.1 == t_end here, so ceil(t_end / step) == 4 would add an empty step
+    assert run_cli("oracle-compare", "step=0.1", "t_end=0.30000000000000004",
+                   "--format", "json", "--out", str(tmp_path)) == 0
+    obj = json.loads((tmp_path / "oracle_compare.json").read_text())
+    assert obj["times"] == [0.0, 0.1, 0.2, 0.30000000000000004]
 
 
-def test_thread_cap_does_not_change_bytes(tmp_path, monkeypatch):
-    args = (
-        "density-geodesic",
-        "level=4",
-        "n_frames=6",
-        "--format",
-        "json",
-    )
-    monkeypatch.setenv("FRG_THREADS", "3")
+def test_density_json_runs_are_byte_deterministic(tmp_path):
+    args = ("density-geodesic", "level=4", "n_frames=6", "--format", "json")
     assert run_cli(*args, "--out", str(tmp_path / "a")) == 0
-    monkeypatch.setenv("FRG_THREADS", "1")
     assert run_cli(*args, "--out", str(tmp_path / "b")) == 0
     assert (tmp_path / "a/density_geodesic.json").read_bytes() == (
         tmp_path / "b/density_geodesic.json"
     ).read_bytes()
-
-
-def test_bad_thread_cap_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FRG_THREADS", "abc")
-    assert run_cli("simplex-geodesic", "--out", str(tmp_path)) == 2
-    assert stderr_payload(capsys)["field"] == "FRG_THREADS"
-    monkeypatch.setenv("FRG_THREADS", "0")
-    assert run_cli("simplex-geodesic", "--out", str(tmp_path)) == 2
 
 
 def test_out_directory_is_created(tmp_path):

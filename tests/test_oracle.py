@@ -51,6 +51,22 @@ def test_final_partial_step_lands_on_t_end():
     assert traj.times[-1] == 1.0
 
 
+@pytest.mark.parametrize(
+    "step, t_end", [(1e-4, 1.0), (0.1, 1.0), (0.1, 0.30000000000000004)]
+)
+def test_time_grid_lands_exactly_on_t_end(step, t_end):
+    # accumulating t += h ended at 0.9999999999999062 (step 1e-4) and at
+    # 0.9999999999999999 (step 0.1), and added an empty fourth step after
+    # 3 * 0.1 == 0.30000000000000004
+    cfg = IntegratorConfig(step, t_end)
+    coupled = integrate_coupled(BARY, TangentVector(ellipse_param_n2(1.0)), cfg)
+    decoupled = integrate_decoupled(np.array([1.0]), np.array([0.0]), cfg)
+    for traj in (coupled, decoupled):
+        assert traj.times[-1] == t_end
+        assert traj.times.size == cfg.n_steps + 1
+        assert np.array_equal(traj.times[:-1], np.arange(cfg.n_steps) * step)
+
+
 def test_decoupled_matches_closed_form():
     cfg = IntegratorConfig(1e-3, math.pi / 2)
     traj = integrate_decoupled(np.array([1.0]), np.array([0.0]), cfg)
