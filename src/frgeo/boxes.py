@@ -97,6 +97,12 @@ def _validate_tiling(boxes: list[Box], dimension: int) -> None:
     for b in boxes:
         if b.dimension != dimension:
             raise InvalidCatalogFunction("boxes of mixed dimension")
+        try:
+            float(b.value)
+        except OverflowError:
+            raise InvalidCatalogFunction(
+                "box value outside the float range (|value| > 1.8e308)"
+            ) from None
         for a, c in zip(b.lo, b.hi):
             if not (_ZERO <= a < c <= _ONE):
                 raise InvalidCatalogFunction(

@@ -172,4 +172,5 @@ BUILTIN_CATALOGS = {
     "misaligned_g0_1d": misaligned_g0_1d,
     "misaligned_f0_2d": misaligned_f0_2d,
     "misaligned_g0_2d": misaligned_g0_2d,
+    "single_break_g0_1d": single_break_g0_1d,
 }

@@ -19,13 +19,24 @@ carry no geodesic state.
 
 Weak errors compare the discrete flow with the exact continuum flow: the
 continuum initial data is piecewise constant on the overlay of the two
-catalogs, so alpha(x), beta(x) are exact per overlay region and the flowed
-density is realized at a reference level J_ref by exact box/cell averaging
-(no projection of the initial data is involved).  Test functions phi are
-fixed once as a staircase at J_ref (midpoint sampling) and both integrals
-are evaluated exactly against that staircase.  Neither the staircase nor
-the continuum pairings depend on the level, so a ladder summary builds
-them once per ladder and adds only the discrete pairings per level.
+catalogs, so alpha(x), beta(x) are exact per overlay region (no projection
+of the initial data is involved).  Test functions phi are fixed once as a
+staircase at a reference level J_ref (midpoint sampling), and both sides
+are integrated exactly against that staircase.
+
+The pairings are separable, and no J_ref grid is ever built.  phi is a
+product of per-axis tents and every overlay region is a box, so phi's
+staircase is the outer product of 1-D staircases s_d, and the pairing of
+the staircase with a function v constant per region is
+
+    sum_r v_r W_r,    W_r = prod_d sum_k overlap_{r,d}[k] s_d[k],
+
+with the exact per-axis overlaps of region r.  W costs O(regions * 2^J_ref)
+per axis and serves every continuum pairing (f0, g0, g0^2/f0 and the flow at
+any time); the sums are taken with math.fsum, so each pairing is within a
+few ulp of its exact value.  The coarse test function at level j is the
+outer product of the per-axis block means of s_d, so a ladder's memory
+follows its deepest level, not J_ref.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxes import BoxFunction, OverlayRegion, overlay, project_regions
+from .boxes import BoxFunction, OverlayRegion, _axis_overlaps, overlay, project_regions
 from .errors import HypothesisViolation
 from .geodesics import GeodesicState, UnitVelocity, geodesic_flow
 from .spaces import DyadicGrid, FiniteDensity, SignedFunction
@@ -79,11 +90,16 @@ class TentFunction:
     def dimension(self) -> int:
         return len(self.centers)
 
+    def axis_tent(self, axis: int, x: np.ndarray) -> np.ndarray:
+        """The factor of axis ``axis`` at the coordinates ``x``."""
+        c, r = self.centers[axis], self.radii[axis]
+        return np.maximum(0.0, 1.0 - np.abs(x - c) / r)
+
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.ones(pts.shape[0])
-        for d, (c, r) in enumerate(zip(self.centers, self.radii)):
-            out *= np.maximum(0.0, 1.0 - np.abs(pts[:, d] - c) / r)
+        for d in range(self.dimension):
+            out *= self.axis_tent(d, pts[:, d])
         return out
 
 
@@ -207,23 +223,25 @@ def alpha_sequence(ladder: PixelationLadder) -> list[tuple[int, float]]:
     return [(j, ladder.levels[j].alpha) for j in sorted(ladder.levels)]
 
 
+def _axis_staircases(phi: TentFunction, j_ref: int) -> list[np.ndarray]:
+    """phi's per-axis tents sampled at the level-j_ref cell midpoints."""
+    x = DyadicGrid(1, j_ref).centers()[:, 0]
+    return [phi.axis_tent(d, x) for d in range(phi.dimension)]
+
+
+def _outer(factors: list[np.ndarray]) -> np.ndarray:
+    """Flattened outer product of per-axis factors, in cell order."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = np.multiply.outer(out, f)
+    return out.reshape(-1)
+
+
 def phi_staircase(phi: TentFunction, dimension: int, j_ref: int) -> np.ndarray:
     """phi sampled at the cell midpoints of the level-j_ref grid."""
     if phi.dimension != dimension:
         raise ValueError("test function dimension mismatch")
-    grid = DyadicGrid(dimension, j_ref)
-    return phi(grid.centers())
-
-
-def _coarsen_mean(values: np.ndarray, m: int, j_fine: int, j_coarse: int) -> np.ndarray:
-    """Average a level-j_fine cell array over level-j_coarse cells."""
-    if j_fine == j_coarse:
-        return values
-    side_c = 1 << j_coarse
-    ratio = 1 << (j_fine - j_coarse)
-    shaped = values.reshape((side_c, ratio) * m)
-    # axes 1, 3, ... are the fine offsets inside each coarse cell
-    return shaped.mean(axis=tuple(range(1, 2 * m, 2))).reshape(-1)
+    return _outer(_axis_staircases(phi, j_ref))
 
 
 def region_flow_values(regions, t: float) -> np.ndarray:
@@ -246,12 +264,38 @@ def continuum_cell_averages(
     return project_regions(grid, bounds, values)
 
 
-def _reference_staircase(ladder: PixelationLadder, phi: TentFunction, j_ref):
-    """Resolved j_ref (default: max + 4) and phi's staircase at that level."""
+def _separable_phi(ladder: PixelationLadder, phi: TentFunction, j_ref):
+    """Resolved j_ref (default: max + 4), phi's per-axis staircases there,
+    and its region weights.
+
+    W_r = prod_d <overlap_{r,d}, s_d> is the pairing of phi's j_ref staircase
+    with the indicator of overlay region r, from the exact per-axis overlaps.
+    """
     j_ref = ladder.max_level + J_REF_OFFSET if j_ref is None else j_ref
     if j_ref <= ladder.max_level:
         raise ValueError("j_ref must exceed the deepest ladder level")
-    return j_ref, phi_staircase(phi, ladder.dimension, j_ref)
+    if phi.dimension != ladder.dimension:
+        raise ValueError("test function dimension mismatch")
+    stairs = _axis_staircases(phi, j_ref)
+    weights = []
+    for r in ladder.regions:
+        w = 1.0
+        for lo, hi, stair in zip(r.lo, r.hi, stairs):
+            first, lengths = _axis_overlaps(lo, hi, j_ref)
+            w *= math.fsum((lengths * stair[first : first + lengths.size]).tolist())
+        weights.append(w)
+    return j_ref, stairs, np.array(weights)
+
+
+def _phi_coarse(stairs: list[np.ndarray], j_ref: int, j: int) -> np.ndarray:
+    """Level-j block means of phi's staircase: per axis, then outer product."""
+    ratio = 1 << (j_ref - j)
+    return _outer([s.reshape(-1, ratio).mean(axis=1) for s in stairs])
+
+
+def _cont_pairings(weights: np.ndarray, *region_values) -> list[float]:
+    """Pairings of phi's staircase with functions constant per region."""
+    return [math.fsum((v * weights).tolist()) for v in region_values]
 
 
 def _ladder_level(ladder: PixelationLadder, j: int) -> LadderLevel:
@@ -263,16 +307,6 @@ def _ladder_level(ladder: PixelationLadder, j: int) -> LadderLevel:
 def _pairing(values: np.ndarray, phi_values: np.ndarray, grid: DyadicGrid) -> float:
     """Integral of the product of two cell-constant functions on ``grid``."""
     return float(np.dot(values * phi_values, grid.weights))
-
-
-def _cont_pairings(ladder, stair, j_ref, *region_values) -> list[float]:
-    """Pairings of phi's j_ref staircase with functions constant per region."""
-    grid_ref = DyadicGrid(ladder.dimension, j_ref)
-    bounds = [(r.lo, r.hi) for r in ladder.regions]
-    return [
-        _pairing(project_regions(grid_ref, bounds, v), stair, grid_ref)
-        for v in region_values
-    ]
 
 
 def _block_values(regions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -318,10 +352,9 @@ def weak_error(
         raise HypothesisViolation(
             "degenerate-level", f"level {j} carries no geodesic state"
         )
-    j_ref, stair = _reference_staircase(ladder, phi, j_ref)
-    phi_coarse = _coarsen_mean(stair, ladder.dimension, j_ref, j)
-    flow = region_flow_values(ladder.regions, t)
-    (cont,) = _cont_pairings(ladder, stair, j_ref, flow)
+    j_ref, stairs, weights = _separable_phi(ladder, phi, j_ref)
+    phi_coarse = _phi_coarse(stairs, j_ref, j)
+    (cont,) = _cont_pairings(weights, region_flow_values(ladder.regions, t))
     return _flow_error(level, t, phi_coarse, cont)
 
 
@@ -337,11 +370,11 @@ def three_term_errors(
     e_q the discrete kinetic ratio g_j^2/f0_j against g0^2/f0.  At a
     degenerate level only e_f is defined; the other two come back as None.
     """
-    j_ref, stair = _reference_staircase(ladder, phi, j_ref)
+    j_ref, stairs, weights = _separable_phi(ladder, phi, j_ref)
     level = _ladder_level(ladder, j)
-    phi_coarse = _coarsen_mean(stair, ladder.dimension, j_ref, j)
+    phi_coarse = _phi_coarse(stairs, j_ref, j)
     values = _block_values(ladder.regions)[: 1 if level.degenerate else 3]
-    cont = _cont_pairings(ladder, stair, j_ref, *values)
+    cont = _cont_pairings(weights, *values)
     return _block_errors(level, phi_coarse, cont)
 
 
@@ -353,18 +386,18 @@ def ladder_summary_rows(
     """Per-level summary used by the CSV export (see write_ladder_csv).
 
     Each row holds three_term_errors and weak_error at t = 0 and t = pi/2.
-    The staircase and the five continuum pairings (f0, g0, g0^2/f0 and the
-    flow at both times) do not depend on the level, so they are built once
-    per ladder; each level adds only its discrete pairings.
+    phi's region weights and the five continuum pairings (f0, g0, g0^2/f0
+    and the flow at both times) do not depend on the level, so they are
+    built once per ladder; each level adds only its discrete pairings.
     """
-    j_ref, stair = _reference_staircase(ladder, phi, j_ref)
+    j_ref, stairs, weights = _separable_phi(ladder, phi, j_ref)
     times = (0.0, math.pi / 2.0)
     flows = [region_flow_values(ladder.regions, t) for t in times]
-    cont = _cont_pairings(ladder, stair, j_ref, *_block_values(ladder.regions), *flows)
+    cont = _cont_pairings(weights, *_block_values(ladder.regions), *flows)
     rows = []
     for j in sorted(ladder.levels):
         level = ladder.levels[j]
-        phi_coarse = _coarsen_mean(stair, ladder.dimension, j_ref, j)
+        phi_coarse = _phi_coarse(stairs, j_ref, j)
         e_f, e_g, e_q = _block_errors(level, phi_coarse, cont[:3])
         if level.degenerate:
             w0 = wpi2 = None

@@ -63,6 +63,9 @@ def test_tiling_validation():
         BoxFunction.from_rows(1, [(1, 0, F(3, 2))])
     with pytest.raises(InvalidCatalogFunction):
         BoxFunction.from_rows(1, [(1, F(1, 2), F(1, 2)), (1, 0, 1)])  # empty box
+    with pytest.raises(InvalidCatalogFunction, match="float range"):
+        # exact as a rational, but float() of it overflows
+        BoxFunction.from_rows(1, [(F(10) ** 400, 0, F(1, 2)), (1, F(1, 2), 1)])
 
 
 def test_exact_integrals_of_builtin_wavelets():

@@ -273,6 +273,42 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, argv, field):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("density-geodesic", "g0=g01_1d", "level=3"),
+        ("pixelation-convergence", "g0=misaligned_g0_1d", "levels=3-4"),
+    ],
+    ids=["density-geodesic", "pixelation-convergence"],
+)
+def test_catalog_value_beyond_float_range_exits_2(tmp_path, capsys, argv):
+    cat = tmp_path / "huge.cat"
+    cat.write_text("1e400 0 1/2\n1 1/2 1\n")
+    out = tmp_path / "out"
+    assert run_cli(*argv, f"f0={cat}", "--out", str(out)) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "ConfigError"
+    assert payload["field"] == "f0"
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_single_break_catalog_is_builtin(tmp_path):
+    code = run_cli(
+        "pixelation-convergence",
+        "f0=uniform1d",
+        "g0=single_break_g0_1d",
+        "levels=2-6",
+        "--out",
+        str(tmp_path),
+    )
+    assert code == 0
+    rows = read_rows(tmp_path / "ladder.csv")
+    assert [r[0] for r in rows[1:]] == ["2", "3", "4", "5", "6"]
+    assert all(float(r[1]) <= 1.0 for r in rows[1:])
+
+
 def test_catalog_token_errors(tmp_path, capsys):
     code = run_cli(
         "pixelation-convergence", "f0=no_such_catalog", "--out", str(tmp_path)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -32,10 +34,16 @@ from frgeo.catalogs import (
     uniform1d,
     uniform2d,
 )
+from frgeo.boxes import overlay
 from frgeo.pixelation import (
+    _block_values,
+    _cont_pairings,
+    _phi_coarse,
+    _separable_phi,
     continuum_cell_averages,
     ladder_summary_rows,
     phi_staircase,
+    region_flow_values,
 )
 from frgeo.pixelation import test_functions_1d as tents_1d
 from frgeo.pixelation import test_functions_2d as tents_2d
@@ -83,12 +91,46 @@ def test_fixed_test_sets():
 
 
 def test_phi_staircase_midpoint_sampling():
-    phi = TentFunction((0.5,), (0.25,))
-    stair = phi_staircase(phi, 1, 4)
-    grid = DyadicGrid(1, 4)
-    assert np.array_equal(stair, phi(grid.centers()))
-    with pytest.raises(ValueError):
-        phi_staircase(phi, 2, 4)
+    # the outer product of per-axis staircases is phi at the cell midpoints,
+    # bit for bit: 1.0 * a * b == a * b
+    for phi in (TentFunction((0.5,), (0.25,)), *tents_1d(), *tents_2d()):
+        for level in (4, 7):
+            stair = phi_staircase(phi, phi.dimension, level)
+            grid = DyadicGrid(phi.dimension, level)
+            assert np.array_equal(stair, phi(grid.centers()))
+        with pytest.raises(ValueError):
+            phi_staircase(phi, 3 - phi.dimension, 4)
+
+
+def _coarsen_mean(values: np.ndarray, m: int, j_fine: int, j_coarse: int) -> np.ndarray:
+    """Reference: average a level-j_fine cell array over level-j_coarse cells."""
+    if j_fine == j_coarse:
+        return values
+    side_c = 1 << j_coarse
+    ratio = 1 << (j_fine - j_coarse)
+    shaped = values.reshape((side_c, ratio) * m)
+    # axes 1, 3, ... are the fine offsets inside each coarse cell
+    return shaped.mean(axis=tuple(range(1, 2 * m, 2))).reshape(-1)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_separable_phi_coarse_matches_block_means(dimension):
+    # the coarse test function is the outer product of per-axis block means;
+    # in 1-D that is the same reduction, in 2-D it regroups the sum
+    phis = tents_1d() if dimension == 1 else tents_2d()
+    j_ref = 9
+    for phi in phis:
+        _, stairs, _ = _separable_phi(
+            misaligned_ladder([3], dimension), phi, j_ref
+        )
+        fine = phi_staircase(phi, dimension, j_ref)
+        for j in range(2, j_ref):
+            got = _phi_coarse(stairs, j_ref, j)
+            want = _coarsen_mean(fine, dimension, j_ref, j)
+            if dimension == 1:
+                assert np.array_equal(got, want)
+            else:
+                assert np.allclose(got, want, rtol=0.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +362,93 @@ def test_three_term_errors():
     assert e_f < 1e-14 and e_g < 1e-13 and e_q < 1e-13
 
 
+def _seeded_pair(seed: int, boxes: int = 16):
+    """A 1-D pair with non-dyadic breaks, built as the ``ladder`` benchmark's."""
+    rng = random.Random(seed)
+    edges = [Fraction(0)]
+    for i in range(1, boxes):
+        q = rng.choice((3, 5, 7, 9, 11, 13))
+        k = rng.choice([k for k in range(-(q // 2), q // 2 + 1) if k])
+        edges.append(Fraction(i, boxes) + Fraction(k, 2 * boxes * q))
+    edges.append(Fraction(1))
+    lengths = [b - a for a, b in zip(edges, edges[1:])]
+    f = [Fraction(rng.randint(14, 18), 16) for _ in lengths]
+    mass = sum(v * h for v, h in zip(f, lengths))
+    f = [v / mass for v in f]
+    w = [
+        Fraction(2 * i, boxes - 1) - 1 + Fraction(rng.randint(-2, 2), 64)
+        for i in range(boxes)
+    ]
+    mean = sum(wi * v * h for wi, v, h in zip(w, f, lengths))
+    g = [(wi - mean) * v for wi, v in zip(w, f)]
+    f0 = BoxFunction.from_rows(1, list(zip(f, edges, edges[1:])))
+    g0 = BoxFunction.from_rows(1, list(zip(g, edges, edges[1:])))
+    energy = sum(
+        (r.g_value**2 / r.f_value * r.volume for r in overlay(f0, g0)), Fraction(0)
+    )
+    digits = 10**30
+    scale = Fraction(
+        math.isqrt(energy.denominator * digits**2 // energy.numerator), digits
+    )
+    return f0, g0.scaled(scale)
+
+
+def _exact_axis_pairing(lo, hi, stair, side) -> Fraction:
+    """Exact integral over [lo, hi) of a 1-D staircase with float values."""
+    total = Fraction(0)
+    for k in range(math.floor(lo * side), math.ceil(hi * side)):
+        if stair[k]:
+            overlap = min(hi, Fraction(k + 1, side)) - max(lo, Fraction(k, side))
+            total += overlap * Fraction(float(stair[k]))
+    return total
+
+
+@pytest.mark.parametrize(
+    "make_ladder, phis, j_ref",
+    [
+        (lambda: misaligned_ladder([3, 10]), tents_1d(), 14),
+        (lambda: build_ladder(*_seeded_pair(1), [3, 9]), tents_1d(), 13),
+        (lambda: misaligned_ladder([3, 4], 2), tents_2d(), 8),
+    ],
+    ids=["misaligned-1d-jref14", "seeded-16-boxes", "misaligned-2d-jref8"],
+)
+def test_continuum_pairings_match_exact_reference(make_ladder, phis, j_ref):
+    # reference: the float staircase and float region values taken as exact
+    # rationals, paired with exact overlaps per axis and multiplied; the
+    # pairings are O(1), so 2e-16 is a few ulp
+    ladder = make_ladder()
+    values = [
+        *_block_values(ladder.regions),
+        *(region_flow_values(ladder.regions, t) for t in (0.0, 0.7, math.pi / 2)),
+    ]
+    side = 1 << j_ref
+    for phi in phis:
+        _, stairs, weights = _separable_phi(ladder, phi, j_ref)
+        exact_weights = [
+            math.prod(
+                _exact_axis_pairing(lo, hi, stair, side)
+                for lo, hi, stair in zip(r.lo, r.hi, stairs)
+            )
+            for r in ladder.regions
+        ]
+        for v, got in zip(values, _cont_pairings(weights, *values)):
+            want = sum(Fraction(float(x)) * w for x, w in zip(v, exact_weights))
+            assert abs(Fraction(got) - want) <= 2e-16, (phi, float(want), got)
+
+
+def test_ladder_summary_memory_follows_deepest_level():
+    # the summary builds nothing at j_ref = 12: per level it holds a few
+    # level-8 arrays (512 KiB each) on top of the ladder
+    ladder = misaligned_ladder(list(range(3, 9)), dimension=2)
+    tracemalloc.start()
+    try:
+        ladder_summary_rows(ladder, tents_2d()[4])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_continuum_cell_averages_conserve_mass():
     ladder = misaligned_ladder([3])
     grid = DyadicGrid(1, 7)
@@ -331,8 +460,6 @@ def test_continuum_cell_averages_conserve_mass():
 def test_region_flow_middle_third_vanishes_at_quarter_period():
     # |g0| = f0 on every region, so beta = +-pi/4 and the middle third
     # (negative sign) is pinched to zero at t = pi/2
-    from frgeo.pixelation import region_flow_values
-
     ladder = misaligned_ladder([3])
     vals = region_flow_values(ladder.regions, math.pi / 2)
     assert abs(vals[1]) < 1e-15
