@@ -26,9 +26,14 @@ Time and memory follow the output size: CSV lines are ``%`` fills of line
 templates, written in blocks of rows (a frame's index and center columns
 are formatted once per grid), and JSON is written piece by piece, each
 float list or array through json's C encoder, a block at a time, so no
-array is held as Python floats in full.  ``moments`` values are evaluated
-through the three-term identity and may differ from the dense evaluation of
-version 0.1.0 in the last ulp; every other output keeps the 0.1.0 bytes.
+array is held as Python floats in full.  A density frame of a box catalog
+is piecewise constant on the grid, so each frame (and the density archive's
+``alpha``/``beta``) formats each of its distinct values once and takes that
+text for every cell holding the value: the bytes are those of formatting
+cell by cell.  Frames are evaluated one at a time, as they are written.
+``moments`` values are evaluated through the three-term identity and may
+differ from the dense evaluation of version 0.1.0 in the last ulp; every
+other output keeps the 0.1.0 bytes.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -324,6 +329,14 @@ def _check_preconditions(kind: str, params: dict) -> None:
             raise ConfigError("levels", "need at least one level")
         if min(p["levels"]) < 1:
             raise ConfigError("levels", "grid levels must be >= 1")
+    for key in ("level", "levels"):
+        if key in p and "f0" in p:
+            # 2^bits cells exceed the largest numpy index, 2^(index bits) - 1
+            bits = p["f0"].dimension * (max(p[key]) if key == "levels" else p[key])
+            if bits >= np.iinfo(np.intp).max.bit_length():
+                raise ConfigError(
+                    key, f"2^{bits} grid cells are more than numpy can index"
+                )
     if "delta" in p and not p["delta"] > 0:
         raise ConfigError("delta", "density floor must be positive")
     if "j_ref" in p and p["j_ref"] is not None and "levels" in p:
@@ -413,6 +426,41 @@ def _write_table(path: Path, header: list[str], table: np.ndarray) -> None:
     _write_rows(path, header, blocks, table)
 
 
+def _csv_floats(xs: list[float]) -> list[str]:
+    """The ``%.17g`` texts of floats, from one ``%`` fill."""
+    return ("\n".join([FLOAT_FMT] * len(xs)) % tuple(xs)).split("\n")
+
+
+def _json_floats(xs: list[float]) -> list[str]:
+    """json's texts of floats (``repr`` when finite), from one encoder call."""
+    return json.dumps(xs)[1:-1].split(", ")
+
+
+def _distinct_texts(
+    values: np.ndarray, texts_of: Callable[[list[float]], list[str]]
+) -> Iterator[list[str]]:
+    """Texts of a 1-D float64 array, ``_ITEMS_PER_WRITE`` values at a time.
+
+    ``texts_of`` formats each distinct bit pattern once; its text is then
+    taken for every value that has those bits.  Keying on the bits keeps
+    ``-0.0`` apart from ``0.0`` and each float apart from its neighbours,
+    so the texts are those of formatting value by value.  A grid density of
+    a box catalog holds few distinct values among many cells.
+    """
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(texts_of(keys.view(np.float64).tolist()), dtype=object)
+    for s in range(0, values.size, _ITEMS_PER_WRITE):
+        yield texts[inverse[s : s + _ITEMS_PER_WRITE]].tolist()
+
+
+@dataclass(frozen=True)
+class _DistinctFloats:
+    """A non-empty 1-D float64 array, evaluated only when ``_json_chunks``
+    writes it through ``_distinct_texts``, with the bytes of its ``tolist()``."""
+
+    evaluate: Callable[[], np.ndarray]
+
+
 def _json_chunks(obj, indent: str):
     """Pieces of ``json.dumps(obj, indent=2)`` for a value nested at ``indent``.
 
@@ -420,10 +468,18 @@ def _json_chunks(obj, indent: str):
     items at a time.  A list of floats, or a 1-D float array, goes through
     the C encoder a block of items at a time, and the item separators are
     then widened to one item per line; float reprs hold no ``", "``, so
-    this is exact.  Everything else keeps ``json.dumps`` semantics.
+    this is exact.  A ``_DistinctFloats`` is written as the array it
+    evaluates to.  Everything else keeps ``json.dumps`` semantics.
     """
     inner = indent + "  "
     sep = ",\n" + inner
+    if isinstance(obj, _DistinctFloats):
+        lead = "[\n" + inner
+        for texts in _distinct_texts(obj.evaluate(), _json_floats):
+            yield lead + sep.join(texts)
+            lead = sep
+        yield "\n" + indent + "]"
+        return
     if isinstance(obj, dict):
         brackets = "{}"
         items = (
@@ -524,7 +580,6 @@ def _run_density_geodesic(cfg: ExperimentConfig) -> list[Path]:
     state = _grid_state(p["f0"], p["g0"], p["level"])
     grid: DyadicGrid = state.space
     times = np.linspace(0.0, p["t_end"], p["n_frames"])
-    frames = [density_at(state, t).values for t in times]
 
     written: list[Path] = []
     if cfg.fmt == "csv":
@@ -534,16 +589,24 @@ def _run_density_geodesic(cfg: ExperimentConfig) -> list[Path]:
             + ["f_value"]
         )
         # index and center columns are the same in every frame: format them
-        # once, leaving a %.17g slot (escaped as %%) per cell for f_value
-        cell = "%d" + f",{FLOAT_FMT}" * grid.dimension + f",%{FLOAT_FMT}\r\n"
+        # once, leaving a slot (escaped as %%) per cell for the f_value text.
+        # %.24s copies a %.17g text whole (24 characters at most) and is as
+        # long as a %.17g slot, so a fill grows its output buffer in the same
+        # steps as a float fill; a bare %s left 11 MB of malloc heap
+        # untrimmed after a 2-D level-8 run.
+        cell = "%d" + f",{FLOAT_FMT}" * grid.dimension + ",%%.24s\r\n"
         centers = grid.centers()
         blocks = []
         for s in range(0, grid.cell_count, _ITEMS_PER_WRITE):
             block = centers[s : s + _ITEMS_PER_WRITE].tolist()
             blocks.append("".join([cell % (s + i, *c) for i, c in enumerate(block)]))
-        for k, values in enumerate(frames):
-            path = cfg.out_dir / _indexed_name("frame", k, len(frames), "csv")
-            _write_rows(path, header, blocks, values)
+        for k, t in enumerate(times):
+            path = cfg.out_dir / _indexed_name("frame", k, len(times), "csv")
+            texts = _distinct_texts(density_at(state, t).values, _csv_floats)
+            with open(path, "w", newline="") as fh:
+                fh.write(",".join(header) + "\r\n")
+                for block, fill in zip(blocks, texts):
+                    fh.write(block % tuple(fill))
             written.append(path)
     else:
         path = cfg.out_dir / "density_geodesic.json"
@@ -554,9 +617,12 @@ def _run_density_geodesic(cfg: ExperimentConfig) -> list[Path]:
                 "dimension": grid.dimension,
                 "level": grid.level,
             },
-            "alpha": state.alpha,
-            "beta": state.beta,
-            "frames": {repr(float(t)): values for t, values in zip(times, frames)},
+            "alpha": _DistinctFloats(lambda: state.alpha),
+            "beta": _DistinctFloats(lambda: state.beta),
+            "frames": {
+                repr(float(t)): _DistinctFloats(lambda t=t: density_at(state, t).values)
+                for t in times
+            },
         }
         _write_json(path, obj)
         written.append(path)

@@ -6,7 +6,9 @@ import csv
 import io
 import json
 import math
+import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,8 +27,20 @@ from frgeo import (
     simplex_flow_samples,
     simplex_trajectory,
 )
+from frgeo.boxes import load_catalog
 from frgeo.catalogs import BUILTIN_CATALOGS
-from frgeo.cli import _parse_levels, _write_json, main, parse_number, read_config_file
+from frgeo.cli import (
+    _ITEMS_PER_WRITE,
+    _csv_floats,
+    _distinct_texts,
+    _json_floats,
+    _parse_levels,
+    _write_json,
+    main,
+    parse_number,
+    read_config_file,
+    validate_config,
+)
 from frgeo.errors import ConfigError
 from frgeo.geodesics import evaluate_scalar
 from frgeo.simplex import TangentVector
@@ -55,6 +69,58 @@ def csv_writer_bytes(header, rows):
         [v if isinstance(v, int) else "{:.17g}".format(v) for v in row] for row in rows
     )
     return buf.getvalue().encode()
+
+
+def staggered_catalogs(directory, strips=18, seed=7):
+    """Catalog files f0, g0 of strips x strips boxes on [0,1)^2.
+
+    Each horizontal strip has its own non-dyadic x breaks, so the cells on a
+    strip boundary mix different box pairs: a level-7 frame holds more than
+    1,000 distinct values.  f0 has exact unit mass and g0 = (w - mean) f0
+    is exactly centered.
+    """
+    rng = random.Random(seed)
+
+    def breaks():
+        inner = [Fraction(k, strips) + Fraction(rng.randint(1, 5), 13 * strips)
+                 for k in range(1, strips)]
+        return [Fraction(0), *inner, Fraction(1)]
+
+    ys = breaks()
+    boxes = [
+        (Fraction(rng.randint(8, 24), 16), Fraction(rng.randint(-8, 8), 8),
+         x_lo, x_hi, y_lo, y_hi)
+        for y_lo, y_hi in zip(ys, ys[1:])
+        for xs in [breaks()]
+        for x_lo, x_hi in zip(xs, xs[1:])
+    ]
+    volumes = [(b[3] - b[2]) * (b[5] - b[4]) for b in boxes]
+    mass = sum(b[0] * v for b, v in zip(boxes, volumes))
+    mean = sum(b[1] * b[0] / mass * v for b, v in zip(boxes, volumes))
+    paths = []
+    for name, value in (("f0", lambda b: b[0] / mass),
+                        ("g0", lambda b: (b[1] - mean) * b[0] / mass)):
+        path = directory / f"staggered_{name}.txt"
+        path.write_text("".join(
+            " ".join(str(x) for x in (value(b), *b[2:])) + "\n" for b in boxes
+        ))
+        paths.append(path)
+    return paths
+
+
+def catalog_pair(f0, g0, tmp_path):
+    """Config tokens and catalogs of a built-in pair, or of "staggered"."""
+    if f0 == "staggered":
+        f0, g0 = (str(p) for p in staggered_catalogs(tmp_path))
+        return (f0, g0), (load_catalog(f0), load_catalog(g0))
+    return (f0, g0), (BUILTIN_CATALOGS[f0](), BUILTIN_CATALOGS[g0]())
+
+
+def flow_state(f0_cat, g0_cat, level):
+    grid = DyadicGrid(f0_cat.dimension, level)
+    f = FiniteDensity(grid, f0_cat.cell_averages(grid))
+    g = normalize_velocity(f, SignedFunction(grid, g0_cat.cell_averages(grid)))
+    return geodesic_flow(f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +360,29 @@ def test_catalog_value_beyond_float_range_exits_2(tmp_path, capsys, argv):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("density-geodesic", "level=64"), "level"),
+        (("density-geodesic", "level=63"), "level"),
+        (("moments", "level=64"), "level"),
+        (("pixelation-convergence", "levels=3,64"), "levels"),
+        (("density-geodesic", "f0=uniform2d", "g0=g01_2d", "level=40"), "level"),
+    ],
+    ids=["density_1d_64", "density_1d_63", "moments_1d_64", "ladder_3_64",
+         "density_2d_40"],
+)
+def test_grid_beyond_numpy_index_range_exits_2(tmp_path, capsys, argv, field):
+    # every case has more than 2^63 - 1 cells, so no grid is ever allocated
+    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "ConfigError"
+    assert payload["field"] == field
+    assert not any(tmp_path.iterdir())
+
+
 def test_single_break_catalog_is_builtin(tmp_path):
     code = run_cli(
         "pixelation-convergence",
@@ -412,23 +501,25 @@ def test_density_csv_frames(tmp_path):
     assert np.allclose([float(r[2]) for r in rows[1:]], 1.0, atol=1e-14)
 
 
-@pytest.mark.parametrize(
-    "f0, g0, level",
-    # level 6 in 2-D has 4,096 cells, several write blocks
-    [
-        ("uniform1d", "g01_1d", 3),
-        ("uniform2d", "g02_2d", 3),
-        ("uniform2d", "g02_2d", 6),
-    ],
-)
+# level 6 in 2-D has 4,096 cells, several write blocks; the staggered pair
+# holds more than 1,000 distinct values in each of 16 blocks' worth of cells
+DENSITY_CASES = [
+    ("uniform1d", "g01_1d", 3),
+    ("uniform2d", "g02_2d", 3),
+    ("uniform2d", "g02_2d", 6),
+    ("misaligned_f0_2d", "misaligned_g0_2d", 6),
+    ("staggered", "staggered", 7),
+]
+
+
+@pytest.mark.parametrize("f0, g0, level", DENSITY_CASES)
 def test_density_csv_frames_match_csv_writer(tmp_path, f0, g0, level):
-    argv = ("density-geodesic", f"f0={f0}", f"g0={g0}", f"level={level}", "n_frames=4")
+    tokens, (f0_cat, g0_cat) = catalog_pair(f0, g0, tmp_path)
+    argv = ("density-geodesic", f"f0={tokens[0]}", f"g0={tokens[1]}",
+            f"level={level}", "n_frames=4")
     assert run_cli(*argv, "t_end=3pi/4", "--out", str(tmp_path)) == 0
-    f0_cat, g0_cat = BUILTIN_CATALOGS[f0](), BUILTIN_CATALOGS[g0]()
-    grid = DyadicGrid(f0_cat.dimension, level)
-    f = FiniteDensity(grid, f0_cat.cell_averages(grid))
-    g = normalize_velocity(f, SignedFunction(grid, g0_cat.cell_averages(grid)))
-    state = geodesic_flow(f, g)
+    state = flow_state(f0_cat, g0_cat, level)
+    grid = state.space
     header = (
         ["cell_index"]
         + [f"x_center_{d + 1}" for d in range(grid.dimension)]
@@ -437,9 +528,56 @@ def test_density_csv_frames_match_csv_writer(tmp_path, f0, g0, level):
     centers = grid.centers()
     for k, t in enumerate(np.linspace(0.0, 3.0 * math.pi / 4.0, 4)):
         values = density_at(state, t).values
+        if f0 == "staggered" and k:
+            assert len(np.unique(values)) > 1000
         rows = ([i, *centers[i], values[i]] for i in range(grid.cell_count))
         expected = csv_writer_bytes(header, rows)
         assert (tmp_path / f"frame_{k:02d}.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("f0, g0, level", DENSITY_CASES[2:])
+def test_density_json_matches_json_dump(tmp_path, f0, g0, level):
+    tokens, (f0_cat, g0_cat) = catalog_pair(f0, g0, tmp_path)
+    pairs = {"f0": tokens[0], "g0": tokens[1], "level": str(level),
+             "n_frames": "4", "t_end": "3pi/4"}
+    argv = [f"{k}={v}" for k, v in pairs.items()]
+    assert run_cli("density-geodesic", *argv, "--format", "json",
+                   "--out", str(tmp_path)) == 0
+    state = flow_state(f0_cat, g0_cat, level)
+    obj = {
+        "config": validate_config("density-geodesic", pairs, tmp_path, "json").echo,
+        "space": {"kind": "dyadic", "dimension": state.space.dimension, "level": level},
+        "alpha": state.alpha,
+        "beta": state.beta,
+        "frames": {
+            repr(float(t)): density_at(state, t).values
+            for t in np.linspace(0.0, 3.0 * math.pi / 4.0, 4)
+        },
+    }
+    reference = tmp_path / "reference.json"
+    with open(reference, "w") as fh:
+        json.dump(obj, fh, indent=2, default=np.ndarray.tolist)
+        fh.write("\n")
+    assert (tmp_path / "density_geodesic.json").read_bytes() == reference.read_bytes()
+
+
+def test_distinct_texts_match_per_value_formatting():
+    tiny = 5e-324
+    cases = [
+        np.array([0.0, -0.0, 0.0, -0.0, 1.0]),
+        np.array([tiny, -tiny, 2.2250738585072009e-308, 2.2250738585072014e-308]),
+        np.nextafter(1.0, [0.0, 2.0, 0.0, 2.0, 1.0]),
+        np.array([0.1, np.nextafter(0.1, 1.0), np.nextafter(0.1, 0.0), 0.1]),
+        np.full(3000, math.pi / 3),  # a single value over several blocks
+        np.arange(2500) / 7.0 - 100.0,  # all distinct over several blocks
+        np.array([1e308, -1e-300, 123456789.0, 1e16, 0.5]),
+    ]
+    for values in cases:
+        for texts_of, fmt in ((_csv_floats, "%.17g".__mod__), (_json_floats, repr)):
+            blocks = list(_distinct_texts(values, texts_of))
+            assert all(len(b) <= _ITEMS_PER_WRITE for b in blocks)
+            texts = [text for block in blocks for text in block]
+            assert texts == [fmt(x) for x in values.tolist()]
 
 
 def test_simplex_and_oracle_csv_match_csv_writer(tmp_path):
@@ -513,6 +651,21 @@ def test_json_archive_is_not_held_as_python_floats(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_density_csv_texts_stay_block_bounded(tmp_path):
+    # 12 CSV frames of 65,536 cells, evaluated one at a time (0.5 MiB each);
+    # the peak is about 10 MiB.  Holding a whole frame's text, one str per
+    # cell or the frame's CSV text, adds 3.5 to 4.5 MiB
+    args = ("density-geodesic", "f0=uniform2d", "g0=g01_2d", "level=8",
+            "n_frames=12", "--out", str(tmp_path))
+    tracemalloc.start()
+    try:
+        assert run_cli(*args) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_ladder_csv_default_run(tmp_path):
