@@ -2,25 +2,32 @@
 """Wall time, peak RSS and distinct values of ``density-geodesic`` frames.
 
 Each case writes 12 frames of a 2-D catalog pair, as CSV and as JSON, in a
-fresh child interpreter (``python -m frgeo.cli``), so its ``ru_maxrss`` is
-that run's own peak; the median wall time of ``--repeat`` runs is printed.
-The cases are the aligned ``uniform2d``/``g01_2d`` pair at levels 8 and 10,
-and a staggered catalog of 18 x 18 boxes whose frames hold over a thousand
-distinct values, where formatting each distinct value once saves least.
-Every written value text is then checked against direct formatting
-(``%.17g`` per CSV cell, ``repr`` per JSON item) of the frames evaluated
-here.  Exits non-zero if a run fails or a text differs.
+fresh child interpreter, so its ``ru_maxrss`` is that run's own peak.  The
+child validates the configuration as ``frgeo`` does, then times
+``run_experiment`` alone: ``run_s`` is projection, flow, evaluation,
+formatting and writing, without the interpreter start, the imports and the
+catalog parsing that ``wall_s`` also holds.  The medians of ``--repeat``
+runs are printed.  The cases are the aligned ``uniform2d``/``g01_2d`` pair
+at levels 8 and 10, a staggered catalog of 18 x 18 boxes whose frames hold
+over a thousand distinct values, and one of 32 x 32 boxes at level 5, where
+every cell has its own (alpha, beta) and nearly every value of a frame is
+distinct, so that formatting each distinct value once saves least.  Every
+written value text is then checked against direct formatting (``%.17g`` per
+CSV cell, ``repr`` per JSON item) of the frames evaluated here.  Exits
+non-zero if a run fails or a text differs.
 
     python3 benchmarks/bench_frames.py
-    python3 benchmarks/bench_frames.py --cases g01_2d:8 staggered:8
+    python3 benchmarks/bench_frames.py --cases g01_2d:8 staggered:8 staggered32:5
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import os
 import random
+import re
 import shutil
 import statistics
 import subprocess
@@ -95,20 +102,38 @@ def flow_state(f0: str, g0: str, level: int):
     return geodesic_flow(f, normalize_velocity(f, g))
 
 
-def run_frames(f0: str, g0: str, level: int, fmt: str, out: Path) -> tuple[int, float, float]:
-    """Exit code, wall seconds and the child's ru_maxrss in MB."""
+# validates as the command line does, then times run_experiment alone
+_CHILD = """
+import sys, time
+from frgeo.cli import run_experiment, validate_config
+fmt, out, *pairs = sys.argv[1:]
+pairs = dict(p.split("=", 1) for p in pairs)
+cfg = validate_config("density-geodesic", pairs, out, fmt)
+t0 = time.perf_counter()
+run_experiment(cfg)
+print(time.perf_counter() - t0)
+"""
+
+
+def run_frames(
+    f0: str, g0: str, level: int, fmt: str, out: Path
+) -> tuple[int, float, float, float]:
+    """Exit code, wall and run_experiment seconds, the child's ru_maxrss in MB."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     argv = [
-        sys.executable, "-m", "frgeo.cli", "density-geodesic", f"f0={f0}", f"g0={g0}",
+        sys.executable, "-c", _CHILD, fmt, str(out), f"f0={f0}", f"g0={g0}",
         f"level={level}", f"n_frames={N_FRAMES}", f"t_end={T_END!r}",
-        "--format", fmt, "--out", str(out),
     ]
     t0 = time.perf_counter()
-    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, text=True)
+    stdout = proc.stdout.read()
+    proc.stdout.close()
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - t0
-    return os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss / 1024.0
+    code = os.waitstatus_to_exitcode(status)
+    run = float(stdout) if code == 0 else math.nan
+    return code, wall, run, usage.ru_maxrss / 1024.0
 
 
 def file_texts(fmt: str, out: Path):
@@ -130,28 +155,37 @@ def file_texts(fmt: str, out: Path):
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--cases", nargs="+", default=["g01_2d:8", "g01_2d:10", "staggered:8"],
-                    help="g0 catalog of uniform2d, or 'staggered', and the level")
+    ap.add_argument("--cases", nargs="+",
+                    default=["g01_2d:8", "g01_2d:10", "staggered:8", "staggered32:5"],
+                    help="g0 catalog of uniform2d, or 'staggered' with an optional "
+                         "strip count (18 by default), and the level")
     ap.add_argument("--repeat", type=int, default=3,
-                    help="runs per case and format; the median wall time is printed")
+                    help="runs per case and format; the median times are printed")
     args = ap.parse_args()
     failed = 0
-    print(f"{'case':>12} {'fmt':>4} {'wall_s':>8} {'maxrss_mb':>10} {'distinct':>11} check exit")
+    print(f"{'case':>13} {'fmt':>4} {'wall_s':>8} {'run_s':>7} {'maxrss_mb':>10} "
+          f"{'distinct':>11} check exit")
     with tempfile.TemporaryDirectory() as tmp:
-        staggered = write_staggered(Path(tmp))
         # every child runs before any frame is evaluated here: a child's
         # ru_maxrss counts this process's RSS at the fork
         runs = []
         for k, case in enumerate(args.cases):
             g0_name, level = case.rsplit(":", 1)
-            pair = staggered if g0_name == "staggered" else ("uniform2d", g0_name)
+            staggered = re.fullmatch(r"staggered(\d*)", g0_name)
+            if staggered:
+                directory = Path(tmp) / f"catalogs-{k}"
+                directory.mkdir()
+                pair = write_staggered(directory, int(staggered.group(1) or 18))
+            else:
+                pair = ("uniform2d", g0_name)
             results = []
             for fmt in ("csv", "json"):
                 out = Path(tmp) / f"{k}-{fmt}"
                 reps = [run_frames(*pair, int(level), fmt, out) for _ in range(args.repeat)]
                 code = max((r[0] for r in reps), key=abs)
                 wall = statistics.median(r[1] for r in reps)
-                results.append((fmt, out, code, wall, max(r[2] for r in reps)))
+                run = statistics.median(r[2] for r in reps)
+                results.append((fmt, out, code, wall, run, max(r[3] for r in reps)))
             runs.append((case, pair, int(level), results))
         for case, pair, level, results in runs:
             state = flow_state(*pair, level)
@@ -160,7 +194,7 @@ def main() -> int:
                 len(np.unique(density_at(state, t).values.view(np.int64))) for t in times
             ]
             spread = f"{min(distinct)}-{max(distinct)}"
-            for fmt, out, code, wall, rss in results:
+            for fmt, out, code, wall, run, rss in results:
                 frames = (density_at(state, t).values for t in times)
                 if fmt == "csv":
                     expected = ("%.17g" % v for a in frames for v in a.tolist())
@@ -171,7 +205,8 @@ def main() -> int:
                 ok = code == 0 and all(a == b for a, b in pairs)
                 shutil.rmtree(out, ignore_errors=True)
                 check = "ok" if ok else "MISMATCH"
-                row = f"{case:>12} {fmt:>4} {wall:8.3f} {rss:10.1f} {spread:>11} {check:>5}"
+                row = (f"{case:>13} {fmt:>4} {wall:8.3f} {run:7.3f} {rss:10.1f} "
+                       f"{spread:>11} {check:>5}")
                 print(row, code, flush=True)
                 failed += not ok
     return 1 if failed else 0

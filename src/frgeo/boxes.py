@@ -109,12 +109,18 @@ def _validate_tiling(boxes: list[Box], dimension: int) -> None:
                     f"box bounds [{a}, {c}) do not sit inside [0, 1)"
                 )
         total += b.volume
-    for i, b1 in enumerate(boxes):
-        for b2 in boxes[i + 1 :]:
-            if b1.intersects(b2):
+    # sweep along axis 0: in lo[0] order, a box can overlap only the earlier
+    # boxes whose hi[0] exceeds its lo[0] (boxes that only touch do not)
+    active: list[tuple[int, Box]] = []
+    for j, b in sorted(enumerate(boxes), key=lambda item: item[1].lo[0]):
+        active = [(i, a) for i, a in active if a.hi[0] > b.lo[0]]
+        for i, a in active:
+            if a.intersects(b):
+                b1, b2 = (a, b) if i < j else (b, a)
                 raise InvalidCatalogFunction(
                     f"overlapping boxes {b1.lo}-{b1.hi} and {b2.lo}-{b2.hi}"
                 )
+        active.append((j, b))
     if total != _ONE:
         raise InvalidCatalogFunction(
             f"boxes tile volume {total}, not the whole unit cube"

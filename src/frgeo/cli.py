@@ -24,13 +24,15 @@ files.  Floats are written with 17 significant digits in CSV and with
 ``repr`` round-trip formatting in JSON, so re-importing loses nothing.
 Time and memory follow the output size: CSV lines are ``%`` fills of line
 templates, written in blocks of rows (a frame's index and center columns
-are formatted once per grid), and JSON is written piece by piece, each
-float list or array through json's C encoder, a block at a time, so no
-array is held as Python floats in full.  A density frame of a box catalog
-is piecewise constant on the grid, so each frame (and the density archive's
-``alpha``/``beta``) formats each of its distinct values once and takes that
-text for every cell holding the value: the bytes are those of formatting
-cell by cell.  Frames are evaluated one at a time, as they are written.
+are formatted once per grid, from each axis's 2^level center texts), and
+JSON is written piece by piece, each float list or array through json's C
+encoder, a block at a time, so no array is held as Python floats in full.
+The flow of a box catalog on a grid is one scalar geodesic per class of
+cells with equal (alpha, beta) bits, and there are few classes: each
+density frame (and the density archive's ``alpha``/``beta``) is evaluated
+and formatted once per class, and a class's text is taken for each of its
+cells, so the bytes are those of evaluating and formatting cell by cell.
+Frames are evaluated one at a time, as they are written.
 ``moments`` values are evaluated through the three-term identity and may
 differ from the dense evaluation of version 0.1.0 in the last ulp; every
 other output keeps the 0.1.0 bytes.
@@ -46,6 +48,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from types import GeneratorType
 from typing import Callable, Iterator
 
 import numpy as np
@@ -79,7 +82,7 @@ from .pixelation import (
     write_ladder_csv,
 )
 from .simplex import BOUNDARY_FLOOR, SimplexPoint, TangentVector
-from .spaces import DyadicGrid, FiniteDensity, SignedFunction
+from .spaces import DyadicGrid, FiniteDensity, FiniteMeasureSpace, SignedFunction
 
 FLOAT_FMT = "%.17g"
 
@@ -314,6 +317,10 @@ def _check_preconditions(kind: str, params: dict) -> None:
         theta = p["theta0"]
         if np.min(theta) < BOUNDARY_FLOOR or float(np.sum(theta)) > 1.0 - BOUNDARY_FLOOR:
             raise ConfigError("theta0", "coordinates must be interior to the simplex")
+        if p.get("w_raw") is not None and p["w_raw"].size != theta.size:
+            raise ConfigError(
+                "w_raw", f"has {p['w_raw'].size} entries, theta0 has {theta.size}"
+            )
     if "t_end" in p and not p["t_end"] > 0.0:
         raise ConfigError("t_end", "must be positive")
     if "n_times" in p and p["n_times"] < 2:
@@ -436,29 +443,35 @@ def _json_floats(xs: list[float]) -> list[str]:
     return json.dumps(xs)[1:-1].split(", ")
 
 
-def _distinct_texts(
-    values: np.ndarray, texts_of: Callable[[list[float]], list[str]]
-) -> Iterator[list[str]]:
-    """Texts of a 1-D float64 array, ``_ITEMS_PER_WRITE`` values at a time.
+def _bit_classes(*arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Classes of the positions at which float64 arrays hold the same bits.
 
-    ``texts_of`` formats each distinct bit pattern once; its text is then
-    taken for every value that has those bits.  Keying on the bits keeps
-    ``-0.0`` apart from ``0.0`` and each float apart from its neighbours,
-    so the texts are those of formatting value by value.  A grid density of
-    a box catalog holds few distinct values among many cells.
+    The arrays are 1-D and of one length.  Returns each class's first
+    position, each position's class and each class's size, from one
+    ``np.unique``.  Keying on the bits keeps ``-0.0`` apart from ``0.0``
+    and each float apart from its neighbours.
     """
-    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = np.array(texts_of(keys.view(np.float64).tolist()), dtype=object)
-    for s in range(0, values.size, _ITEMS_PER_WRITE):
+    bits = np.column_stack([a.view(np.int64) for a in arrays])
+    keys = bits.view(np.dtype((np.void, bits.itemsize * len(arrays)))).ravel()
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    return first, inverse, counts
+
+
+def _class_texts(
+    values: np.ndarray,
+    inverse: np.ndarray,
+    texts_of: Callable[[list[float]], list[str]],
+) -> Iterator[list[str]]:
+    """Texts of ``values[inverse]``, ``_ITEMS_PER_WRITE`` items at a time.
+
+    ``texts_of`` formats each of the 1-D float64 ``values`` once; its text
+    is then taken for every item of its class.
+    """
+    texts = np.array(texts_of(values.tolist()), dtype=object)
+    for s in range(0, inverse.size, _ITEMS_PER_WRITE):
         yield texts[inverse[s : s + _ITEMS_PER_WRITE]].tolist()
-
-
-@dataclass(frozen=True)
-class _DistinctFloats:
-    """A non-empty 1-D float64 array, evaluated only when ``_json_chunks``
-    writes it through ``_distinct_texts``, with the bytes of its ``tolist()``."""
-
-    evaluate: Callable[[], np.ndarray]
 
 
 def _json_chunks(obj, indent: str):
@@ -468,14 +481,15 @@ def _json_chunks(obj, indent: str):
     items at a time.  A list of floats, or a 1-D float array, goes through
     the C encoder a block of items at a time, and the item separators are
     then widened to one item per line; float reprs hold no ``", "``, so
-    this is exact.  A ``_DistinctFloats`` is written as the array it
-    evaluates to.  Everything else keeps ``json.dumps`` semantics.
+    this is exact.  A generator of lists of item texts, the first list
+    non-empty, is written as the array of those items.  Everything else
+    keeps ``json.dumps`` semantics.
     """
     inner = indent + "  "
     sep = ",\n" + inner
-    if isinstance(obj, _DistinctFloats):
+    if isinstance(obj, GeneratorType):
         lead = "[\n" + inner
-        for texts in _distinct_texts(obj.evaluate(), _json_floats):
+        for texts in obj:
             yield lead + sep.join(texts)
             lead = sep
         yield "\n" + indent + "]"
@@ -575,11 +589,29 @@ def _grid_state(f0_cat: BoxFunction, g0_cat: BoxFunction, level: int) -> Geodesi
     return geodesic_flow(f0, normalize_velocity(f0, g_raw))
 
 
+def _class_state(state: GeodesicState) -> tuple[GeodesicState, np.ndarray]:
+    """A grid state's flow on its (alpha, beta) classes, and each cell's class.
+
+    Cells with the same (alpha, beta) bits take the same value at every t,
+    so the flow is one scalar geodesic per class.  The class state's atoms
+    weigh their cell counts times the cell weight, exactly (an integer
+    times a power of two), so ``density_at`` on it still checks a frame's
+    sign and mass.  A centered nonzero g0 takes both signs, so there are
+    two classes at least, as a measure space needs.
+    """
+    first, inverse, counts = _bit_classes(state.alpha, state.beta)
+    space = FiniteMeasureSpace(counts * state.space.cell_weight)
+    fields = (state.alpha, state.beta, state.f0, state.g0)
+    return GeodesicState(space, *(a[first] for a in fields)), inverse
+
+
 def _run_density_geodesic(cfg: ExperimentConfig) -> list[Path]:
     p = cfg.params
     state = _grid_state(p["f0"], p["g0"], p["level"])
     grid: DyadicGrid = state.space
     times = np.linspace(0.0, p["t_end"], p["n_frames"])
+    classes, inverse = _class_state(state)
+    del state  # the frames need only the classes: free the per-cell arrays
 
     written: list[Path] = []
     if cfg.fmt == "csv":
@@ -589,26 +621,37 @@ def _run_density_geodesic(cfg: ExperimentConfig) -> list[Path]:
             + ["f_value"]
         )
         # index and center columns are the same in every frame: format them
-        # once, leaving a slot (escaped as %%) per cell for the f_value text.
-        # %.24s copies a %.17g text whole (24 characters at most) and is as
-        # long as a %.17g slot, so a fill grows its output buffer in the same
-        # steps as a float fill; a bare %s left 11 MB of malloc heap
-        # untrimmed after a 2-D level-8 run.
-        cell = "%d" + f",{FLOAT_FMT}" * grid.dimension + ",%%.24s\r\n"
-        centers = grid.centers()
+        # once, from each axis's 2^level center texts, leaving a slot
+        # (escaped as %%) per cell for the f_value text.  %.24s copies a
+        # %.17g text whole (24 characters at most) and is as long as a %.17g
+        # slot, so a fill grows its output buffer in the same steps as a
+        # float fill; a bare %s left 11 MB of malloc heap untrimmed after a
+        # 2-D level-8 run.
+        line = "%d" + ",%s" * grid.dimension + ",%%.24s\r\n"
+        axis = np.array(_csv_floats(grid.axis_centers().tolist()), dtype=object)
+        shape = (grid.side_count,) * grid.dimension
         blocks = []
         for s in range(0, grid.cell_count, _ITEMS_PER_WRITE):
-            block = centers[s : s + _ITEMS_PER_WRITE].tolist()
-            blocks.append("".join([cell % (s + i, *c) for i, c in enumerate(block)]))
+            cells = np.arange(s, min(s + _ITEMS_PER_WRITE, grid.cell_count))
+            indices = np.unravel_index(cells, shape)
+            columns = [cells.astype(object), *(axis[k] for k in indices)]
+            items = np.column_stack(columns).ravel().tolist()
+            blocks.append(line * cells.size % tuple(items))
         for k, t in enumerate(times):
             path = cfg.out_dir / _indexed_name("frame", k, len(times), "csv")
-            texts = _distinct_texts(density_at(state, t).values, _csv_floats)
+            texts = _class_texts(density_at(classes, t).values, inverse, _csv_floats)
             with open(path, "w", newline="") as fh:
                 fh.write(",".join(header) + "\r\n")
                 for block, fill in zip(blocks, texts):
                     fh.write(block % tuple(fill))
             written.append(path)
     else:
+
+        def frame_texts(t: float) -> Iterator[list[str]]:
+            # evaluates the frame only when it is written
+            values = density_at(classes, t).values
+            yield from _class_texts(values, inverse, _json_floats)
+
         path = cfg.out_dir / "density_geodesic.json"
         obj = {
             "config": cfg.echo,
@@ -617,12 +660,9 @@ def _run_density_geodesic(cfg: ExperimentConfig) -> list[Path]:
                 "dimension": grid.dimension,
                 "level": grid.level,
             },
-            "alpha": _DistinctFloats(lambda: state.alpha),
-            "beta": _DistinctFloats(lambda: state.beta),
-            "frames": {
-                repr(float(t)): _DistinctFloats(lambda t=t: density_at(state, t).values)
-                for t in times
-            },
+            "alpha": _class_texts(classes.alpha, inverse, _json_floats),
+            "beta": _class_texts(classes.beta, inverse, _json_floats),
+            "frames": {repr(float(t)): frame_texts(t) for t in times},
         }
         _write_json(path, obj)
         written.append(path)

@@ -155,15 +155,18 @@ class DyadicGrid(FiniteMeasureSpace):
 
     def corners(self) -> np.ndarray:
         """(N, m) array of lower-left cell corners k 2^-level."""
-        return self._lattice(offset=0.0)
+        return self._lattice(self._axis_coords() * self.cell_side)
 
     def centers(self) -> np.ndarray:
         """(N, m) array of cell centers (k + 1/2) 2^-level."""
-        return self._lattice(offset=0.5)
+        return self._lattice(self.axis_centers())
 
-    def _lattice(self, offset: float) -> np.ndarray:
-        axes = [(self._axis_coords() + offset) * self.cell_side] * self.dimension
-        mesh = np.meshgrid(*axes, indexing="ij")
+    def axis_centers(self) -> np.ndarray:
+        """The 2^level cell centers (k + 1/2) 2^-level along one axis."""
+        return (self._axis_coords() + 0.5) * self.cell_side
+
+    def _lattice(self, axis: np.ndarray) -> np.ndarray:
+        mesh = np.meshgrid(*[axis] * self.dimension, indexing="ij")
         return np.stack([g.reshape(-1) for g in mesh], axis=-1)
 
     def __eq__(self, other) -> bool:

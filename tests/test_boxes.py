@@ -66,6 +66,50 @@ def test_tiling_validation():
     with pytest.raises(InvalidCatalogFunction, match="float range"):
         # exact as a rational, but float() of it overflows
         BoxFunction.from_rows(1, [(F(10) ** 400, 0, F(1, 2)), (1, F(1, 2), 1)])
+    # the first and the last of eleven boxes overlap on [1/10, 3/20); the gap
+    # [9/10, 19/20) makes the volume exactly one
+    tenths = [(1, F(k, 10), F(k + 1, 10)) for k in range(2, 9)]
+    far = [(1, F(1, 10), F(2, 10)), *tenths, (1, F(19, 20), 1), (1, 0, F(3, 20))]
+    # the message names the pair in list order
+    first_listed = r"overlapping boxes \(Fraction\(1, 10"
+    with pytest.raises(InvalidCatalogFunction, match=first_listed):
+        BoxFunction.from_rows(1, far)
+    # boxes that only touch, at edges and at the center corner, tile the square
+    quadrants = [(1, F(i, 2), F(i + 1, 2), F(j, 2), F(j + 1, 2))
+                 for i, j in ((1, 1), (0, 1), (1, 0), (0, 0))]
+    assert BoxFunction.from_rows(2, quadrants).integral() == 1
+    # an overlap in y between two boxes of the same x range, listed apart;
+    # the gap [0, 1/2) x [7/8, 1) makes the volume exactly one
+    right = [(1, F(1, 2), 1, F(k, 4), F(k + 1, 4)) for k in range(4)]
+    hidden = [(1, 0, F(1, 2), 0, F(1, 2)), *right, (1, 0, F(1, 2), F(3, 8), F(7, 8))]
+    with pytest.raises(InvalidCatalogFunction, match="overlapping"):
+        BoxFunction.from_rows(2, hidden)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_overlap_verdict_matches_pairwise_check(seed):
+    rng = np.random.default_rng(seed)
+    verdicts = set()
+    for _ in range(20):
+        rows = []
+        for _ in range(int(rng.integers(2, 12))):
+            bounds = []
+            for _ in range(2):
+                a, b = sorted(rng.choice(9, size=2, replace=False).tolist())
+                bounds += [F(a, 8), F(b, 8)]
+            rows.append((1, *bounds))
+        boxes_ = [Box.make(*row) for row in rows]
+        pairwise = any(
+            b1.intersects(b2) for i, b1 in enumerate(boxes_) for b2 in boxes_[i + 1 :]
+        )
+        try:
+            BoxFunction.from_rows(2, rows)
+            verdict = False
+        except InvalidCatalogFunction as exc:
+            verdict = "overlapping" in str(exc)
+        assert verdict == pairwise
+        verdicts.add(verdict)
+    assert verdicts == {False, True}
 
 
 def test_exact_integrals_of_builtin_wavelets():

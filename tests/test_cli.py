@@ -31,8 +31,10 @@ from frgeo.boxes import load_catalog
 from frgeo.catalogs import BUILTIN_CATALOGS
 from frgeo.cli import (
     _ITEMS_PER_WRITE,
+    _bit_classes,
+    _class_state,
+    _class_texts,
     _csv_floats,
-    _distinct_texts,
     _json_floats,
     _parse_levels,
     _write_json,
@@ -339,6 +341,19 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, argv, field):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("kind", ["oracle-compare", "simplex-geodesic"])
+@pytest.mark.parametrize("w_raw", ["1,2,3", "1"], ids=["longer", "shorter"])
+def test_w_raw_length_must_match_theta0(tmp_path, capsys, kind, w_raw):
+    out = tmp_path / "out"
+    assert run_cli(kind, "theta0=0.3,0.3", f"w_raw={w_raw}", "--out", str(out)) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "ConfigError"
+    assert payload["field"] == "w_raw"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -561,6 +576,43 @@ def test_density_json_matches_json_dump(tmp_path, f0, g0, level):
     assert (tmp_path / "density_geodesic.json").read_bytes() == reference.read_bytes()
 
 
+@pytest.mark.parametrize("f0, g0, level", DENSITY_CASES)
+def test_class_frames_match_density_at(tmp_path, f0, g0, level):
+    _, catalogs = catalog_pair(f0, g0, tmp_path)
+    state = flow_state(*catalogs, level)
+    classes, inverse = _class_state(state)
+    grid = state.space
+    # each class weighs its cell count times the cell weight, exactly
+    assert np.array_equal(
+        classes.space.weights, np.bincount(inverse) * grid.cell_weight
+    )
+    assert classes.space.total_mass == 1.0
+    shared = False
+    for k, t in enumerate(np.linspace(0.0, 3.0 * math.pi / 4.0, 4)):
+        values = density_at(classes, t).values
+        expected = density_at(state, t).values
+        assert np.array_equal(values[inverse].view(np.int64), expected.view(np.int64))
+        if f0 == "staggered" and k:
+            assert len(np.unique(expected)) > 1000
+        shared |= len(np.unique(values.view(np.int64))) < values.size
+    if f0.startswith("uniform"):
+        # at t = 0 the classes +-z of a uniform f0 share the value
+        # (1 + z^2) cos^2(atan z), though their beta differ
+        assert shared
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_density_at_is_called_once_per_frame(tmp_path, monkeypatch, fmt):
+    # perfbench/spans.py times frames by wrapping frgeo.cli.density_at
+    calls = []
+    monkeypatch.setattr(
+        "frgeo.cli.density_at", lambda state, t: calls.append(t) or density_at(state, t)
+    )
+    argv = ("density-geodesic", "f0=uniform2d", "g0=g02_2d", "level=4", "n_frames=5")
+    assert run_cli(*argv, "--format", fmt, "--out", str(tmp_path)) == 0
+    assert calls == np.linspace(0.0, math.pi, 5).tolist()
+
+
 def test_distinct_texts_match_per_value_formatting():
     tiny = 5e-324
     cases = [
@@ -573,11 +625,20 @@ def test_distinct_texts_match_per_value_formatting():
         np.array([1e308, -1e-300, 123456789.0, 1e16, 0.5]),
     ]
     for values in cases:
+        first, inverse, counts = _bit_classes(values)
+        assert np.array_equal(counts, np.bincount(inverse))
         for texts_of, fmt in ((_csv_floats, "%.17g".__mod__), (_json_floats, repr)):
-            blocks = list(_distinct_texts(values, texts_of))
+            blocks = list(_class_texts(values[first], inverse, texts_of))
             assert all(len(b) <= _ITEMS_PER_WRITE for b in blocks)
             texts = [text for block in blocks for text in block]
             assert texts == [fmt(x) for x in values.tolist()]
+    # pairs are classed on both arrays' bits: -0.0 and 0.0 stay apart
+    first, inverse, counts = _bit_classes(
+        np.array([1.0, 1.0, 1.0, 2.0]), np.array([0.0, -0.0, 0.0, 0.0])
+    )
+    assert len(counts) == 3 and inverse[0] == inverse[2]
+    assert len({inverse[0], inverse[1], inverse[3]}) == 3
+    assert sorted(first.tolist()) == [0, 1, 3]
 
 
 def test_simplex_and_oracle_csv_match_csv_writer(tmp_path):
