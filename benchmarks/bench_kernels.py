@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Time the RK4 stepping kernels in microseconds per step, and cross-check them.
 
-Kernels timed on the same unit-speed geodesic data:
+For each free simplex dimension n (``--n``, default every n from 1 to 7),
+kernels timed on the same unit-speed geodesic data:
 
 * coupled: the float loop ``rk4_coupled_numpy`` (the backend without numba),
   the factory loop as numpy (``_make_coupled(_coupled_accel, _coupled_low)``,
@@ -9,13 +10,15 @@ Kernels timed on the same unit-speed geodesic data:
 * decoupled: the factory loop as numpy and, when numba imports, compiled.
 
 JIT compilation is triggered before any clock starts, and each figure is the
-best of ``--repeats`` runs.  Before printing, the float loop is checked
-against the reference: bit for bit below 8 coordinates (where ``np.sum``
-adds left to right, as the float loop does), within 1e-13 from 8 on.
-Compiled kernels are checked against numpy within 1e-12.  A failed check
-exits non-zero.
+best of ``--repeats`` runs; ``x ref`` is the coupled reference's time per
+step over the kernel's.  Before its row is printed, the float loop is
+checked against the reference: bit for bit below 8 coordinates (where
+``np.sum`` adds left to right, as the float loop does), within 1e-13 from
+8 on.  Compiled kernels are checked against numpy within 1e-12.  A failed
+check exits non-zero.
 
-    python3 benchmarks/bench_kernels.py --n 5 --step 1e-4
+    python3 benchmarks/bench_kernels.py               # n = 1..7, step 1e-4
+    python3 benchmarks/bench_kernels.py --n 2,5,8 --step 1e-3
 """
 
 from __future__ import annotations
@@ -69,23 +72,21 @@ def check(name: str, out, ref, tol: float) -> str:
     return f"max |diff| {drift:.1e}"
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--n", type=int, default=5, help="free simplex dimension")
-    ap.add_argument("--step", type=float, default=1e-4, help="RK4 step size")
-    ap.add_argument(
-        "--t-end", type=float, default=1.2, help="horizon (capped below exit)"
-    )
-    ap.add_argument("--repeats", type=int, default=3)
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+def dimensions(token: str) -> list[int]:
+    """``1-7`` (inclusive) or ``2,5,8``."""
+    if "-" in token:
+        lo, hi = (int(part) for part in token.split("-"))
+        return list(range(lo, hi + 1))
+    return [int(part) for part in token.split(",")]
 
-    p0, v0 = geodesic_data(args.n, args.seed)
+
+def run_dimension(n: int, args) -> None:
+    p0, v0 = geodesic_data(n, args.seed)
     horizon = min(args.t_end, 0.9 * boundary_touch_time(p0, v0))
     n_steps = kernels.step_count(args.step, horizon)
     eps = 1e-9
     reference = kernels._make_coupled(kernels._coupled_accel, kernels._coupled_low)
-    float_tol = 0.0 if args.n < PAIRWISE_SUM_FROM else FLOAT_LOOP_TOL
+    float_tol = 0.0 if n < PAIRWISE_SUM_FROM else FLOAT_LOOP_TOL
 
     coupled_args = (p0.theta, v0.v, args.step, horizon, eps)
     decoupled_args = (p0.full, v0.full, args.step, horizon, eps)
@@ -101,17 +102,12 @@ def main() -> None:
          "decoupled numpy", BACKEND_TOL),
     ]
 
-    print(
-        f"n = {args.n}, horizon = {horizon:.4f}, step = {args.step:g} "
-        f"({n_steps} steps), best of {args.repeats}; active backend: "
-        f"{kernels.backend_name()}"
-    )
-    if not kernels.HAVE_NUMBA:
-        print("numba not importable: its kernels are not timed")
-    header = f"{'kernel':<26} {'seconds':>9} {'us/step':>9}  check"
+    print(f"\nn = {n}, horizon = {horizon:.4f} ({n_steps} steps)")
+    header = f"{'kernel':<26} {'seconds':>9} {'us/step':>9} {'x ref':>6}  check"
     print(header)
     print("-" * len(header))
     outputs = {}
+    reference_us = None
     for name, fn, call_args, against, tol in cases:
         if fn is None:
             continue
@@ -121,7 +117,33 @@ def main() -> None:
         outputs[name] = out
         verdict = "-" if against is None else check(name, out, outputs[against], tol)
         us = 1e6 * seconds / max(out[3] - 1, 1)
-        print(f"{name:<26} {seconds:>9.4f} {us:>9.1f}  {verdict}")
+        reference_us = reference_us or us
+        ratio = f"{reference_us / us:6.2f}" if name.startswith("coupled") else " " * 6
+        print(f"{name:<26} {seconds:>9.4f} {us:>9.1f} {ratio}  {verdict}")
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument(
+        "--n", type=dimensions, default="1-7",
+        help="free simplex dimensions: a range 1-7 or a list 2,5,8",
+    )
+    ap.add_argument("--step", type=float, default=1e-4, help="RK4 step size")
+    ap.add_argument(
+        "--t-end", type=float, default=1.2, help="horizon (capped below exit)"
+    )
+    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args()
+
+    print(
+        f"step = {args.step:g}, best of {args.repeats}; active backend: "
+        f"{kernels.backend_name()}"
+    )
+    if not kernels.HAVE_NUMBA:
+        print("numba not importable: its kernels are not timed")
+    for n in args.n:
+        run_dimension(n, args)
 
 
 if __name__ == "__main__":

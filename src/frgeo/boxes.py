@@ -109,11 +109,13 @@ def _validate_tiling(boxes: list[Box], dimension: int) -> None:
                     f"box bounds [{a}, {c}) do not sit inside [0, 1)"
                 )
         total += b.volume
-    # sweep along axis 0: in lo[0] order, a box can overlap only the earlier
-    # boxes whose hi[0] exceeds its lo[0] (boxes that only touch do not)
+    # sweep along the axis with the most distinct lower bounds (the first
+    # such axis): in lo[d] order, a box can overlap only the earlier boxes
+    # whose hi[d] exceeds its lo[d] (boxes that only touch do not)
+    d = max(range(dimension), key=lambda e: len({b.lo[e] for b in boxes}))
     active: list[tuple[int, Box]] = []
-    for j, b in sorted(enumerate(boxes), key=lambda item: item[1].lo[0]):
-        active = [(i, a) for i, a in active if a.hi[0] > b.lo[0]]
+    for j, b in sorted(enumerate(boxes), key=lambda item: item[1].lo[d]):
+        active = [(i, a) for i, a in active if a.hi[d] > b.lo[d]]
         for i, a in active:
             if a.intersects(b):
                 b1, b2 = (a, b) if i < j else (b, a)

@@ -329,6 +329,12 @@ def _check_preconditions(kind: str, params: dict) -> None:
         raise ConfigError("n_frames", "need at least 2 frames")
     if "step" in p and not p["step"] > 0.0:
         raise ConfigError("step", "must be positive")
+    if "step" in p and "t_end" in p:
+        try:  # counting the steps checks that their time grid can exist
+            IntegratorConfig(p["step"], p["t_end"]).n_steps
+        except ValueError as exc:
+            ratio = p["t_end"] / p["step"]
+            raise ConfigError("step", f"{exc} (t_end / step = {ratio:.3g})")
     if "level" in p and p["level"] < 1:
         raise ConfigError("level", "grid level must be >= 1")
     if "levels" in p:
@@ -478,12 +484,13 @@ def _json_chunks(obj, indent: str):
     """Pieces of ``json.dumps(obj, indent=2)`` for a value nested at ``indent``.
 
     A numpy array is written as its ``tolist()``, converted one block of
-    items at a time.  A list of floats, or a 1-D float array, goes through
-    the C encoder a block of items at a time, and the item separators are
-    then widened to one item per line; float reprs hold no ``", "``, so
-    this is exact.  A generator of lists of item texts, the first list
-    non-empty, is written as the array of those items.  Everything else
-    keeps ``json.dumps`` semantics.
+    items (of whole rows, for a 2-D array) at a time.  A list of floats, or
+    a non-empty 1-D or 2-D float array, goes through the C encoder a block
+    at a time, and the row and item separators are then widened to the
+    indented layout; float reprs hold no ``", "`` or ``"], ["``, so this is
+    exact.  A generator of lists of item texts, the first list non-empty,
+    is written as the array of those items.  Everything else keeps
+    ``json.dumps`` semantics.
     """
     inner = indent + "  "
     sep = ",\n" + inner
@@ -502,17 +509,31 @@ def _json_chunks(obj, indent: str):
             for k, v in obj.items()
         )
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        starts = range(0, len(obj), _ITEMS_PER_WRITE)
+        per_block = _ITEMS_PER_WRITE
+        flat = getattr(obj, "ndim", 1) == 1
         if isinstance(obj, np.ndarray):
-            floats = obj.ndim == 1 and obj.dtype.kind == "f"
-            blocks = (obj[s : s + _ITEMS_PER_WRITE].tolist() for s in starts)
+            floats = obj.ndim <= 2 and obj.dtype.kind == "f" and obj.size
+            if obj.ndim == 2 and obj.shape[1]:
+                per_block = max(1, _ITEMS_PER_WRITE // obj.shape[1])
+            starts = range(0, len(obj), per_block)
+            blocks = (obj[s : s + per_block].tolist() for s in starts)
         else:
-            floats = all(type(v) is float for v in obj)
-            blocks = (obj[s : s + _ITEMS_PER_WRITE] for s in starts)
-        if len(obj) and floats:
+            floats = len(obj) and all(type(v) is float for v in obj)
+            starts = range(0, len(obj), per_block)
+            blocks = (obj[s : s + per_block] for s in starts)
+        if floats:
             lead = "[\n" + inner
+            row = inner + "  "
+            row_sep = "\n" + inner + "]" + sep + "[\n" + row
             for block in blocks:
-                yield lead + json.dumps(block)[1:-1].replace(", ", sep)
+                text = json.dumps(block)
+                if flat:
+                    text = text[1:-1].replace(", ", sep)
+                else:  # "[[a, b], [c, d]]"
+                    text = text[2:-2].replace("], [", row_sep)
+                    text = "[\n" + row + text.replace(", ", ",\n" + row)
+                    text += "\n" + inner + "]"
+                yield lead + text
                 lead = sep
             yield "\n" + indent + "]"
             return

@@ -11,17 +11,18 @@ loop runs:
   Python floats, and for the decoupled system the factory loop as numpy.
 
 The coupled oracle integrates one trajectory of a few coordinates, and
-numpy spends about a microsecond on each call whatever the array size.  The
-factory loop makes about 120 such calls per step (about 150 us per step);
-the float loop does the same arithmetic in 20-40 us per step for n = 1..7
-(2-vCPU VM, Python 3.11).  It performs every operation in the order of
+numpy spends about a microsecond on each call whatever the array size; the
+factory loop makes about 120 such calls per step.  The float loop instead
+runs index loops (``for k in range(n)``) over Python-float lists that are
+allocated once per call, so a stage builds no new list and calls no
+helper.  It performs every operation in the order of
 ``_coupled_accel`` and the factory loop, each sum left to right as
 ``np.sum`` adds fewer than 8 items, so below 8 coordinates its results are
 bit-identical to the factory loop's; from 8 on, ``np.sum`` adds pairwise
 and the two differ in the last bits.  The factory loop stays as the source
 numba compiles and as the tests' reference.  Set ``FRG_NO_NUMBA=1`` (before
 import) to force the fallback; ``benchmarks/bench_kernels.py`` times the
-loops and checks them against each other.
+loops at n = 1..7 and checks them against each other.
 
 Step i of every loop ends at ``min((i + 1) * step, t_end)``
 (``step_count`` steps), so the time grid lands exactly on ``t_end`` with no
@@ -64,21 +65,31 @@ def numba_disabled(env: dict | None = None) -> bool:
     )
 
 
+# (i + 1) * step is exact in i + 1 only up to 2^53, and numpy indexes
+# arrays of at most intp max items (n_steps + 1 of them)
+MAX_STEPS = min(2**53, np.iinfo(np.intp).max - 1)
+
+
 def step_count(step, t_end):
     """Steps of the RK4 time grid: the least n with n * step >= t_end.
 
     Step i ends at t_{i+1} = min((i + 1) * step, t_end), so the grid lands
     exactly on t_end, and (n - 1) * step < t_end keeps the last step
     positive.  ceil(t_end / step) alone can be one off in floats either way.
+    Raises ValueError when that takes more than ``MAX_STEPS`` steps.
     """
     if not t_end > 0.0:
         return 0
-    n = max(1, int(math.ceil(t_end / step)))
-    while n > 1 and (n - 1) * step >= t_end:
-        n -= 1
-    while n * step < t_end:
-        n += 1
-    return n
+    ratio = t_end / step
+    if ratio <= MAX_STEPS:  # also false for an infinite ratio
+        n = max(1, int(math.ceil(ratio)))
+        while n > 1 and (n - 1) * step >= t_end:
+            n -= 1
+        while n * step < t_end:
+            n += 1
+        if n <= MAX_STEPS:
+            return n
+    raise ValueError("the time grid has more steps than floats or numpy can index")
 
 
 def _coupled_accel(theta, v):
@@ -203,33 +214,17 @@ def _make_decoupled(accel, first_low, steps=step_count):
     return loop
 
 
-def _floats_accel(th, v, last):
-    # _coupled_accel on lists, with theta_last given; each sum runs left to
-    # right from 0.0, np.sum's order and start below 8 items
-    sv = 0.0
-    for y in v:
-        sv += y
-    w = [y * y / x for x, y in zip(th, v)]
-    q = 0.0
-    for y in w:
-        q += y
-    return [-0.5 * (x / last * sv * sv - y + x * q) for x, y in zip(th, w)]
-
-
-def _floats_last(th):
-    s = 0.0
-    for x in th:
-        s += x
-    return 1.0 - s
-
-
 def rk4_coupled_numpy(theta0, v0, step, t_end, eps):
     """The coupled loop of ``_make_coupled(_coupled_accel, _coupled_low)``
     on Python floats: the backend without numba (see the module docstring).
 
-    Each stage's theta_last serves its domain check and its acceleration.
-    Rows go straight into the preallocated arrays, so no step's lists
-    outlive it.
+    Stages 2-4 share one body.  Its first loop forms w_k = v_k^2 / theta_k
+    and their sum q for the stage it starts from (x0, y0); its second loop
+    finishes that stage's acceleration, builds the next stage's coordinates
+    and velocities and sums them, for theta_last and sv.  w is formed only
+    once the domain check has passed, so no coordinate at or below the
+    floor is divided by.  The end of step works the same way on stage 4.
+    Each step's row goes straight into the preallocated arrays.
     """
     n = theta0.size
     n_steps = step_count(step, t_end)
@@ -241,7 +236,13 @@ def rk4_coupled_numpy(theta0, v0, step, t_end, eps):
     vel[0] = v0
     th = theta0.tolist()
     v = v0.tolist()
-    last = _floats_last(th)
+    th2, th3, th4, v2, v3, v4, a1, a2, a3, w = ([0.0] * n for _ in range(10))
+    ks = range(n)
+    s = sv = 0.0
+    for k in ks:
+        s += th[k]
+        sv += v[k]
+    last = 1.0 - s
     if min(th) <= eps or last <= eps:
         return times, pos, vel, 0, -1, 0.0
     t = 0.0
@@ -249,41 +250,57 @@ def rk4_coupled_numpy(theta0, v0, step, t_end, eps):
         t_next = min((i + 1) * step, t_end)
         h = t_next - t
         half = 0.5 * h
-        a1 = _floats_accel(th, v, last)
-        th2 = [x + half * y for x, y in zip(th, v)]
-        v2 = [x + half * y for x, y in zip(v, a1)]
-        last = _floats_last(th2)
-        if min(th2) <= eps or last <= eps:
-            return times, pos, vel, i + 1, -1, t + half
-        a2 = _floats_accel(th2, v2, last)
-        th3 = [x + half * y for x, y in zip(th, v2)]
-        v3 = [x + half * y for x, y in zip(v, a2)]
-        last = _floats_last(th3)
-        if min(th3) <= eps or last <= eps:
-            return times, pos, vel, i + 1, -1, t + half
-        a3 = _floats_accel(th3, v3, last)
-        th4 = [x + h * y for x, y in zip(th, v3)]
-        v4 = [x + h * y for x, y in zip(v, a3)]
-        last = _floats_last(th4)
-        if min(th4) <= eps or last <= eps:
-            return times, pos, vel, i + 1, -1, t_next
-        a4 = _floats_accel(th4, v4, last)
-        t = t_next
+        for x0, y0, acc, x1, y1, c, t_exit in (
+            (th, v, a1, th2, v2, half, t + half),
+            (th2, v2, a2, th3, v3, half, t + half),
+            (th3, v3, a3, th4, v4, h, t_next),
+        ):
+            q = 0.0
+            for k in ks:
+                y = y0[k]
+                y = y * y / x0[k]
+                w[k] = y
+                q += y
+            s = u = 0.0
+            for k in ks:
+                x = x0[k]
+                a = -0.5 * (x / last * sv * sv - w[k] + x * q)
+                acc[k] = a
+                x = th[k] + c * y0[k]
+                y = v[k] + c * a
+                x1[k] = x
+                y1[k] = y
+                s += x
+                u += y
+            last = 1.0 - s
+            if min(x1) <= eps or last <= eps:
+                return times, pos, vel, i + 1, -1, t_exit
+            sv = u
+        q = 0.0
+        for k in ks:
+            y = v4[k]
+            y = y * y / th4[k]
+            w[k] = y
+            q += y
         sixth = h / 6.0
-        th = [
-            x + sixth * (y1 + 2.0 * y2 + 2.0 * y3 + y4)
-            for x, y1, y2, y3, y4 in zip(th, v, v2, v3, v4)
-        ]
-        v = [
-            x + sixth * (y1 + 2.0 * y2 + 2.0 * y3 + y4)
-            for x, y1, y2, y3, y4 in zip(v, a1, a2, a3, a4)
-        ]
+        s = u = 0.0
+        for k in ks:
+            x = th4[k]
+            a = -0.5 * (x / last * sv * sv - w[k] + x * q)
+            x = th[k] + sixth * (v[k] + 2.0 * v2[k] + 2.0 * v3[k] + v4[k])
+            y = v[k] + sixth * (a1[k] + 2.0 * a2[k] + 2.0 * a3[k] + a)
+            th[k] = x
+            v[k] = y
+            s += x
+            u += y
+        t = t_next
         times[i + 1] = t
         pos[i + 1] = th
         vel[i + 1] = v
-        last = _floats_last(th)
+        last = 1.0 - s
         if min(th) <= eps or last <= eps:
             return times, pos, vel, i + 1, -1, t
+        sv = u
     return times, pos, vel, n_steps + 1, -1, t_end
 
 

@@ -1,4 +1,4 @@
-"""Shared generators for randomized property tests.
+"""Shared generators for randomized property tests, and a time limit.
 
 Every test seeds its own ``numpy.random.default_rng``; these helpers only
 turn raw draws into valid domain objects (interior simplex points, unit
@@ -6,6 +6,8 @@ Fisher-speed tangents, normalized grid densities).
 """
 
 from __future__ import annotations
+
+import signal
 
 import numpy as np
 
@@ -49,3 +51,23 @@ def random_grid_state_data(rng, grid, floor=0.05):
 
 def make_grid(dimension, level):
     return DyadicGrid(dimension, level)
+
+
+def within_a_second(fn, *args):
+    """``fn(*args)``, or TimeoutError once it has run for a second.
+
+    A real-time alarm interrupts a pure-Python loop, so a call that would
+    never return fails the test instead of hanging the run (main thread,
+    POSIX only).
+    """
+
+    def expire(signum, frame):
+        raise TimeoutError(f"{fn.__name__} did not return within a second")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -84,6 +85,58 @@ def test_tiling_validation():
     hidden = [(1, 0, F(1, 2), 0, F(1, 2)), *right, (1, 0, F(1, 2), F(3, 8), F(7, 8))]
     with pytest.raises(InvalidCatalogFunction, match="overlapping"):
         BoxFunction.from_rows(2, hidden)
+    # strips across either axis; a box over strips 1 and 2, listed last or
+    # first, is named after or before strip 1
+    for axis in (0, 1):
+        rows = [_strip(axis, F(k, 16), F(k + 1, 16)) for k in range(16)]
+        extra = _strip(axis, F(3, 32), F(6, 32))
+        assert BoxFunction.from_rows(2, rows).integral() == 1
+        for listed in (rows + [extra], [extra] + rows):
+            b1, b2 = (Box.make(*r) for r in listed if r in (rows[1], extra))
+            named = f"overlapping boxes {b1.lo}-{b1.hi} and {b2.lo}-{b2.hi}"
+            with pytest.raises(InvalidCatalogFunction, match=re.escape(named)):
+                BoxFunction.from_rows(2, listed)
+
+
+def _strip(axis, lo, hi):
+    """Row of a 2-D box spanning [lo, hi) on ``axis`` and [0, 1) across."""
+    return (1, lo, hi, 0, 1) if axis == 0 else (1, 0, 1, lo, hi)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_strip_tilings_are_checked_in_near_linear_time(monkeypatch, axis):
+    # 1,024 strips that only touch: a sweep across the strips keeps at most
+    # one box active, a sweep along them keeps all (about 520,000 tests)
+    calls = []
+    intersects = Box.intersects
+    monkeypatch.setattr(Box, "intersects", lambda a, b: calls.append(1) or intersects(a, b))
+    rows = [_strip(axis, F(k, 1024), F(k + 1, 1024)) for k in range(1024)]
+    assert BoxFunction.from_rows(2, rows).integral() == 1
+    assert len(calls) < 1024
+
+
+def _overlap_verdict_matches(rows):
+    """Sweep verdict equals the pairwise one, and a reported pair is an
+    overlapping pair named in list order.  Returns the verdict."""
+    boxes_ = [Box.make(*row) for row in rows]
+    pairs = [
+        (b1, b2)
+        for i, b1 in enumerate(boxes_)
+        for b2 in boxes_[i + 1 :]
+        if b1.intersects(b2)
+    ]
+    try:
+        BoxFunction.from_rows(2, rows)
+        verdict = False
+    except InvalidCatalogFunction as exc:
+        verdict = "overlapping" in str(exc)
+        if verdict:
+            assert any(
+                str(exc) == f"overlapping boxes {b1.lo}-{b1.hi} and {b2.lo}-{b2.hi}"
+                for b1, b2 in pairs
+            )
+    assert verdict == bool(pairs)
+    return verdict
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -98,18 +151,19 @@ def test_overlap_verdict_matches_pairwise_check(seed):
                 a, b = sorted(rng.choice(9, size=2, replace=False).tolist())
                 bounds += [F(a, 8), F(b, 8)]
             rows.append((1, *bounds))
-        boxes_ = [Box.make(*row) for row in rows]
-        pairwise = any(
-            b1.intersects(b2) for i, b1 in enumerate(boxes_) for b2 in boxes_[i + 1 :]
-        )
-        try:
-            BoxFunction.from_rows(2, rows)
-            verdict = False
-        except InvalidCatalogFunction as exc:
-            verdict = "overlapping" in str(exc)
-        assert verdict == pairwise
-        verdicts.add(verdict)
+        verdicts.add(_overlap_verdict_matches(rows))
     assert verdicts == {False, True}
+    # strips across x and across y, which the sweep takes along x and y
+    for axis in (0, 1):
+        verdicts = set()
+        for _ in range(20):
+            cuts = [
+                sorted(rng.choice(9, size=2, replace=False).tolist())
+                for _ in range(int(rng.integers(2, 5)))
+            ]
+            rows = [_strip(axis, F(a, 8), F(b, 8)) for a, b in cuts]
+            verdicts.add(_overlap_verdict_matches(rows))
+        assert verdicts == {False, True}
 
 
 def test_exact_integrals_of_builtin_wavelets():

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import within_a_second
 from frgeo import (
     DyadicGrid,
     FiniteDensity,
@@ -35,6 +36,7 @@ from frgeo.cli import (
     _class_state,
     _class_texts,
     _csv_floats,
+    _json_chunks,
     _json_floats,
     _parse_levels,
     _write_json,
@@ -383,13 +385,18 @@ def test_catalog_value_beyond_float_range_exits_2(tmp_path, capsys, argv):
         (("moments", "level=64"), "level"),
         (("pixelation-convergence", "levels=3,64"), "levels"),
         (("density-geodesic", "f0=uniform2d", "g0=g01_2d", "level=40"), "level"),
+        (("oracle-compare", "step=1e-300"), "step"),
+        (("oracle-compare", "step=5e-324"), "step"),
+        (("oracle-compare", "step=1e-3", "t_end=1e16"), "step"),
     ],
     ids=["density_1d_64", "density_1d_63", "moments_1d_64", "ladder_3_64",
-         "density_2d_40"],
+         "density_2d_40", "oracle_1e300_steps", "oracle_subnormal_step",
+         "oracle_1e19_steps"],
 )
 def test_grid_beyond_numpy_index_range_exits_2(tmp_path, capsys, argv, field):
-    # every case has more than 2^63 - 1 cells, so no grid is ever allocated
-    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    # every case has more than 2^63 - 1 cells, or more than 2^53 RK4 steps
+    # (whose count used to spin forever), so no grid is ever allocated
+    assert within_a_second(run_cli, *argv, "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     payload = json.loads(err[0])
@@ -698,6 +705,44 @@ def test_write_json_matches_json_dump(tmp_path):
         json.dump(obj, fh, indent=2, default=np.ndarray.tolist)
         fh.write("\n")
     assert path.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "shape", [(10001, 5), (1, 1), (1025, 1), (3, 0), (0, 3)], ids=str
+)
+def test_2d_float_array_json_matches_json_dumps(shape):
+    rng = np.random.default_rng(shape[0] + 7 * shape[1])
+    matrix = rng.standard_normal(shape)
+    chunks = list(_json_chunks(matrix, ""))
+    assert "".join(chunks) == json.dumps(matrix.tolist(), indent=2)
+    if matrix.size:
+        # one encoder call per block of whole rows, then the closing bracket
+        rows = max(1, _ITEMS_PER_WRITE // shape[1])
+        assert len(chunks) == -(-shape[0] // rows) + 1
+    # nested in a dict and in a list, at deeper indents
+    for obj in ({"m": matrix, "after": [matrix, 1.5]}, [matrix, {"m": matrix[:2]}]):
+        text = "".join(_json_chunks(obj, ""))
+        assert text == json.dumps(obj, indent=2, default=np.ndarray.tolist)
+
+
+def test_2d_float_array_json_keeps_every_float_text():
+    special = np.array([
+        [-0.0, 0.0, 5e-324, -5e-324],
+        [2.2250738585072014e-308, 2.225073858507201e-308, 1e-300, -1e-300],
+        [1e300, -1e300, 1.7976931348623157e308, 0.1],
+    ])
+    for obj in (special, special.T, {"s": special}, [special, special[1:]]):
+        text = "".join(_json_chunks(obj, ""))
+        assert text == json.dumps(obj, indent=2, default=np.ndarray.tolist)
+    assert json.loads("".join(_json_chunks(special, ""))) == special.tolist()
+
+
+def test_2d_int_array_json_keeps_the_generic_path():
+    ints = np.arange(-6, 6).reshape(4, 3)
+    chunks = list(_json_chunks(ints, ""))
+    assert "".join(chunks) == json.dumps(ints.tolist(), indent=2)
+    # item by item: an opening piece and a value per item, plus closings
+    assert len(chunks) > ints.size
 
 
 def test_json_archive_is_not_held_as_python_floats(tmp_path):

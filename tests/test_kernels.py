@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import frgeo
+from conftest import within_a_second
 from frgeo import kernels
 
 
@@ -246,3 +247,17 @@ def test_step_count_lands_on_t_end_with_a_positive_last_step():
     for t_end in (1.0, 0.30000000000000004):
         times = REFERENCE(np.array([0.3, 0.3]), np.array([0.1, -0.1]), 0.1, t_end, 1e-9)[0]
         assert times[-1] == t_end and np.all(np.diff(times) > 0.0)
+
+
+def test_step_count_stops_at_the_float_index_limit():
+    # above 2^53 steps, (n - 1) * step rounds to n * step: the count used to
+    # spin in its decrement loop; 5e-324 makes t_end / step infinite
+    too_many = [(1e-300, 1.0), (5e-324, 1.0), (1e-320, 1e-300),
+                (1.0, 2.0**53 + 2), (0.5, 2.0**52 + 1)]
+    for step, t_end in too_many:
+        with pytest.raises(ValueError, match="more steps"):
+            within_a_second(kernels.step_count, step, t_end)
+    # up to the limit the count stays exact, and takes no search
+    assert within_a_second(kernels.step_count, 1.0, 2.0**53) == 2**53
+    assert within_a_second(kernels.step_count, 0.5, 2.0**52 - 0.5) == 2**53 - 1
+    assert kernels.MAX_STEPS <= np.iinfo(np.intp).max - 1
