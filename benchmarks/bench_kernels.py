@@ -5,13 +5,15 @@ For each free simplex dimension n (``--n``, default every n from 1 to 7),
 kernels timed on the same unit-speed geodesic data:
 
 * coupled: the float loop ``rk4_coupled_numpy`` (the backend without numba),
-  the factory loop as numpy (``_make_coupled(_coupled_accel, _coupled_low)``,
+  whose straight-line loop is generated and compiled once per n, the
+  factory loop as numpy (``_make_coupled(_coupled_accel, _coupled_low)``,
   the reference) and, when numba imports, the factory loop compiled;
 * decoupled: the factory loop as numpy and, when numba imports, compiled.
 
 JIT compilation is triggered before any clock starts, and each figure is the
 best of ``--repeats`` runs; ``x ref`` is the coupled reference's time per
-step over the kernel's.  Before its row is printed, the float loop is
+step over the kernel's.  ``compile ms`` is the time the float loop takes to
+generate and compile its code for n, from an empty cache.  Before its row is printed, the float loop is
 checked against the reference: bit for bit below 8 coordinates (where
 ``np.sum`` adds left to right, as the float loop does), within 1e-13 from
 8 on.  Compiled kernels are checked against numpy within 1e-12.  A failed
@@ -102,8 +104,16 @@ def run_dimension(n: int, args) -> None:
          "decoupled numpy", BACKEND_TOL),
     ]
 
+    kernels._COUPLED_LOOPS.pop(n, None)
+    t0 = time.perf_counter()
+    kernels._coupled_loop(n)
+    compile_ms = {"coupled floats": 1e3 * (time.perf_counter() - t0)}
+
     print(f"\nn = {n}, horizon = {horizon:.4f} ({n_steps} steps)")
-    header = f"{'kernel':<26} {'seconds':>9} {'us/step':>9} {'x ref':>6}  check"
+    header = (
+        f"{'kernel':<26} {'seconds':>9} {'us/step':>9} {'x ref':>6} "
+        f"{'compile ms':>10}  check"
+    )
     print(header)
     print("-" * len(header))
     outputs = {}
@@ -119,7 +129,8 @@ def run_dimension(n: int, args) -> None:
         us = 1e6 * seconds / max(out[3] - 1, 1)
         reference_us = reference_us or us
         ratio = f"{reference_us / us:6.2f}" if name.startswith("coupled") else " " * 6
-        print(f"{name:<26} {seconds:>9.4f} {us:>9.1f} {ratio}  {verdict}")
+        compiled = f"{compile_ms[name]:10.1f}" if name in compile_ms else " " * 10
+        print(f"{name:<26} {seconds:>9.4f} {us:>9.1f} {ratio} {compiled}  {verdict}")
 
 
 def main() -> None:

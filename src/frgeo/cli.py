@@ -578,12 +578,19 @@ def _run_simplex_geodesic(cfg: ExperimentConfig) -> list[Path]:
     # JSON re-import reproduces every frame bit for bit; every trajectory is
     # checked for a boundary touch before any file is written
     results = [(tau, v, simplex_positions(p0, v, times)) for tau, v in pairs]
+    if cfg.fmt == "csv":
+        # every file shares the t column: its text is filled into the
+        # _write_rows blocks once, and their theta slots stay %.17g
+        line = FLOAT_FMT + ("," + FLOAT_FMT.replace("%", "%%")) * p0.n + "\r\n"
+        m = _ITEMS_PER_WRITE
+        chunks = [times[s : s + m].tolist() for s in range(0, times.size, m)]
+        blocks = [(line * len(ts)) % tuple(ts) for ts in chunks]
     written: list[Path] = []
     for k, (tau, v, y) in enumerate(results):
         if cfg.fmt == "csv":
             path = cfg.out_dir / _indexed_name("trajectory", k, len(results), "csv")
             header = ["t"] + [f"theta_{i + 1}" for i in range(p0.n)]
-            _write_table(path, header, np.column_stack([times, y[:, : p0.n]]))
+            _write_rows(path, header, blocks, y[:, : p0.n])
         else:
             path = cfg.out_dir / _indexed_name("trajectory", k, len(results), "json")
             state = simplex_state(p0, v)
@@ -743,7 +750,10 @@ def _run_oracle_compare(cfg: ExperimentConfig) -> list[Path]:
     p = cfg.params
     p0 = SimplexPoint(p["theta0"])
     ((tau, v),) = _resolve_velocities(p, allow_sweep=False)
-    traj = integrate_coupled(p0, v, IntegratorConfig(p["step"], p["t_end"]))
+    try:  # the RK4 table is allocated before the first step
+        traj = integrate_coupled(p0, v, IntegratorConfig(p["step"], p["t_end"]))
+    except MemoryError as exc:
+        raise ConfigError("step", f"the RK4 table does not fit in memory: {exc}")
     closed = simplex_positions(p0, v, traj.times)[:, : p0.n]
     diff = np.abs(closed - traj.positions).max(axis=1)
 

@@ -405,6 +405,22 @@ def test_grid_beyond_numpy_index_range_exits_2(tmp_path, capsys, argv, field):
     assert not any(tmp_path.iterdir())
 
 
+def test_rk4_table_beyond_memory_exits_2(tmp_path, capsys):
+    # 10^15 steps are under the 2^53 limit, but their table needs 7 PiB:
+    # its allocation fails before the first step, and is reported as a bad
+    # step (numpy's tracemalloc hook counts the failed request, so no peak
+    # is measured here)
+    argv = ("oracle-compare", "step=1e-3", "t_end=1e12", "--out", str(tmp_path))
+    assert within_a_second(run_cli, *argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "ConfigError"
+    assert payload["field"] == "step"
+    assert "does not fit in memory" in payload["message"]
+    assert not any(tmp_path.iterdir())
+
+
 def test_single_break_catalog_is_builtin(tmp_path):
     code = run_cli(
         "pixelation-convergence",
@@ -672,6 +688,21 @@ def test_simplex_and_oracle_csv_match_csv_writer(tmp_path):
     )
     expected = csv_writer_bytes(header, rows)
     assert (tmp_path / "oracle_compare.csv").read_bytes() == expected
+
+
+def test_sweep_csv_files_share_the_time_column(tmp_path):
+    # the t column's text is formatted once and filled into every file
+    assert run_cli("simplex-geodesic", "tau_count=3", "n_times=1500", "t_end=0.8",
+                   "--out", str(tmp_path)) == 0
+    p0 = SimplexPoint(np.array([1.0 / 3.0, 1.0 / 3.0]))
+    times = np.linspace(0.0, 0.8, 1500)
+    for k in range(3):
+        v = TangentVector(ellipse_param_n2(2.0 * math.pi * k / 3))
+        y, _ = simplex_flow_samples(p0, v, times)
+        expected = csv_writer_bytes(
+            ["t", "theta_1", "theta_2"], ([t, *y[s, :2]] for s, t in enumerate(times))
+        )
+        assert (tmp_path / f"trajectory_{k:02d}.csv").read_bytes() == expected
 
 
 def test_write_json_matches_json_dump(tmp_path):

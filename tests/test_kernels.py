@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,3 +262,85 @@ def test_step_count_stops_at_the_float_index_limit():
     assert within_a_second(kernels.step_count, 1.0, 2.0**53) == 2**53
     assert within_a_second(kernels.step_count, 0.5, 2.0**52 - 0.5) == 2**53 - 1
     assert kernels.MAX_STEPS <= np.iinfo(np.intp).max - 1
+
+
+# ---------------------------------------------------------------------------
+# the generated float loop: output contract, flush blocks and its cache
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_float_loop_keeps_full_length_arrays_on_every_exit_branch(n):
+    # integrate_coupled and perfbench tell an exit by n_valid != times.size
+    for branch, (args, _) in _exit_cases(n).items():
+        times, pos, vel, n_valid, coord, _ = kernels.rk4_coupled_numpy(*args)
+        rows = kernels.step_count(args[2], args[3]) + 1
+        assert times.shape == (rows,), branch
+        assert pos.shape == vel.shape == (rows, n), branch
+        assert n_valid < rows and coord == -1, branch
+
+
+def test_float_loop_equals_reference_across_flush_blocks():
+    theta0, v0 = _interior_start(3, seed=3)
+    blocks = kernels._ROWS_PER_FLUSH
+    # 2,500 steps: two full blocks and a partial one
+    ref = _assert_same_run((theta0, v0, 1e-4, 0.25, 1e-9))
+    assert ref[3] == ref[0].size == 2501 > 2 * blocks + 1
+    # leaving the domain at the exact touch, in the second block
+    touch = frgeo.boundary_touch_time(
+        frgeo.SimplexPoint(theta0), frgeo.TangentVector(v0)
+    )
+    ref = _assert_same_run((theta0, v0, touch / 1500.5, 2.0 * touch, 1e-9))
+    assert blocks < ref[3] < 2 * blocks
+
+
+def test_float_loop_leaves_its_arguments_and_first_row_alone():
+    theta0, v0 = _interior_start(4, seed=1)
+    saved = theta0.copy(), v0.copy()
+    for eps in (1e-9, 1.0):  # a full run, and an exit at the start
+        times, pos, vel = kernels.rk4_coupled_numpy(theta0, v0, 0.01, 0.3, eps)[:3]
+        assert times[0] == 0.0
+        assert np.array_equal(pos[0], theta0) and np.array_equal(vel[0], v0)
+    assert np.array_equal(theta0, saved[0]) and np.array_equal(v0, saved[1])
+
+
+def test_float_loop_compiles_for_many_coordinates():
+    # every sum is one statement per term, so no expression nests n deep
+    theta0, v0 = _interior_start(300, seed=300)
+    args = (theta0, v0, 1e-3, 0.02, 1e-9)
+    new = kernels.rk4_coupled_numpy(*args)
+    ref = REFERENCE(*args)
+    assert new[3:] == ref[3:] == (21, -1, 0.02)
+    assert np.abs(new[1] - ref[1]).max() < 1e-13
+    assert np.abs(new[2] - ref[2]).max() < 1e-13
+
+
+def test_float_loop_is_compiled_once_per_coordinate_count(monkeypatch):
+    theta0, v0 = _interior_start(6, seed=6)
+    first = kernels.rk4_coupled_numpy(theta0, v0, 0.01, 0.1, 1e-9)
+    loop = kernels._COUPLED_LOOPS[6]
+
+    def no_source(n):
+        raise AssertionError(f"loop for n = {n} generated twice")
+
+    monkeypatch.setattr(kernels, "_coupled_source", no_source)
+    second = kernels.rk4_coupled_numpy(theta0, v0, 0.01, 0.1, 1e-9)
+    assert kernels._COUPLED_LOOPS[6] is loop
+    for a, b in zip(first[:3], second[:3]):
+        assert np.array_equal(a, b)
+
+
+def test_float_loop_buffers_one_block_at_a_time():
+    # Python-float rows held between flushes stay a fixed amount, not a
+    # multiple of the run's length
+    theta0, v0 = _interior_start(2, seed=2)
+    kernels.rk4_coupled_numpy(theta0, v0, 0.01, 0.02, 1e-9)  # compile first
+    tracemalloc.start()
+    try:
+        times, pos, vel = kernels.rk4_coupled_numpy(theta0, v0, 1e-4, 0.25, 1e-9)[:3]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = times.nbytes + pos.nbytes + vel.nbytes
+    # the whole run's 2,500 rows as Python floats would take about 400 kB
+    assert times.size == 2501
+    assert peak < output + 256 * 1024
