@@ -10,7 +10,6 @@ geodesic equations.
 from .boxes import (
     Box,
     BoxFunction,
-    cell_average_projection,
     load_catalog,
     overlay,
     overlay_energy,
@@ -97,6 +96,7 @@ from .simplex import (
     score_covariance,
 )
 from .spaces import (
+    CellClasses,
     DyadicGrid,
     FiniteDensity,
     FiniteMeasureSpace,

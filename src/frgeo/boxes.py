@@ -14,11 +14,16 @@ The on-disk descriptor format is one box per line::
 
 with tokens parsed by ``Fraction`` (so ``1/3``, ``0.125`` and ``-2`` all
 work).  Blank lines and ``#`` comments are ignored.
+
+On a dyadic grid, ``grid_classes`` groups cells that meet the same bounds
+or gap between bounds on every axis (at most 2 B_d + 1 runs for B_d bounds
+on axis d, at any level); ``project_classes`` averages once per class, bit
+for bit each cell's average, and ``cell_averages`` scatters to cells.
 """
 
 from __future__ import annotations
 
-import math
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -26,9 +31,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidCatalogFunction
-from .spaces import DyadicGrid, SignedFunction
+from .spaces import CellClasses, DyadicGrid
 
 FractionLike = Fraction | int | float | str
+Bounds = list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -176,17 +182,37 @@ class BoxFunction:
             out[inside] = float(b.value)
         return out
 
+    @property
+    def bounds(self) -> Bounds:
+        """Each box's (lo, hi) bounds, in box order."""
+        return [(b.lo, b.hi) for b in self.boxes]
+
+    def class_averages(self, classes: CellClasses) -> np.ndarray:
+        """Exact averages on classes cut at every box bound (see grid_classes)."""
+        if classes.grid.dimension != self.dimension:
+            raise InvalidCatalogFunction("grid dimension does not match the catalog")
+        values = np.array([float(b.value) for b in self.boxes])
+        return project_classes(classes, self.bounds, values)
+
     def cell_averages(self, grid: DyadicGrid) -> np.ndarray:
         """Exact per-cell averages on a dyadic grid, flattened in cell order."""
         if grid.dimension != self.dimension:
-            raise InvalidCatalogFunction(
-                "grid dimension does not match the catalog"
-            )
-        return project_regions(
-            grid,
-            [(b.lo, b.hi) for b in self.boxes],
-            np.array([float(b.value) for b in self.boxes]),
-        )
+            raise InvalidCatalogFunction("grid dimension does not match the catalog")
+        classes = grid_classes(grid, self.bounds)
+        return self.class_averages(classes)[classes.cell_classes()]
+
+
+def _axis_ends(lo: Fraction, hi: Fraction, level: int) -> tuple[int, int, float, float]:
+    """The first and last level-j cell [lo, hi) meets, and its exact overlap
+    with each, as integer ratios rounded once (int division is correctly
+    rounded, like ``float(Fraction)``)."""
+    side = 1 << level
+    (p, q), (r, s) = (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
+    first, last = p * side // q, -(-r * side // s) - 1
+    # min(hi, (first + 1) / side) - lo and hi - max(lo, last / side)
+    lo_n, hi_n, den = p * s * side, r * q * side, s * q * side
+    head = (min(hi_n, (first + 1) * s * q) - lo_n) / den
+    return first, last, head, (hi_n - max(lo_n, last * s * q)) / den
 
 
 def _axis_overlaps(lo: Fraction, hi: Fraction, level: int) -> tuple[int, np.ndarray]:
@@ -194,53 +220,76 @@ def _axis_overlaps(lo: Fraction, hi: Fraction, level: int) -> tuple[int, np.ndar
 
     Returns the first cell index and the vector of per-cell overlap lengths
     (converted to float after exact computation).  Only the end cells can be
-    partial, so only they are computed in rational arithmetic; every cell in
-    between is covered whole, and 1.0 / side is its exact length.
+    partial (``_axis_ends``); every cell in between is covered whole, and
+    1.0 / side is its exact length.
     """
-    side = 1 << level
-    first = math.floor(lo * side)
-    last = math.ceil(hi * side) - 1
-    lengths = np.full(max(last - first + 1, 0), 1.0 / side)
+    first, last, head, tail = _axis_ends(lo, hi, level)
+    lengths = np.full(max(last - first + 1, 0), 1.0 / (1 << level))
     if lengths.size:
-        lengths[0] = float(min(hi, Fraction(first + 1, side)) - lo)
-        lengths[-1] = float(hi - max(lo, Fraction(last, side)))
+        lengths[0], lengths[-1] = head, tail
     return first, lengths
 
 
-def project_regions(
-    grid: DyadicGrid,
-    bounds: list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]],
-    values: np.ndarray,
-) -> np.ndarray:
-    """Cell averages of sum_r values[r] * indicator(region r) on ``grid``.
+def grid_classes(grid: DyadicGrid, *bounds: Bounds) -> CellClasses:
+    """Classes of ``grid`` whose cells each region of ``bounds`` meets alike.
 
-    Regions are half-open boxes given by exact bounds.  Intersection volumes
-    are computed exactly per axis and combined as an outer product, so for
-    dyadically aligned regions the result is exact in floating point.
+    Each axis is cut at the floor and ceiling of every bound times 2^level,
+    so a cell a bound falls inside is a run of its own, and the cells
+    between lie in one gap between bounds.  The first axis is also cut at
+    its middle, so there are two classes at least, as a measure space needs.
     """
-    m = grid.dimension
     side = grid.side_count
-    acc = np.zeros((side,) * m)
-    for (lo, hi), val in zip(bounds, values):
+    edges = []
+    for d in range(grid.dimension):
+        cuts = {0, side // 2, side} if d == 0 else {0, side}
+        for x in (b[d] for regions in bounds for region in regions for b in region):
+            k, rest = divmod(x.numerator * side, x.denominator)
+            cuts.update((k, k + (rest > 0)))
+        edges.append(sorted(cuts))
+    return CellClasses(grid, edges)
+
+
+def project_classes(classes: CellClasses, bounds: Bounds, values: np.ndarray) -> np.ndarray:
+    """Averages of sum_r values[r] * indicator(region r) on each class.
+
+    ``classes`` must be cut at every region bound (``grid_classes``).  Each
+    region adds the outer product of its exact per-axis overlaps (once per
+    distinct interval and axis; every cell of a run has its first cell's,
+    and only end cells are partial) into the classes it covers, in region
+    order: bit for bit the cell-by-cell sum, exact for aligned regions, and
+    no per-cell array at any level.
+    """
+    grid = classes.grid
+    acc = np.zeros(tuple(len(e) - 1 for e in classes.edges))
+    caches: list[dict] = [{} for _ in classes.edges]  # interval -> runs, overlaps
+    for (lo, hi), val in zip(bounds, np.asarray(values).tolist()):
         if val == 0.0:
             continue
-        starts, overlaps = [], []
-        for d in range(m):
-            s, length = _axis_overlaps(lo[d], hi[d], grid.level)
-            starts.append(s)
-            overlaps.append(length)
-        block = overlaps[0]
-        for d in range(1, m):
-            block = np.multiply.outer(block, overlaps[d])
-        sl = tuple(slice(s, s + o.size) for s, o in zip(starts, overlaps))
-        acc[sl] += val * block
+        runs, block = [], None
+        for a, b, cuts, cache in zip(lo, hi, classes.edges, caches):
+            key = (a.numerator, a.denominator, b.numerator, b.denominator)
+            if key not in cache:
+                first, last, head, tail = _axis_ends(a, b, grid.level)
+                i, k = (bisect.bisect_left(cuts, c) for c in (first, last + 1))
+                if cuts[i] != first or cuts[k] != last + 1:
+                    raise ValueError("classes are not cut at a region bound")
+                whole = 1.0 / grid.side_count
+                cache[key] = slice(i, k), np.array(
+                    [tail if c == last else head if c == first else whole for c in cuts[i:k]]
+                )
+            runs.append(cache[key][0])
+            o = cache[key][1]
+            block = o if block is None else np.multiply.outer(block, o)
+        acc[tuple(runs)] += val * block
     # divide by the cell volume (a power of two, exact)
-    return acc.reshape(-1) * float(side**m)
+    return acc.reshape(-1) * float(grid.side_count**grid.dimension)
 
 
-def cell_average_projection(catalog: BoxFunction, grid: DyadicGrid) -> SignedFunction:
-    """Project a catalog function onto a grid by exact cell averaging."""
-    return SignedFunction(grid, catalog.cell_averages(grid))
+def project_regions(grid: DyadicGrid, bounds: Bounds, values: np.ndarray) -> np.ndarray:
+    """Cell averages of sum_r values[r] * indicator(region r) on ``grid``:
+    ``project_classes`` on the classes of ``bounds``, scattered to cells."""
+    classes = grid_classes(grid, bounds)
+    return project_classes(classes, bounds, values)[classes.cell_classes()]
 
 
 @dataclass(frozen=True)

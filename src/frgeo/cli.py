@@ -27,12 +27,15 @@ templates, written in blocks of rows (a frame's index and center columns
 are formatted once per grid, from each axis's 2^level center texts), and
 JSON is written piece by piece, each float list or array through json's C
 encoder, a block at a time, so no array is held as Python floats in full.
-The flow of a box catalog on a grid is one scalar geodesic per class of
-cells with equal (alpha, beta) bits, and there are few classes: each
-density frame (and the density archive's ``alpha``/``beta``) is evaluated
-and formatted once per class, and a class's text is taken for each of its
-cells, so the bytes are those of evaluating and formatting cell by cell.
-Frames are evaluated one at a time, as they are written.
+A catalog pair is projected onto the grid's cell classes (products of
+per-axis runs on which both catalogs' averages are constant, see
+``frgeo.boxes.grid_classes``), and the flow is one scalar geodesic per
+class: projection, normalisation, the state's checks and ``moments`` cost
+O(per-axis cell types), whatever the level.  Cells appear only at write
+time: each density frame (and the density archive's ``alpha``/``beta``) is
+evaluated and formatted once per class, and a class's text is taken for
+each of its cells, so the bytes are those of evaluating and formatting
+cell by cell.  Frames are evaluated one at a time, as they are written.
 ``moments`` values are evaluated through the three-term identity and may
 differ from the dense evaluation of version 0.1.0 in the last ulp; every
 other output keeps the 0.1.0 bytes.
@@ -53,7 +56,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .boxes import BoxFunction, load_catalog
+from .boxes import BoxFunction, grid_classes, load_catalog
 from .catalogs import BUILTIN_CATALOGS
 from .errors import (
     ConfigError,
@@ -82,7 +85,7 @@ from .pixelation import (
     write_ladder_csv,
 )
 from .simplex import BOUNDARY_FLOOR, SimplexPoint, TangentVector
-from .spaces import DyadicGrid, FiniteDensity, FiniteMeasureSpace, SignedFunction
+from .spaces import DyadicGrid, FiniteDensity, SignedFunction
 
 FLOAT_FMT = "%.17g"
 
@@ -449,22 +452,6 @@ def _json_floats(xs: list[float]) -> list[str]:
     return json.dumps(xs)[1:-1].split(", ")
 
 
-def _bit_classes(*arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Classes of the positions at which float64 arrays hold the same bits.
-
-    The arrays are 1-D and of one length.  Returns each class's first
-    position, each position's class and each class's size, from one
-    ``np.unique``.  Keying on the bits keeps ``-0.0`` apart from ``0.0``
-    and each float apart from its neighbours.
-    """
-    bits = np.column_stack([a.view(np.int64) for a in arrays])
-    keys = bits.view(np.dtype((np.void, bits.itemsize * len(arrays)))).ravel()
-    _, first, inverse, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True
-    )
-    return first, inverse, counts
-
-
 def _class_texts(
     values: np.ndarray,
     inverse: np.ndarray,
@@ -606,40 +593,25 @@ def _run_simplex_geodesic(cfg: ExperimentConfig) -> list[Path]:
     return written
 
 
-def _grid_state(f0_cat: BoxFunction, g0_cat: BoxFunction, level: int) -> GeodesicState:
-    """Project a catalog pair to a grid and normalize into a geodesic state."""
+def _catalog_state(f0_cat: BoxFunction, g0_cat: BoxFunction, level: int) -> GeodesicState:
+    """Project a catalog pair onto a grid's cell classes and normalize it
+    into a geodesic state on them."""
     grid = DyadicGrid(f0_cat.dimension, level)
+    classes = grid_classes(grid, f0_cat.bounds, g0_cat.bounds)
     try:
-        f0 = FiniteDensity(grid, f0_cat.cell_averages(grid))
+        f0 = FiniteDensity(classes, f0_cat.class_averages(classes))
     except ValueError as exc:
         raise ConfigError("f0", str(exc))
-    g_raw = SignedFunction(grid, g0_cat.cell_averages(grid))
+    g_raw = SignedFunction(classes, g0_cat.class_averages(classes))
     return geodesic_flow(f0, normalize_velocity(f0, g_raw))
-
-
-def _class_state(state: GeodesicState) -> tuple[GeodesicState, np.ndarray]:
-    """A grid state's flow on its (alpha, beta) classes, and each cell's class.
-
-    Cells with the same (alpha, beta) bits take the same value at every t,
-    so the flow is one scalar geodesic per class.  The class state's atoms
-    weigh their cell counts times the cell weight, exactly (an integer
-    times a power of two), so ``density_at`` on it still checks a frame's
-    sign and mass.  A centered nonzero g0 takes both signs, so there are
-    two classes at least, as a measure space needs.
-    """
-    first, inverse, counts = _bit_classes(state.alpha, state.beta)
-    space = FiniteMeasureSpace(counts * state.space.cell_weight)
-    fields = (state.alpha, state.beta, state.f0, state.g0)
-    return GeodesicState(space, *(a[first] for a in fields)), inverse
 
 
 def _run_density_geodesic(cfg: ExperimentConfig) -> list[Path]:
     p = cfg.params
-    state = _grid_state(p["f0"], p["g0"], p["level"])
-    grid: DyadicGrid = state.space
+    state = _catalog_state(p["f0"], p["g0"], p["level"])
+    grid: DyadicGrid = state.space.grid
     times = np.linspace(0.0, p["t_end"], p["n_frames"])
-    classes, inverse = _class_state(state)
-    del state  # the frames need only the classes: free the per-cell arrays
+    inverse = state.space.cell_classes()
 
     written: list[Path] = []
     if cfg.fmt == "csv":
@@ -667,7 +639,7 @@ def _run_density_geodesic(cfg: ExperimentConfig) -> list[Path]:
             blocks.append(line * cells.size % tuple(items))
         for k, t in enumerate(times):
             path = cfg.out_dir / _indexed_name("frame", k, len(times), "csv")
-            texts = _class_texts(density_at(classes, t).values, inverse, _csv_floats)
+            texts = _class_texts(density_at(state, t).values, inverse, _csv_floats)
             with open(path, "w", newline="") as fh:
                 fh.write(",".join(header) + "\r\n")
                 for block, fill in zip(blocks, texts):
@@ -677,7 +649,7 @@ def _run_density_geodesic(cfg: ExperimentConfig) -> list[Path]:
 
         def frame_texts(t: float) -> Iterator[list[str]]:
             # evaluates the frame only when it is written
-            values = density_at(classes, t).values
+            values = density_at(state, t).values
             yield from _class_texts(values, inverse, _json_floats)
 
         path = cfg.out_dir / "density_geodesic.json"
@@ -688,8 +660,8 @@ def _run_density_geodesic(cfg: ExperimentConfig) -> list[Path]:
                 "dimension": grid.dimension,
                 "level": grid.level,
             },
-            "alpha": _class_texts(classes.alpha, inverse, _json_floats),
-            "beta": _class_texts(classes.beta, inverse, _json_floats),
+            "alpha": _class_texts(state.alpha, inverse, _json_floats),
+            "beta": _class_texts(state.beta, inverse, _json_floats),
             "frames": {repr(float(t)): frame_texts(t) for t in times},
         }
         _write_json(path, obj)
@@ -726,7 +698,7 @@ def _run_pixelation_convergence(cfg: ExperimentConfig) -> list[Path]:
 
 def _run_moments(cfg: ExperimentConfig) -> list[Path]:
     p = cfg.params
-    state = _grid_state(p["f0"], p["g0"], p["level"])
+    state = _catalog_state(p["f0"], p["g0"], p["level"])
     times = np.linspace(0.0, p["t_end"], p["n_times"])
     curve = moments(state, times)
     if cfg.fmt == "csv":

@@ -43,7 +43,7 @@ from .errors import (
     SpaceMismatch,
     ZeroDirection,
 )
-from .spaces import FiniteDensity, FiniteMeasureSpace, SignedFunction, integrate
+from .spaces import FiniteDensity, FiniteMeasureSpace, SignedFunction, exact_dot, integrate
 
 ALPHA_MASS_TOL = 1e-12
 CENTERING_TOL = 1e-10
@@ -143,17 +143,20 @@ def normalize_velocity(f0: FiniteDensity, g_raw: SignedFunction) -> UnitVelocity
         raise NotCentered(f"velocity mean is {mean!r}, not 0")
     if f0.min_value <= 0.0:
         raise NonpositiveInitialDensity("density must be strictly positive")
-    w = f0.space.weights
-    energy = float(np.dot(g_raw.values**2 / f0.values, w))
+    energy = velocity_energy(f0, g_raw.values)
     if energy <= DEGENERATE_ENERGY:
         raise DegenerateVelocity(
             f"velocity energy {energy!r} too small to normalize"
         )
     g = g_raw.values / math.sqrt(energy)
     # one refinement pass tightens the float rounding of the first scaling
-    energy2 = float(np.dot(g**2 / f0.values, w))
-    g = g / math.sqrt(energy2)
+    g = g / math.sqrt(velocity_energy(f0, g))
     return UnitVelocity(SignedFunction(f0.space, g), f0)
+
+
+def velocity_energy(f0: FiniteDensity, g: np.ndarray) -> float:
+    """integral g^2 / f0 dmu, correctly rounded (see ``exact_dot``)."""
+    return exact_dot(g**2 / f0.values, f0.space.weights)
 
 
 def geodesic_flow(f0: FiniteDensity, g0: UnitVelocity) -> GeodesicState:

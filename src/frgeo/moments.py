@@ -4,7 +4,9 @@ Mean and variance of a flowing grid density use cell-center quadrature:
 cell k contributes value * weight at its center x_k.  The density is
 constant per cell, so only the x-weighting is approximated -- and for the
 mean not even that, because the per-cell integral of x is exactly
-center * |cell|.
+center * |cell|.  On a grid's cell classes, each class enters through its
+cells' exact sums of x and x^2 (products of per-axis run sums, O(runs)); a
+``DyadicGrid`` state is the case of one class per cell.
 
 Expanding the closed-form flow,
 
@@ -17,11 +19,12 @@ coordinate is the three-term curve
 
 with A = int x f0, B = int x g0^2/f0, C = int x g0, and the second moments
 are the same curve with x^2 in place of x.  ``moments`` evaluates exactly
-this: it contracts the per-cell rows (f0 w, g0^2/f0 w, g0 w) with x and x^2
-once, giving two (3, d) matrices, and multiplies them by the (T, 3) matrix
-of time functions.  Cost and memory are O(N + T) for N cells and T times;
-no (T, N) array is built.  The fit and the direct integrals are both
-provided so they can be checked against each other.
+this: it contracts the per-class rows (f0, g0^2/f0, g0) times the cell
+weight with the class sums of x and x^2 once, giving two (3, d) matrices,
+and multiplies them by the (T, 3) matrix of time functions.  Cost and
+memory are O(N + T) for N classes and T times; no (T, N) array is built.
+The fit and the direct integrals are both provided so they can be checked
+against each other.
 
 ``classify_conic`` sorts planar point sets into ellipse / line / degenerate.
 Collinearity is decided first on the centered, RMS-scaled scatter, because a
@@ -43,7 +46,7 @@ from .errors import InsufficientPoints, SpaceMismatch
 from .geodesics import GeodesicState
 # perfbench/spans.py wraps frgeo.moments.evaluate_scalar by name
 from .geodesics import evaluate_scalar  # noqa: F401
-from .spaces import DyadicGrid
+from .spaces import CellClasses, DyadicGrid, outer
 
 ELLIPSE = "ellipse"
 LINE = "line"
@@ -89,14 +92,25 @@ class MomentCurve:
 
 
 def _moment_matrices(state: GeodesicState) -> tuple[np.ndarray, np.ndarray]:
-    """(3, d) contractions of the rows (f0 w, g0^2/f0 w, g0 w) with x and x^2."""
-    grid = state.space
-    if not isinstance(grid, DyadicGrid):
+    """(3, d) contractions of the rows (f0, g0^2/f0, g0) times the cell
+    weight with each class's sums of x and x^2."""
+    classes = state.space
+    if isinstance(classes, DyadicGrid):
+        side = np.arange(classes.side_count + 1)
+        classes = CellClasses(classes, [side] * classes.dimension)
+    if not isinstance(classes, CellClasses):
         raise SpaceMismatch("moments need a geodesic on a dyadic grid")
-    w = grid.weights
-    rows = np.stack([state.f0 * w, state.g0**2 / state.f0 * w, state.g0 * w])
-    x = grid.centers()
-    return rows @ x, rows @ (x * x)
+    m = classes.grid.dimension
+    rows = np.stack([state.f0, state.g0**2 / state.f0, state.g0])
+    rows *= classes.grid.cell_weight
+    out = np.empty((2, 3, m))
+    for p, power in enumerate((1, 2)):
+        for d in range(m):
+            # each class's sum of x_d^power: the run sums along axis d times
+            # the run lengths along the others
+            x = outer([classes.axis_sums(e, power if e == d else 0) for e in range(m)])
+            out[p, :, d] = rows @ x
+    return out[0], out[1]
 
 
 def _time_design(t: np.ndarray) -> np.ndarray:

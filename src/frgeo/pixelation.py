@@ -34,9 +34,11 @@ the staircase with a function v constant per region is
 with the exact per-axis overlaps of region r.  W costs O(regions * 2^J_ref)
 per axis and serves every continuum pairing (f0, g0, g0^2/f0 and the flow at
 any time); the sums are taken with math.fsum, so each pairing is within a
-few ulp of its exact value.  The coarse test function at level j is the
-outer product of the per-axis block means of s_d, so a ladder's memory
-follows its deepest level, not J_ref.
+few ulp of its exact value.  No level holds a per-cell array either: its
+state lives on the grid's cell classes (``CellClasses``), and the coarse
+test function at level j, the outer product of the per-axis block means of
+s_d, enters through its sum over each class, the product of per-axis
+math.fsum's over the runs.  A level costs O(2^j) per axis plus O(classes).
 """
 
 from __future__ import annotations
@@ -49,10 +51,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxes import BoxFunction, OverlayRegion, _axis_overlaps, overlay, project_regions
+from .boxes import (
+    BoxFunction, OverlayRegion, _axis_overlaps, grid_classes, overlay, project_regions,
+)
 from .errors import HypothesisViolation
-from .geodesics import GeodesicState, UnitVelocity, geodesic_flow
-from .spaces import DyadicGrid, FiniteDensity, SignedFunction
+from .geodesics import GeodesicState, geodesic_flow, normalize_velocity, velocity_energy
+from .spaces import CellClasses, DyadicGrid, FiniteDensity, SignedFunction, outer
 
 DEGENERATE_ALPHA = 1e-14
 HYPOTHESIS_TOL = 1e-12
@@ -125,12 +129,12 @@ def test_functions_2d() -> list[TentFunction]:
 
 @dataclass(frozen=True)
 class LadderLevel:
-    """One pixelation level: projected data and its renormalized state."""
+    """One pixelation level: projected density and its renormalized state,
+    both on the grid's cell classes."""
 
     level: int
     grid: DyadicGrid
-    f_values: np.ndarray
-    g_values: np.ndarray  # raw projection, before renormalization
+    density: FiniteDensity
     alpha: float
     degenerate: bool
     state: GeodesicState | None  # None iff degenerate
@@ -200,19 +204,15 @@ def build_ladder(
     out = {}
     for j in sorted(set(int(j) for j in levels)):
         grid = DyadicGrid(f0.dimension, j)
-        f_vals = f0.cell_averages(grid)
-        g_vals = g0.cell_averages(grid)
-        fd = FiniteDensity(grid, f_vals)
-        alpha = float(np.dot(g_vals**2 / f_vals, grid.weights))
+        classes = grid_classes(grid, f0.bounds, g0.bounds)
+        fd = FiniteDensity(classes, f0.class_averages(classes))
+        g_raw = SignedFunction(classes, g0.class_averages(classes))
+        alpha = velocity_energy(fd, g_raw.values)
         if alpha <= DEGENERATE_ALPHA:
-            out[j] = LadderLevel(j, grid, f_vals, g_vals, alpha, True, None)
+            out[j] = LadderLevel(j, grid, fd, alpha, True, None)
             continue
-        g_unit = g_vals / math.sqrt(alpha)
-        # second pass tightens the rounding of the first
-        energy = float(np.dot(g_unit**2 / f_vals, grid.weights))
-        g_unit = g_unit / math.sqrt(energy)
-        state = geodesic_flow(fd, UnitVelocity(SignedFunction(grid, g_unit), fd))
-        out[j] = LadderLevel(j, grid, f_vals, g_vals, alpha, False, state)
+        state = geodesic_flow(fd, normalize_velocity(fd, g_raw))
+        out[j] = LadderLevel(j, grid, fd, alpha, False, state)
     return PixelationLadder(
         f0.dimension, f0, g0, tuple(regions), float(delta), out
     )
@@ -225,23 +225,15 @@ def alpha_sequence(ladder: PixelationLadder) -> list[tuple[int, float]]:
 
 def _axis_staircases(phi: TentFunction, j_ref: int) -> list[np.ndarray]:
     """phi's per-axis tents sampled at the level-j_ref cell midpoints."""
-    x = DyadicGrid(1, j_ref).centers()[:, 0]
+    x = DyadicGrid(1, j_ref).axis_centers()
     return [phi.axis_tent(d, x) for d in range(phi.dimension)]
-
-
-def _outer(factors: list[np.ndarray]) -> np.ndarray:
-    """Flattened outer product of per-axis factors, in cell order."""
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.multiply.outer(out, f)
-    return out.reshape(-1)
 
 
 def phi_staircase(phi: TentFunction, dimension: int, j_ref: int) -> np.ndarray:
     """phi sampled at the cell midpoints of the level-j_ref grid."""
     if phi.dimension != dimension:
         raise ValueError("test function dimension mismatch")
-    return _outer(_axis_staircases(phi, j_ref))
+    return outer(_axis_staircases(phi, j_ref))
 
 
 def region_flow_values(regions, t: float) -> np.ndarray:
@@ -287,10 +279,15 @@ def _separable_phi(ladder: PixelationLadder, phi: TentFunction, j_ref):
     return j_ref, stairs, np.array(weights)
 
 
-def _phi_coarse(stairs: list[np.ndarray], j_ref: int, j: int) -> np.ndarray:
-    """Level-j block means of phi's staircase: per axis, then outer product."""
-    ratio = 1 << (j_ref - j)
-    return _outer([s.reshape(-1, ratio).mean(axis=1) for s in stairs])
+def _phi_coarse(stairs: list[np.ndarray], j_ref: int, classes: CellClasses) -> np.ndarray:
+    """Per class, the cell weight times the sum over its cells of the level-j
+    block means of phi's staircase: per axis the math.fsum over each run."""
+    ratio = 1 << (j_ref - classes.grid.level)
+    sums = []
+    for s, e in zip(stairs, classes.edges):
+        means = s.reshape(-1, ratio).mean(axis=1).tolist()
+        sums.append(np.array([math.fsum(means[a:b]) for a, b in zip(e, e[1:])]))
+    return outer(sums) * classes.grid.cell_weight
 
 
 def _cont_pairings(weights: np.ndarray, *region_values) -> list[float]:
@@ -304,9 +301,9 @@ def _ladder_level(ladder: PixelationLadder, j: int) -> LadderLevel:
     return ladder.levels[j]
 
 
-def _pairing(values: np.ndarray, phi_values: np.ndarray, grid: DyadicGrid) -> float:
-    """Integral of the product of two cell-constant functions on ``grid``."""
-    return float(np.dot(values * phi_values, grid.weights))
+def _pairing(values: np.ndarray, phi_coarse: np.ndarray) -> float:
+    """Integral of a class-constant function times the coarse test function."""
+    return math.fsum((values * phi_coarse).tolist())
 
 
 def _block_values(regions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -318,19 +315,19 @@ def _block_values(regions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _block_errors(level: LadderLevel, phi_coarse: np.ndarray, cont) -> tuple:
     """(e_f, e_g, e_q) at one level, given the continuum block pairings."""
-    e_f = abs(_pairing(level.f_values, phi_coarse, level.grid) - cont[0])
+    e_f = abs(_pairing(level.density.values, phi_coarse) - cont[0])
     if level.degenerate:
         return e_f, None, None
     g_unit = level.state.g0
-    e_g = abs(_pairing(g_unit, phi_coarse, level.grid) - cont[1])
-    q_unit = g_unit**2 / level.f_values
-    return e_f, e_g, abs(_pairing(q_unit, phi_coarse, level.grid) - cont[2])
+    e_g = abs(_pairing(g_unit, phi_coarse) - cont[1])
+    q_unit = g_unit**2 / level.state.f0
+    return e_f, e_g, abs(_pairing(q_unit, phi_coarse) - cont[2])
 
 
 def _flow_error(level: LadderLevel, t: float, phi_coarse, cont: float) -> float:
     """weak_error of a non-degenerate level, given the continuum pairing."""
     phase = t / 2.0 - level.state.beta
-    disc = _pairing(level.state.alpha * np.cos(phase) ** 2, phi_coarse, level.grid)
+    disc = _pairing(level.state.alpha * np.cos(phase) ** 2, phi_coarse)
     return abs(disc - cont)
 
 
@@ -353,7 +350,7 @@ def weak_error(
             "degenerate-level", f"level {j} carries no geodesic state"
         )
     j_ref, stairs, weights = _separable_phi(ladder, phi, j_ref)
-    phi_coarse = _phi_coarse(stairs, j_ref, j)
+    phi_coarse = _phi_coarse(stairs, j_ref, level.state.space)
     (cont,) = _cont_pairings(weights, region_flow_values(ladder.regions, t))
     return _flow_error(level, t, phi_coarse, cont)
 
@@ -372,7 +369,7 @@ def three_term_errors(
     """
     j_ref, stairs, weights = _separable_phi(ladder, phi, j_ref)
     level = _ladder_level(ladder, j)
-    phi_coarse = _phi_coarse(stairs, j_ref, j)
+    phi_coarse = _phi_coarse(stairs, j_ref, level.density.space)
     values = _block_values(ladder.regions)[: 1 if level.degenerate else 3]
     cont = _cont_pairings(weights, *values)
     return _block_errors(level, phi_coarse, cont)
@@ -397,7 +394,7 @@ def ladder_summary_rows(
     rows = []
     for j in sorted(ladder.levels):
         level = ladder.levels[j]
-        phi_coarse = _phi_coarse(stairs, j_ref, j)
+        phi_coarse = _phi_coarse(stairs, j_ref, level.density.space)
         e_f, e_g, e_q = _block_errors(level, phi_coarse, cont[:3])
         if level.degenerate:
             w0 = wpi2 = None

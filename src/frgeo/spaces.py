@@ -9,6 +9,9 @@ Two concrete carriers are used everywhere else in the package:
   [0,1)^m.  Cells are half-open boxes of side 2^-j; the carried measure
   assigns every cell the weight 2^-mj, so densities on the grid are the
   usual cell values.
+* :class:`CellClasses` -- a grid's cells grouped into products of per-axis
+  runs, on which projected box catalogs are constant: grid states cost
+  O(per-axis cell types), and cells appear only to be written out.
 
 Functions on a space are thin wrappers around a value vector:
 :class:`FiniteDensity` (non-negative, integrates to one) and
@@ -17,7 +20,9 @@ Functions on a space are thin wrappers around a value vector:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,7 +64,7 @@ class FiniteMeasureSpace:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FiniteMeasureSpace)
-            and not isinstance(other, DyadicGrid)
+            and not isinstance(other, (DyadicGrid, CellClasses))
             and self.weights.shape == other.weights.shape
             and bool(np.array_equal(self.weights, other.weights))
         )
@@ -75,12 +80,11 @@ class DyadicGrid(FiniteMeasureSpace):
     Cells are indexed by multi-indices k = (k_1, ..., k_m) with
     0 <= k_i < 2^level and linearized row-major with k_m fastest, which is
     numpy's C order.  Cell k is the half-open box
-    prod_i [k_i 2^-level, (k_i+1) 2^-level).
+    prod_i [k_i 2^-level, (k_i+1) 2^-level).  ``weights`` is built on first use.
     """
 
     dimension: int = 1
     level: int = 0
-    weights: np.ndarray = field(default=None, repr=False)  # derived
 
     def __init__(self, dimension: int, level: int):
         if dimension < 1:
@@ -94,9 +98,17 @@ class DyadicGrid(FiniteMeasureSpace):
             # level-0 grids have a single cell; the measure-space contract
             # wants at least two atoms, so keep them out of the API
             raise ValueError("grid must have at least two cells (m*level >= 1)")
-        object.__setattr__(
-            self, "weights", _freeze(np.full(n, self.cell_weight))
-        )
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return _freeze(np.full(self.cell_count, self.cell_weight))
+
+    @property
+    def n_points(self) -> int:
+        return self.cell_count
+
+    def __repr__(self) -> str:
+        return f"DyadicGrid(dimension={self.dimension}, level={self.level})"
 
     @property
     def side_count(self) -> int:
@@ -180,6 +192,55 @@ class DyadicGrid(FiniteMeasureSpace):
         return hash(("grid", self.dimension, self.level))
 
 
+def outer(factors: list[np.ndarray]) -> np.ndarray:
+    """Flattened outer product of per-axis factors, in C order."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = np.multiply.outer(out, f)
+    return out.reshape(-1)
+
+
+@dataclass(frozen=True)
+class CellClasses(FiniteMeasureSpace):
+    """The cells of a dyadic grid grouped into products of per-axis runs.
+
+    ``edges[d]`` bounds the runs of consecutive cells along axis d,
+    0 = e_0 < e_1 < ... < e_n = 2^level.  Class (i_1, ..., i_m), in C order,
+    is the product of run i_d on every axis and weighs its cell count times
+    the cell weight (exact while m * level <= 53).
+    """
+
+    weights: np.ndarray = field(default=None, repr=False, compare=False)  # derived
+    grid: DyadicGrid = None
+    edges: tuple[tuple[int, ...], ...] = ()
+
+    def __init__(self, grid: DyadicGrid, edges):
+        edges = tuple(tuple(int(k) for k in e) for e in edges)
+        if len(edges) != grid.dimension or any(
+            e[0] != 0 or e[-1] != grid.side_count or list(e) != sorted(set(e)) for e in edges
+        ):
+            raise ValueError("run edges must rise strictly from 0 to 2^level on each axis")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "edges", edges)
+        FiniteMeasureSpace.__init__(self, outer([np.diff(e) * grid.cell_side for e in edges]))
+
+    def axis_sums(self, axis: int, power: int) -> np.ndarray:
+        """Per run along ``axis``, the sum over its cells of the center
+        coordinate to ``power`` (0, 1 or 2), exact and then rounded."""
+        # sum over k < n of (2k + 1)^power, the centers scaled by (2 side)^power
+        below = (lambda n: n, lambda n: n * n, lambda n: n * (4 * n * n - 1) // 3)[power]
+        e, scale = self.edges[axis], (2 * self.grid.side_count) ** power
+        return np.array([(below(b) - below(a)) / scale for a, b in zip(e, e[1:])])
+
+    def cell_classes(self) -> np.ndarray:
+        """The class of every cell of the grid, in cell order."""
+        out = np.zeros((), dtype=np.intp)
+        for e in self.edges:
+            runs = np.repeat(np.arange(len(e) - 1), np.diff(e))
+            out = np.add.outer(out * (len(e) - 1), runs)
+        return out.reshape(-1)
+
+
 @dataclass(frozen=True)
 class SignedFunction:
     """Real-valued function on a finite measure space."""
@@ -215,3 +276,19 @@ class FiniteDensity(SignedFunction):
 def integrate(h: SignedFunction) -> float:
     """Integral of ``h`` against its space's measure, sum_i h_i mu_i."""
     return float(np.dot(h.values, h.space.weights))
+
+
+def exact_dot(x: np.ndarray, w: np.ndarray) -> float:
+    """sum_a x_a w_a, correctly rounded (Dekker's exact products, then one
+    math.fsum), so independent of how atoms are ordered or grouped into
+    classes; exact unless a product over- or underflows."""
+    p = x * w
+    (xh, xl), (wh, wl) = _split(x), _split(w)
+    e = ((xh * wh - p) + xh * wl + xl * wh) + xl * wl
+    return math.fsum(np.concatenate([p, e]).tolist())
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = 134217729.0 * a  # 2^27 + 1: Veltkamp's split into 26-bit halves
+    high = c - (c - a)
+    return high, a - high

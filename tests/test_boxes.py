@@ -14,13 +14,12 @@ from frgeo import (
     BoxFunction,
     DyadicGrid,
     InvalidCatalogFunction,
-    cell_average_projection,
     load_catalog,
     overlay,
     overlay_energy,
 )
 from frgeo import boxes
-from frgeo.boxes import _axis_overlaps
+from frgeo.boxes import _axis_overlaps, grid_classes
 from frgeo.catalogs import (
     g01_1d,
     g02_1d,
@@ -211,9 +210,9 @@ def test_cell_averages_misaligned_exact():
 def test_projection_preserves_integrals():
     for catalog, target in ((misaligned_f0_1d(), 1.0), (misaligned_g0_1d(), 0.0)):
         for level in (1, 3, 6):
-            grid = DyadicGrid(1, level)
-            proj = cell_average_projection(catalog, grid)
-            assert abs(np.dot(proj.values, grid.weights) - target) < 1e-14
+            classes = grid_classes(DyadicGrid(1, level), catalog.bounds)
+            proj = catalog.class_averages(classes)
+            assert abs(np.dot(proj, classes.weights) - target) < 1e-14
 
 
 def test_projection_refinement_consistency():
@@ -371,7 +370,7 @@ def test_axis_overlaps_single_cell_is_region_length():
     assert lengths.tolist() == [float(F(1, 17))]
 
 
-def test_project_regions_2d_misaligned_matches_reference(monkeypatch):
+def test_project_regions_2d_misaligned_matches_reference():
     f = misaligned_f0_2d()
     bounds = [(b.lo, b.hi) for b in f.boxes]
     values = np.array([float(b.value) for b in f.boxes])
@@ -383,7 +382,84 @@ def test_project_regions_2d_misaligned_matches_reference(monkeypatch):
     for level in (1, 3, 6):
         grid = DyadicGrid(2, level)
         fast = boxes.project_regions(grid, bounds, values)
-        monkeypatch.setattr(boxes, "_axis_overlaps", _reference_axis_overlaps)
-        reference = boxes.project_regions(grid, bounds, values)
-        monkeypatch.undo()
-        assert np.array_equal(fast, reference)
+        assert np.array_equal(fast, _dense_reference(grid, bounds, values))
+
+
+# ---------------------------------------------------------------------------
+# class projection against the dense per-cell sums
+
+
+def _dense_reference(grid, bounds, values):
+    """Per-cell sums of every region's exact overlaps, one Fraction per
+    covered cell, accumulated on a full (side,)*m array in region order."""
+    side = grid.side_count
+    acc = np.zeros((side,) * grid.dimension)
+    for (lo, hi), val in zip(bounds, values):
+        if val == 0.0:
+            continue
+        axes = [_reference_axis_overlaps(a, b, grid.level) for a, b in zip(lo, hi)]
+        block = axes[0][1]
+        for _, lengths in axes[1:]:
+            block = np.multiply.outer(block, lengths)
+        acc[tuple(slice(s, s + o.size) for s, o in axes)] += val * block
+    return acc.reshape(-1) * float(side**grid.dimension)
+
+
+def _staggered_regions(strips, seed):
+    """A 2-D tiling whose strips each have their own odd-denominator x breaks."""
+    rng = np.random.default_rng(seed)
+
+    def breaks():
+        inner = [F(k, strips) + F(int(rng.integers(1, 6)), 13 * strips)
+                 for k in range(1, strips)]
+        return [F(0), *inner, F(1)]
+
+    ys = breaks()
+    return [
+        ((x0, y0), (x1, y1))
+        for y0, y1 in zip(ys, ys[1:])
+        for xs in [breaks()]
+        for x0, x1 in zip(xs, xs[1:])
+    ]
+
+
+def _region_sets(dimension):
+    rng = np.random.default_rng(40 + dimension)
+    if dimension == 1:
+        misaligned = misaligned_f0_1d().bounds + misaligned_g0_1d().bounds
+        staggered = [((a,), (b,)) for (a, _), (b, _) in _staggered_regions(7, 3)[:7]]
+        odd = [((a,), (b,)) for a, b in _random_bounds(rng, 12)]
+    else:
+        misaligned = misaligned_f0_2d().bounds
+        staggered = _staggered_regions(6, 4)
+        xs, ys = _random_bounds(rng, 8), _random_bounds(rng, 8)
+        odd = [((x0, y0), (x1, y1)) for (x0, x1), (y0, y1) in zip(xs, ys)]
+    return {"misaligned": misaligned, "staggered": staggered, "odd": odd}
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("level", range(1, 11))
+def test_class_projection_matches_dense_reference(dimension, level):
+    grid = DyadicGrid(dimension, level)
+    rng = np.random.default_rng(level)
+    for name, bounds in _region_sets(dimension).items():
+        values = rng.normal(size=len(bounds))
+        values[::5] = 0.0  # zero-valued regions add nothing
+        classes = grid_classes(grid, bounds)
+        got = boxes.project_classes(classes, bounds, values)
+        # runs are cut at 0, 2^level, the floor and ceiling of each of the
+        # B_d distinct bounds on axis d, and the middle of the first axis
+        for d, runs in enumerate(len(e) - 1 for e in classes.edges):
+            distinct = {x[d] for lo, hi in bounds for x in (lo, hi)}
+            assert runs <= 2 * len(distinct) + 1 + (d == 0), name
+        want = _dense_reference(grid, bounds, values)
+        scattered = got[classes.cell_classes()]
+        assert np.array_equal(scattered.view(np.int64), want.view(np.int64)), name
+        assert np.array_equal(boxes.project_regions(grid, bounds, values), want)
+
+
+def test_class_projection_needs_cuts_at_every_bound():
+    grid = DyadicGrid(1, 4)
+    f = misaligned_f0_1d()
+    with pytest.raises(ValueError, match="not cut"):
+        boxes.project_classes(grid_classes(grid), f.bounds, np.ones(3))

@@ -32,8 +32,7 @@ from frgeo.boxes import load_catalog
 from frgeo.catalogs import BUILTIN_CATALOGS
 from frgeo.cli import (
     _ITEMS_PER_WRITE,
-    _bit_classes,
-    _class_state,
+    _catalog_state,
     _class_texts,
     _csv_floats,
     _json_chunks,
@@ -603,13 +602,18 @@ def test_density_json_matches_json_dump(tmp_path, f0, g0, level):
 def test_class_frames_match_density_at(tmp_path, f0, g0, level):
     _, catalogs = catalog_pair(f0, g0, tmp_path)
     state = flow_state(*catalogs, level)
-    classes, inverse = _class_state(state)
+    classes = _catalog_state(*catalogs, level)
+    inverse = classes.space.cell_classes()
     grid = state.space
     # each class weighs its cell count times the cell weight, exactly
     assert np.array_equal(
         classes.space.weights, np.bincount(inverse) * grid.cell_weight
     )
     assert classes.space.total_mass == 1.0
+    # the class state is the per-cell state, bit for bit
+    for name in ("f0", "g0", "alpha", "beta"):
+        got = getattr(classes, name)[inverse]
+        assert np.array_equal(got.view(np.int64), getattr(state, name).view(np.int64))
     shared = False
     for k, t in enumerate(np.linspace(0.0, 3.0 * math.pi / 4.0, 4)):
         values = density_at(classes, t).values
@@ -648,20 +652,15 @@ def test_distinct_texts_match_per_value_formatting():
         np.array([1e308, -1e-300, 123456789.0, 1e16, 0.5]),
     ]
     for values in cases:
-        first, inverse, counts = _bit_classes(values)
-        assert np.array_equal(counts, np.bincount(inverse))
+        # classes of equal bits keep -0.0 apart from 0.0
+        _, first, inverse = np.unique(
+            values.view(np.int64), return_index=True, return_inverse=True
+        )
         for texts_of, fmt in ((_csv_floats, "%.17g".__mod__), (_json_floats, repr)):
             blocks = list(_class_texts(values[first], inverse, texts_of))
             assert all(len(b) <= _ITEMS_PER_WRITE for b in blocks)
             texts = [text for block in blocks for text in block]
             assert texts == [fmt(x) for x in values.tolist()]
-    # pairs are classed on both arrays' bits: -0.0 and 0.0 stay apart
-    first, inverse, counts = _bit_classes(
-        np.array([1.0, 1.0, 1.0, 2.0]), np.array([0.0, -0.0, 0.0, 0.0])
-    )
-    assert len(counts) == 3 and inverse[0] == inverse[2]
-    assert len({inverse[0], inverse[1], inverse[3]}) == 3
-    assert sorted(first.tolist()) == [0, 1, 3]
 
 
 def test_simplex_and_oracle_csv_match_csv_writer(tmp_path):

@@ -37,11 +37,14 @@ from frgeo.catalogs import (
     g01_1d,
     g02_2d,
     g03_2d,
+    misaligned_f0_1d,
     misaligned_f0_2d,
+    misaligned_g0_1d,
     misaligned_g0_2d,
     uniform1d,
     uniform2d,
 )
+from frgeo.cli import _catalog_state
 from frgeo.geodesics import evaluate_scalar
 from frgeo.simplex import TangentVector
 
@@ -59,6 +62,29 @@ def grid_state(f0_cat, g0_cat, level):
 
 # ---------------------------------------------------------------------------
 # mean / variance curves
+
+
+@pytest.mark.parametrize(
+    "pair, level",
+    [
+        ((misaligned_f0_1d, misaligned_g0_1d), 3),
+        ((misaligned_f0_1d, misaligned_g0_1d), 9),
+        ((misaligned_f0_2d, misaligned_g0_2d), 6),
+        ((uniform2d, g02_2d), 5),
+    ],
+)
+def test_class_moments_match_per_cell(pair, level):
+    # criterion 08's tolerance, against the per-cell state that
+    # mean_coefficients_direct still accepts
+    catalogs = [make() for make in pair]
+    cells, classes = grid_state(*catalogs, level), _catalog_state(*catalogs, level)
+    assert classes.space.n_points < cells.space.n_points
+    direct = mean_coefficients_direct(cells)
+    assert np.max(np.abs(mean_coefficients_direct(classes) - direct)) <= 1e-12
+    times = np.linspace(0.0, 2.0 * math.pi, 13)
+    got, want = moments(classes, times), moments(cells, times)
+    assert np.max(np.abs(got.mean - want.mean)) <= 1e-12
+    assert np.max(np.abs(got.variance - want.variance)) <= 1e-12
 
 
 def test_mean_coefficients_direct_frozen():

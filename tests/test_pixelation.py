@@ -36,6 +36,7 @@ from frgeo.catalogs import (
 )
 from frgeo.boxes import overlay
 from frgeo.pixelation import (
+    LADDER_FIELDS,
     _block_values,
     _cont_pairings,
     _phi_coarse,
@@ -47,7 +48,8 @@ from frgeo.pixelation import (
 )
 from frgeo.pixelation import test_functions_1d as tents_1d
 from frgeo.pixelation import test_functions_2d as tents_2d
-from frgeo.spaces import DyadicGrid
+from frgeo.geodesics import normalize_velocity, velocity_energy
+from frgeo.spaces import CellClasses, DyadicGrid, FiniteDensity, SignedFunction
 
 
 def misaligned_ladder(levels, dimension=1):
@@ -125,7 +127,10 @@ def test_separable_phi_coarse_matches_block_means(dimension):
         )
         fine = phi_staircase(phi, dimension, j_ref)
         for j in range(2, j_ref):
-            got = _phi_coarse(stairs, j_ref, j)
+            # one class per cell: the class sums are the block means
+            cells = np.arange((1 << j) + 1)
+            classes = CellClasses(DyadicGrid(dimension, j), [cells] * dimension)
+            got = _phi_coarse(stairs, j_ref, classes) / classes.grid.cell_weight
             want = _coarsen_mean(fine, dimension, j_ref, j)
             if dimension == 1:
                 assert np.array_equal(got, want)
@@ -177,6 +182,15 @@ def test_misaligned_2d_alpha_sequence_frozen():
         assert abs(alpha - want) < 1e-15
 
 
+def test_misaligned_2d_alpha_is_correctly_rounded():
+    # exact values 39/40 and 639/640; a per-cell dot product is 1 ulp above
+    ladder = misaligned_ladder([6, 10], dimension=2)
+    assert ladder.levels[6].alpha == float(Fraction(39, 40))
+    assert ladder.levels[10].alpha == float(Fraction(639, 640))
+    # on 6 classes, not 2^20 cells
+    assert ladder.levels[10].state.space.n_points == 6
+
+
 def test_single_break_catalog_builds():
     ladder = build_ladder(uniform1d(), single_break_g0_1d(), [2, 4, 6])
     alphas = [a for _, a in alpha_sequence(ladder)]
@@ -188,13 +202,12 @@ def test_renormalized_velocity_is_exactly_unit():
     ladder = misaligned_ladder([3, 5, 7])
     for j, level in ladder.levels.items():
         state = level.state
-        energy = float(
-            np.dot(state.g0**2 / state.f0, level.grid.weights)
-        )
+        weights = state.space.weights  # cell counts times the cell weight
+        energy = float(np.dot(state.g0**2 / state.f0, weights))
         assert abs(energy - 1.0) < 1e-13
         # projection preserves mass and mean exactly
-        assert abs(np.dot(level.f_values, level.grid.weights) - 1.0) < 1e-14
-        assert abs(np.dot(level.g_values, level.grid.weights)) < 1e-14
+        assert abs(np.dot(level.density.values, weights) - 1.0) < 1e-14
+        assert abs(np.dot(state.g0, weights)) < 1e-14
 
 
 def test_alpha_upper_bound_for_uniform_density():
@@ -493,3 +506,70 @@ def test_write_ladder_csv(tmp_path):
     assert rows[1][4] == "" and rows[1][6] == ""  # degenerate: no e_g, no w0
     assert rows[2][0] == "3" and rows[2][2] == "false"
     assert float(rows[2][1]) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# class states against per-cell references
+
+
+def _per_cell_rows(ladder, phi, j_ref):
+    """Summary rows computed cell by cell: per-cell projection and
+    normalisation, phi's block means on every cell, np.dot pairings."""
+    j_ref, stairs, weights = _separable_phi(ladder, phi, j_ref)
+    times = (0.0, math.pi / 2.0)
+    flows = [region_flow_values(ladder.regions, t) for t in times]
+    cont = _cont_pairings(weights, *_block_values(ladder.regions), *flows)
+    rows = []
+    for j in sorted(ladder.levels):
+        grid = DyadicGrid(ladder.dimension, j)
+        ratio = 1 << (j_ref - j)
+        phi_j = stairs[0].reshape(-1, ratio).mean(axis=1)
+        for s in stairs[1:]:
+            phi_j = np.multiply.outer(phi_j, s.reshape(-1, ratio).mean(axis=1))
+        phi_j = phi_j.reshape(-1)
+
+        def pairing(v):
+            return float(np.dot(v * phi_j, grid.weights))
+
+        f = FiniteDensity(grid, ladder.f0.cell_averages(grid))
+        g = ladder.g0.cell_averages(grid)
+        alpha = velocity_energy(f, g)
+        row = [j, alpha, abs(pairing(f.values) - cont[0])]
+        if ladder.levels[j].degenerate:
+            rows.append(row + [None] * 4)
+            continue
+        g_unit = normalize_velocity(f, SignedFunction(grid, g)).g.values
+        row += [
+            abs(pairing(g_unit) - cont[1]),
+            abs(pairing(g_unit**2 / f.values) - cont[2]),
+        ]
+        alpha_x = (f.values**2 + g_unit**2) / f.values
+        beta_x = np.arctan(g_unit / f.values)
+        for t, c in zip(times, cont[3:]):
+            row.append(abs(pairing(alpha_x * np.cos(t / 2.0 - beta_x) ** 2) - c))
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "make_ladder, phi, j_ref",
+    [
+        (lambda: misaligned_ladder(list(range(3, 11))), tents_1d()[3], None),
+        (lambda: misaligned_ladder(list(range(2, 7)), 2), tents_2d()[4], None),
+        (lambda: build_ladder(*_seeded_pair(2), [3, 6, 9]), tents_1d()[9], 12),
+        (lambda: build_ladder(uniform1d(), g01_1d(), [2, 3, 5]), tents_1d()[0], None),
+    ],
+    ids=["misaligned-1d", "misaligned-2d", "seeded-16-boxes", "degenerate-level"],
+)
+def test_class_rows_match_per_cell_reference(make_ladder, phi, j_ref):
+    # alpha_j is a correctly rounded sum, so it is the per-cell value bit for
+    # bit; the pairings regroup O(1) sums, so they agree to 1e-15 absolute
+    ladder = make_ladder()
+    reference = _per_cell_rows(ladder, phi, j_ref)
+    for row, want in zip(ladder_summary_rows(ladder, phi, j_ref), reference):
+        got = [row[k] for k in LADDER_FIELDS if k != "degenerate"]
+        assert got[:2] == want[:2]
+        for a, b in zip(got[2:], want[2:]):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert abs(a - b) <= 1e-15, (row["j"], a, b)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from frgeo import (
+    CellClasses,
     DyadicGrid,
     FiniteDensity,
     FiniteMeasureSpace,
@@ -110,6 +113,32 @@ def test_grid_equality_and_hash():
     # same weights, but an abstract space is not a grid
     flat = FiniteMeasureSpace(np.full(8, 0.125))
     assert a != flat and flat != a
+
+
+def test_cell_classes_weights_layout_and_run_sums():
+    grid = DyadicGrid(2, 3)
+    classes = CellClasses(grid, [(0, 3, 4, 8), (0, 4, 8)])
+    cells = classes.cell_classes().reshape(8, 8)
+    assert cells[:3].tolist() == [[0] * 4 + [1] * 4] * 3
+    assert cells[3].tolist() == [2] * 4 + [3] * 4
+    assert cells[4:].tolist() == [[4] * 4 + [5] * 4] * 4
+    assert np.array_equal(classes.weights, np.bincount(cells.ravel()) * grid.cell_weight)
+    assert classes == CellClasses(grid, [[0, 3, 4, 8], [0, 4, 8]])
+    assert hash(classes) == hash(CellClasses(grid, [[0, 3, 4, 8], [0, 4, 8]]))
+    assert classes != CellClasses(grid, [[0, 4, 8], [0, 4, 8]])
+    assert classes != FiniteMeasureSpace(classes.weights)
+    x = grid.axis_centers()
+    for power in (0, 1, 2):
+        assert np.array_equal(classes.axis_sums(0, power), np.add.reduceat(x**power, [0, 3, 4]))
+    # correctly rounded at any level: over the first n cells, the centers sum
+    # to n^2 / (2 side) and their squares to (n^3 / 3 - n / 12) / side^2
+    side, n = 1 << 60, 1 << 59
+    deep = CellClasses(DyadicGrid(1, 60), [(0, n, side)])
+    assert deep.axis_sums(0, 1)[0] == float(Fraction(n * n, 2 * side))
+    assert deep.axis_sums(0, 2)[0] == float((Fraction(n**3, 3) - Fraction(n, 12)) / side**2)
+    for bad in ([(0, 4, 8)], [(0, 4, 4, 8), (0, 8)], [(1, 8), (0, 8)], [(0, 7), (0, 8)]):
+        with pytest.raises(ValueError):
+            CellClasses(grid, bad)
 
 
 def test_signed_function_shape_check():
