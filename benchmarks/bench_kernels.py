@@ -4,20 +4,21 @@
 For each free simplex dimension n (``--n``, default every n from 1 to 7),
 kernels timed on the same unit-speed geodesic data:
 
-* coupled: the float loop ``rk4_coupled_numpy`` (the backend without numba),
-  whose straight-line loop is generated and compiled once per n, the
-  factory loop as numpy (``_make_coupled(_coupled_accel, _coupled_low)``,
-  the reference) and, when numba imports, the factory loop compiled;
-* decoupled: the factory loop as numpy and, when numba imports, compiled.
+* coupled: the float loop ``rk4_coupled``, whose straight-line loop is
+  generated and compiled once per n, and the same loop over numpy arrays
+  (``_make_coupled(_coupled_accel, _coupled_low)``, the reference);
+* decoupled: ``rk4_decoupled``, over numpy arrays.
 
-JIT compilation is triggered before any clock starts, and each figure is the
-best of ``--repeats`` runs; ``x ref`` is the coupled reference's time per
-step over the kernel's.  ``compile ms`` is the time the float loop takes to
-generate and compile its code for n, from an empty cache.  Before its row is printed, the float loop is
-checked against the reference: bit for bit below 8 coordinates (where
+The kernels run round-robin: each of ``--repeats`` rounds runs every kernel
+once, starting one kernel further on each round, so that a change in host
+speed falls on all kernels alike rather than on one block of runs.  Each
+figure is the median over the rounds; ``x ref`` is the median over the
+rounds of the coupled reference's time over the kernel's in that round.
+``compile ms`` is the time the float loop takes to generate and compile its
+code for n, from an empty cache.  Before its row is printed, the float loop
+is checked against the reference: bit for bit below 8 coordinates (where
 ``np.sum`` adds left to right, as the float loop does), within 1e-13 from
-8 on.  Compiled kernels are checked against numpy within 1e-12.  A failed
-check exits non-zero.
+8 on.  A failed check exits non-zero.
 
     python3 benchmarks/bench_kernels.py               # n = 1..7, step 1e-4
     python3 benchmarks/bench_kernels.py --n 2,5,8 --step 1e-3
@@ -26,7 +27,7 @@ check exits non-zero.
 from __future__ import annotations
 
 import argparse
-import math
+import statistics
 import time
 
 import numpy as np
@@ -36,7 +37,7 @@ from frgeo import kernels
 
 PAIRWISE_SUM_FROM = 8  # np.sum adds pairwise from this many items
 FLOAT_LOOP_TOL = 1e-13
-BACKEND_TOL = 1e-12
+REFERENCE = "coupled numpy (reference)"
 
 
 def geodesic_data(n: int, seed: int):
@@ -49,14 +50,16 @@ def geodesic_data(n: int, seed: int):
     return p0, v0
 
 
-def best_time(fn, args, repeats: int) -> tuple[float, tuple]:
-    best = math.inf
-    out = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return best, out
+def round_robin(cases, repeats: int) -> tuple[dict, dict]:
+    """Seconds of every round per kernel, and each kernel's last output."""
+    seconds = {name: [] for name, *_ in cases}
+    outputs = {}
+    for r in range(repeats):
+        for name, fn, args, *_ in cases[r % len(cases):] + cases[: r % len(cases)]:
+            t0 = time.perf_counter()
+            outputs[name] = fn(*args)
+            seconds[name].append(time.perf_counter() - t0)
+    return seconds, outputs
 
 
 def check(name: str, out, ref, tol: float) -> str:
@@ -92,16 +95,11 @@ def run_dimension(n: int, args) -> None:
 
     coupled_args = (p0.theta, v0.v, args.step, horizon, eps)
     decoupled_args = (p0.full, v0.full, args.step, horizon, eps)
-    # (name, kernel, arguments, kernel whose output it is checked against, tol)
+    # (name, kernel, arguments, tolerance against the reference or None)
     cases = [
-        ("coupled numpy (reference)", reference, coupled_args, None, None),
-        ("coupled floats", kernels.rk4_coupled_numpy, coupled_args,
-         "coupled numpy (reference)", float_tol),
-        ("coupled numba", kernels.rk4_coupled_jit, coupled_args,
-         "coupled numpy (reference)", BACKEND_TOL),
-        ("decoupled numpy", kernels.rk4_decoupled_numpy, decoupled_args, None, None),
-        ("decoupled numba", kernels.rk4_decoupled_jit, decoupled_args,
-         "decoupled numpy", BACKEND_TOL),
+        (REFERENCE, reference, coupled_args, None),
+        ("coupled floats", kernels.rk4_coupled, coupled_args, float_tol),
+        ("decoupled numpy", kernels.rk4_decoupled, decoupled_args, None),
     ]
 
     kernels._COUPLED_LOOPS.pop(n, None)
@@ -109,6 +107,7 @@ def run_dimension(n: int, args) -> None:
     kernels._coupled_loop(n)
     compile_ms = {"coupled floats": 1e3 * (time.perf_counter() - t0)}
 
+    seconds, outputs = round_robin(cases, args.repeats)
     print(f"\nn = {n}, horizon = {horizon:.4f} ({n_steps} steps)")
     header = (
         f"{'kernel':<26} {'seconds':>9} {'us/step':>9} {'x ref':>6} "
@@ -116,21 +115,18 @@ def run_dimension(n: int, args) -> None:
     )
     print(header)
     print("-" * len(header))
-    outputs = {}
-    reference_us = None
-    for name, fn, call_args, against, tol in cases:
-        if fn is None:
-            continue
-        if fn in (kernels.rk4_coupled_jit, kernels.rk4_decoupled_jit):
-            fn(*call_args)  # compile before timing
-        seconds, out = best_time(fn, call_args, args.repeats)
-        outputs[name] = out
-        verdict = "-" if against is None else check(name, out, outputs[against], tol)
-        us = 1e6 * seconds / max(out[3] - 1, 1)
-        reference_us = reference_us or us
-        ratio = f"{reference_us / us:6.2f}" if name.startswith("coupled") else " " * 6
+    for name, _, _, tol in cases:
+        out = outputs[name]
+        verdict = "-" if tol is None else check(name, out, outputs[REFERENCE], tol)
+        median = statistics.median(seconds[name])
+        us = 1e6 * median / max(out[3] - 1, 1)
+        if name.startswith("coupled"):
+            per_round = [r / s for r, s in zip(seconds[REFERENCE], seconds[name])]
+            ratio = f"{statistics.median(per_round):6.2f}"
+        else:
+            ratio = " " * 6
         compiled = f"{compile_ms[name]:10.1f}" if name in compile_ms else " " * 10
-        print(f"{name:<26} {seconds:>9.4f} {us:>9.1f} {ratio} {compiled}  {verdict}")
+        print(f"{name:<26} {median:>9.4f} {us:>9.1f} {ratio} {compiled}  {verdict}")
 
 
 def main() -> None:
@@ -143,16 +139,11 @@ def main() -> None:
     ap.add_argument(
         "--t-end", type=float, default=1.2, help="horizon (capped below exit)"
     )
-    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--repeats", type=int, default=5, help="round-robin rounds")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    print(
-        f"step = {args.step:g}, best of {args.repeats}; active backend: "
-        f"{kernels.backend_name()}"
-    )
-    if not kernels.HAVE_NUMBA:
-        print("numba not importable: its kernels are not timed")
+    print(f"step = {args.step:g}, median of {args.repeats} round-robin rounds")
     for n in args.n:
         run_dimension(n, args)
 

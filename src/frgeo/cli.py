@@ -684,14 +684,20 @@ def _run_pixelation_convergence(cfg: ExperimentConfig) -> list[Path]:
         )
     phi = phis[p["phi_index"]]
     ladder = build_ladder(p["f0"], p["g0"], p["levels"], delta=p["delta"])
-    if cfg.fmt == "csv":
-        path = cfg.out_dir / "ladder.csv"
-        write_ladder_csv(path, ladder, phi, p["j_ref"])
-    else:
-        path = cfg.out_dir / "ladder.json"
-        _write_json(
-            path,
-            {"config": cfg.echo, "rows": ladder_summary_rows(ladder, phi, p["j_ref"])},
+    try:  # the summary samples phi on the level-j_ref axis before a file opens
+        if cfg.fmt == "csv":
+            path = cfg.out_dir / "ladder.csv"
+            write_ladder_csv(path, ladder, phi, p["j_ref"])
+        else:
+            path = cfg.out_dir / "ladder.json"
+            _write_json(
+                path,
+                {"config": cfg.echo, "rows": ladder_summary_rows(ladder, phi, p["j_ref"])},
+            )
+    except MemoryError as exc:
+        raise ConfigError(
+            "levels" if p["j_ref"] is None else "j_ref",
+            f"the level-j_ref axis (default: deepest level + 4) does not fit in memory: {exc}",
         )
     return [path]
 

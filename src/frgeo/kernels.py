@@ -1,38 +1,32 @@
-"""Fixed-step RK4 stepping kernels, compiled with numba when available.
+"""Fixed-step RK4 stepping kernels, one loop per ODE system.
 
 The integrators in :mod:`frgeo.oracle` spend essentially all of their time in
-the sequential stepping loops below.  Each loop is written once, inside a
-factory (``_make_coupled``, ``_make_decoupled``), over numpy arrays.  Which
-loop runs:
+the sequential stepping loops below:
 
-* numba importable and ``FRG_NO_NUMBA`` unset: the factory loops, compiled
-  with ``numba.njit``;
-* otherwise: for the coupled system ``rk4_coupled_numpy``, a loop over plain
-  Python floats, and for the decoupled system the factory loop as numpy.
+* ``rk4_coupled`` steps the coupled system over plain Python floats;
+* ``rk4_decoupled`` steps the decoupled scalar systems over numpy arrays.
 
-The coupled oracle integrates one trajectory of a few coordinates, and
-numpy spends about a microsecond on each call whatever the array size; the
-factory loop makes about 120 such calls per step.  The float loop instead
-runs straight-line code over local variables, one per coordinate, that
-``_coupled_source`` unrolls for each coordinate count n.  It is compiled
-the first time n is seen, at about 0.4 ms per coordinate, and cached in
-``_COUPLED_LOOPS``.  A step takes about 5 us at n = 2 and 10 us at n = 5
-(2-vCPU VM, Python 3.11), against 8 and 15 us for index loops over lists.
-It performs every operation in the order of ``_coupled_accel`` and the
-factory loop, each sum left to right (one statement per term) as ``np.sum``
-adds fewer than 8 items, so below 8 coordinates its results are
-bit-identical to the factory loop's; from 8 on, ``np.sum`` adds pairwise
-and the two differ in the last bits.  The factory loop stays as the source
-numba compiles and as the tests' reference.  Set ``FRG_NO_NUMBA=1`` (before
-import) to force the fallback; ``benchmarks/bench_kernels.py`` times the
-loops at n = 1..7 and checks them against each other.
+The coupled oracle integrates one trajectory of a few coordinates, where
+each numpy call costs about a microsecond whatever the array size, and the
+same loop over numpy arrays (``_make_coupled``) makes about 120 calls per
+step.  ``rk4_coupled`` instead runs straight-line code over local variables,
+one per coordinate, that ``_coupled_source`` unrolls for each coordinate
+count n.  It is compiled the first time n is seen, at about 0.4 ms per
+coordinate, and cached in ``_COUPLED_LOOPS``.  A step takes about 5 us at
+n = 2 and 10 us at n = 5 (2-vCPU VM, Python 3.11).  Every operation runs in
+the order of ``_coupled_accel`` and the numpy loop, each sum left to right
+(one statement per term) as ``np.sum`` adds fewer than 8 items: below 8
+coordinates the two loops agree bit for bit, and from 8 on ``np.sum`` adds
+pairwise and they differ in the last bits.  The numpy loop stays as the
+tests' reference; ``benchmarks/bench_kernels.py`` times both loops at
+n = 1..7 and checks one against the other.
 
 Step i of every loop ends at ``min((i + 1) * step, t_end)``
 (``step_count`` steps), so the time grid lands exactly on ``t_end`` with no
 empty step.
 
-Kernels return plain arrays plus an exit record instead of raising, so the
-same code object works under both backends:
+Kernels return plain arrays plus an exit record instead of raising, and
+:mod:`frgeo.oracle` turns an exit into ``LeftDomain``:
 
     (times, positions, velocities, n_valid, exit_coord, exit_time)
 
@@ -45,27 +39,8 @@ or no single coordinate is to blame).
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-
-def numba_disabled(env: dict | None = None) -> bool:
-    """True when FRG_NO_NUMBA requests the pure-numpy fallback."""
-    source = os.environ if env is None else env
-    return str(source.get("FRG_NO_NUMBA", "")).strip().lower() not in (
-        "",
-        "0",
-        "false",
-        "no",
-    )
 
 
 # (i + 1) * step is exact in i + 1 only up to 2^53, and numpy indexes
@@ -120,18 +95,24 @@ def _first_low(y, eps):
     return -1
 
 
-# step_count comes in as an argument, like accel and low, so that numba
-# compiles it along with the loop
-def _make_coupled(accel, low, steps=step_count):
+def _tables(x0, v0, n_steps):
+    """Time, position and velocity arrays of n_steps + 1 rows, row 0 the start."""
+    times = np.empty(n_steps + 1)
+    pos = np.empty((n_steps + 1, x0.size))
+    vel = np.empty((n_steps + 1, x0.size))
+    times[0] = 0.0
+    pos[0] = x0
+    vel[0] = v0
+    return times, pos, vel
+
+
+def _make_coupled(accel, low):
+    """The coupled loop over numpy arrays, the reference of ``rk4_coupled``;
+    tests pass a ``low`` that records the domain checks."""
+
     def loop(theta0, v0, step, t_end, eps):
-        n = theta0.size
-        n_steps = steps(step, t_end)
-        times = np.empty(n_steps + 1)
-        pos = np.empty((n_steps + 1, n))
-        vel = np.empty((n_steps + 1, n))
-        times[0] = 0.0
-        pos[0] = theta0
-        vel[0] = v0
+        n_steps = step_count(step, t_end)
+        times, pos, vel = _tables(theta0, v0, n_steps)
         if low(theta0, eps):
             return times, pos, vel, 0, -1, 0.0
         t = 0.0
@@ -167,54 +148,46 @@ def _make_coupled(accel, low, steps=step_count):
     return loop
 
 
-def _make_decoupled(accel, first_low, steps=step_count):
-    def loop(y0, z0, step, t_end, eps):
-        n = y0.size
-        n_steps = steps(step, t_end)
-        times = np.empty(n_steps + 1)
-        pos = np.empty((n_steps + 1, n))
-        vel = np.empty((n_steps + 1, n))
-        times[0] = 0.0
-        pos[0] = y0
-        vel[0] = z0
-        bad = first_low(y0, eps)
+def rk4_decoupled(y0, z0, step, t_end, eps):
+    """The decoupled system y'' = (y'^2 - y^2) / (2y) over numpy arrays."""
+    n_steps = step_count(step, t_end)
+    times, pos, vel = _tables(y0, z0, n_steps)
+    bad = _first_low(y0, eps)
+    if bad >= 0:
+        return times, pos, vel, 0, bad, 0.0
+    t = 0.0
+    for i in range(n_steps):
+        t_next = min((i + 1) * step, t_end)
+        h = t_next - t
+        y = pos[i]
+        z = vel[i]
+        a1 = _decoupled_accel(y, z)
+        y2 = y + 0.5 * h * z
+        z2 = z + 0.5 * h * a1
+        bad = _first_low(y2, eps)
         if bad >= 0:
-            return times, pos, vel, 0, bad, 0.0
-        t = 0.0
-        for i in range(n_steps):
-            t_next = min((i + 1) * step, t_end)
-            h = t_next - t
-            y = pos[i]
-            z = vel[i]
-            a1 = accel(y, z)
-            y2 = y + 0.5 * h * z
-            z2 = z + 0.5 * h * a1
-            bad = first_low(y2, eps)
-            if bad >= 0:
-                return times, pos, vel, i + 1, bad, t + 0.5 * h
-            a2 = accel(y2, z2)
-            y3 = y + 0.5 * h * z2
-            z3 = z + 0.5 * h * a2
-            bad = first_low(y3, eps)
-            if bad >= 0:
-                return times, pos, vel, i + 1, bad, t + 0.5 * h
-            a3 = accel(y3, z3)
-            y4 = y + h * z3
-            z4 = z + h * a3
-            bad = first_low(y4, eps)
-            if bad >= 0:
-                return times, pos, vel, i + 1, bad, t_next
-            a4 = accel(y4, z4)
-            t = t_next
-            times[i + 1] = t
-            pos[i + 1] = y + h / 6.0 * (z + 2.0 * z2 + 2.0 * z3 + z4)
-            vel[i + 1] = z + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-            bad = first_low(pos[i + 1], eps)
-            if bad >= 0:
-                return times, pos, vel, i + 1, bad, t
-        return times, pos, vel, n_steps + 1, -1, t_end
-
-    return loop
+            return times, pos, vel, i + 1, bad, t + 0.5 * h
+        a2 = _decoupled_accel(y2, z2)
+        y3 = y + 0.5 * h * z2
+        z3 = z + 0.5 * h * a2
+        bad = _first_low(y3, eps)
+        if bad >= 0:
+            return times, pos, vel, i + 1, bad, t + 0.5 * h
+        a3 = _decoupled_accel(y3, z3)
+        y4 = y + h * z3
+        z4 = z + h * a3
+        bad = _first_low(y4, eps)
+        if bad >= 0:
+            return times, pos, vel, i + 1, bad, t_next
+        a4 = _decoupled_accel(y4, z4)
+        t = t_next
+        times[i + 1] = t
+        pos[i + 1] = y + h / 6.0 * (z + 2.0 * z2 + 2.0 * z3 + z4)
+        vel[i + 1] = z + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        bad = _first_low(pos[i + 1], eps)
+        if bad >= 0:
+            return times, pos, vel, i + 1, bad, t
+    return times, pos, vel, n_steps + 1, -1, t_end
 
 
 # rows the float loop holds as Python floats between writes into its arrays
@@ -317,69 +290,26 @@ def _coupled_loop(n):
     return loop
 
 
-def rk4_coupled_numpy(theta0, v0, step, t_end, eps):
+def rk4_coupled(theta0, v0, step, t_end, eps):
     """The coupled loop of ``_make_coupled(_coupled_accel, _coupled_low)``
-    on Python floats: the backend without numba (see the module docstring).
+    on Python floats (see the module docstring).
 
     w_k is formed only once a stage's domain check has passed, so no
     coordinate at or below the floor is divided by.  Rows are written into
     the preallocated arrays every ``_ROWS_PER_FLUSH`` steps and on exit.
     """
-    n = theta0.size
     n_steps = step_count(step, t_end)
-    times = np.empty(n_steps + 1)
-    pos = np.empty((n_steps + 1, n))
-    vel = np.empty((n_steps + 1, n))
-    times[0] = 0.0
-    pos[0] = theta0
-    vel[0] = v0
-    n_valid, exit_time = _coupled_loop(n)(
+    times, pos, vel = _tables(theta0, v0, n_steps)
+    n_valid, exit_time = _coupled_loop(theta0.size)(
         theta0.tolist(), v0.tolist(), step, t_end, eps, n_steps, times, pos, vel
     )
     return times, pos, vel, n_valid, -1, exit_time
 
 
-rk4_decoupled_numpy = _make_decoupled(_decoupled_accel, _first_low)
-
-if HAVE_NUMBA:
-    # closures over jitted helpers cannot be disk-cached, so no cache=True
-    # on the loops; compile time is paid once per process (see warm_up)
-    rk4_coupled_jit = njit(
-        _make_coupled(
-            njit(cache=True)(_coupled_accel),
-            njit(cache=True)(_coupled_low),
-            njit(cache=True)(step_count),
-        )
-    )
-    rk4_decoupled_jit = njit(
-        _make_decoupled(
-            njit(cache=True)(_decoupled_accel),
-            njit(cache=True)(_first_low),
-            njit(cache=True)(step_count),
-        )
-    )
-else:  # pragma: no cover
-    rk4_coupled_jit = None
-    rk4_decoupled_jit = None
-
-USING_NUMBA = HAVE_NUMBA and not numba_disabled()
-
-if USING_NUMBA:
-    rk4_coupled = rk4_coupled_jit
-    rk4_decoupled = rk4_decoupled_jit
-else:
-    rk4_coupled = rk4_coupled_numpy
-    rk4_decoupled = rk4_decoupled_numpy
+# read by perfbench/checks.py; goes with the benchmark refresh
+rk4_coupled_jit = None
 
 
+# read by perfbench/run.py for its run record; goes with the benchmark refresh
 def backend_name() -> str:
-    return "numba" if USING_NUMBA else "numpy"
-
-
-def warm_up() -> None:
-    """Trigger JIT compilation outside any timed region (no-op on numpy)."""
-    if USING_NUMBA:
-        theta = np.array([0.4, 0.3])
-        v = np.array([0.01, -0.02])
-        rk4_coupled(theta, v, 0.1, 0.2, 1e-9)
-        rk4_decoupled(theta, v, 0.1, 0.2, 1e-9)
+    return "numpy"

@@ -13,7 +13,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from frgeo import (
     IntegratorConfig,
@@ -30,7 +29,6 @@ from frgeo import (
     fit_mean_coefficients,
     geodesic_flow,
     integrate_coupled,
-    kernels,
     moments,
     rank_one_diag_det,
     score,
@@ -61,11 +59,6 @@ from conftest import (
     random_interior_point,
     random_unit_tangent,
 )
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    kernels.warm_up()
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

@@ -420,6 +420,27 @@ def test_rk4_table_beyond_memory_exits_2(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("j_ref, field", [(None, "levels"), (40, "j_ref")])
+def test_ladder_reference_beyond_memory_exits_2(tmp_path, capsys, fmt, j_ref, field):
+    # the default j_ref = 34 puts 2^34 floats (128 GiB) on phi's reference
+    # axis, j_ref = 40 puts 8 TiB: those allocations fail at once, unlike
+    # levels around 20-26, which may really take gigabytes
+    argv = (
+        "pixelation-convergence", "f0=misaligned_f0_2d", "g0=misaligned_g0_2d",
+        "levels=3-30", *([] if j_ref is None else [f"j_ref={j_ref}"]),
+        "--format", fmt, "--out", str(tmp_path),
+    )
+    assert within_a_second(run_cli, *argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "ConfigError"
+    assert payload["field"] == field
+    assert "does not fit in memory" in payload["message"]
+    assert not any(tmp_path.iterdir())
+
+
 def test_single_break_catalog_is_builtin(tmp_path):
     code = run_cli(
         "pixelation-convergence",

@@ -1,10 +1,8 @@
-"""RK4 stepping kernels: backend selection and numba/numpy parity."""
+"""RK4 stepping kernels: exit records, the float loop against its numpy
+reference, and the time grid."""
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -16,56 +14,13 @@ from frgeo import kernels
 
 
 def test_backend_reports_a_known_name():
-    assert kernels.backend_name() in ("numba", "numpy")
-
-
-def test_numba_disabled_flag_parsing():
-    assert not kernels.numba_disabled({})
-    for off in ("", "0", "false", "no", "FALSE", "No"):
-        assert not kernels.numba_disabled({"FRG_NO_NUMBA": off})
-    for on in ("1", "true", "yes", "anything"):
-        assert kernels.numba_disabled({"FRG_NO_NUMBA": on})
-
-
-def test_warm_up_is_idempotent():
-    kernels.warm_up()
-    kernels.warm_up()
-
-
-def _sample_problem():
-    theta0 = np.array([0.35, 0.3])
-    v0 = np.array([0.21, -0.33])
-    return theta0, v0
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-def test_coupled_backend_parity():
-    theta0, v0 = _sample_problem()
-    args = (theta0, v0, 1e-3, 1.2, 1e-9)
-    t_np, p_np, v_np, n_np, c_np, e_np = kernels.rk4_coupled_numpy(*args)
-    t_jit, p_jit, v_jit, n_jit, c_jit, e_jit = kernels.rk4_coupled_jit(*args)
-    assert (n_np, c_np, e_np) == (n_jit, c_jit, e_jit)
-    assert np.array_equal(t_np, t_jit)
-    assert np.abs(p_np - p_jit).max() < 1e-13
-    assert np.abs(v_np - v_jit).max() < 1e-13
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-def test_decoupled_backend_parity():
-    y0 = np.array([1.0, 0.5, 0.25])
-    z0 = np.array([0.0, 0.3, -0.1])
-    args = (y0, z0, 1e-3, 1.5, 1e-9)
-    t_np, p_np, v_np, n_np, c_np, e_np = kernels.rk4_decoupled_numpy(*args)
-    t_jit, p_jit, v_jit, n_jit, c_jit, e_jit = kernels.rk4_decoupled_jit(*args)
-    assert (n_np, c_np, e_np) == (n_jit, c_jit, e_jit)
-    assert np.abs(p_np - p_jit).max() < 1e-13
-    assert np.abs(v_np - v_jit).max() < 1e-13
+    assert kernels.backend_name() == "numpy"
 
 
 def test_exit_record_initial_violation():
     y0 = np.array([1.0, 1e-12])
     z0 = np.zeros(2)
-    times, pos, vel, n_valid, coord, t_exit = kernels.rk4_decoupled_numpy(
+    times, pos, vel, n_valid, coord, t_exit = kernels.rk4_decoupled(
         y0, z0, 0.1, 1.0, 1e-9
     )
     assert n_valid == 0
@@ -75,55 +30,12 @@ def test_exit_record_initial_violation():
 
 def test_exit_record_mid_run():
     # cos^2(t/2) reaches the floor just before pi
-    times, pos, vel, n_valid, coord, t_exit = kernels.rk4_decoupled_numpy(
+    times, pos, vel, n_valid, coord, t_exit = kernels.rk4_decoupled(
         np.array([1.0]), np.array([0.0]), 1e-3, 4.0, 1e-9
     )
     assert 0 < n_valid < times.size
     assert coord == 0
     assert abs(t_exit - np.pi) < 0.05
-
-
-def _backend_in_fresh_interpreter(no_numba=None):
-    """Run ``backend_name()`` in a new Python that imports this same ``frgeo``.
-
-    The child inherits the caller's environment; ``FRG_NO_NUMBA`` is dropped
-    and then set to ``no_numba`` when given, and the directory holding the
-    imported package is put first on ``PYTHONPATH``.
-    """
-    env = dict(os.environ)
-    env.pop("FRG_NO_NUMBA", None)
-    if no_numba is not None:
-        env["FRG_NO_NUMBA"] = no_numba
-    package_root = os.path.dirname(os.path.dirname(frgeo.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p
-    )
-    code = "import frgeo.kernels as k; print(k.backend_name())"
-    return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-
-
-def test_env_flag_selects_numpy_backend():
-    out = _backend_in_fresh_interpreter(no_numba="1")
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "numpy"
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-def test_default_backend_is_numba_when_available():
-    out = _backend_in_fresh_interpreter()
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "numba"
-
-
-def test_fallback_integrates_same_as_selected_backend():
-    # whichever backend is active, results must match the numpy reference
-    theta0, v0 = _sample_problem()
-    args = (theta0, v0, 5e-3, 0.9, 1e-9)
-    ref = kernels.rk4_coupled_numpy(*args)
-    act = kernels.rk4_coupled(*args)
-    assert np.abs(ref[1] - act[1]).max() < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +57,7 @@ def _interior_start(n, seed):
 def _assert_same_run(args, rows=None):
     """Float loop and reference agree bit for bit on the first ``rows`` rows
     (all valid rows by default) and on the exit record."""
-    new = kernels.rk4_coupled_numpy(*args)
+    new = kernels.rk4_coupled(*args)
     ref = REFERENCE(*args)
     assert new[3:] == ref[3:]
     rows = ref[3] if rows is None else rows
@@ -225,10 +137,10 @@ def test_float_loop_equals_reference_on_every_exit_branch(n):
 def test_float_loop_near_reference_from_eight_coordinates(n):
     # from 8 items np.sum adds in unrolled pairwise order, the float loop
     # left to right, so the two differ in the last bits; 1e-13 is the
-    # tolerance the backends are held to
+    # tolerance benchmarks/bench_kernels.py holds them to
     theta0, v0 = _interior_start(n, seed=n)
     args = (theta0, v0, 1e-3, 0.5, 1e-9)
-    new = kernels.rk4_coupled_numpy(*args)
+    new = kernels.rk4_coupled(*args)
     ref = REFERENCE(*args)
     assert new[3:] == ref[3:] == (ref[0].size, -1, 0.5)
     assert np.array_equal(new[0], ref[0])
@@ -272,7 +184,7 @@ def test_step_count_stops_at_the_float_index_limit():
 def test_float_loop_keeps_full_length_arrays_on_every_exit_branch(n):
     # integrate_coupled and perfbench tell an exit by n_valid != times.size
     for branch, (args, _) in _exit_cases(n).items():
-        times, pos, vel, n_valid, coord, _ = kernels.rk4_coupled_numpy(*args)
+        times, pos, vel, n_valid, coord, _ = kernels.rk4_coupled(*args)
         rows = kernels.step_count(args[2], args[3]) + 1
         assert times.shape == (rows,), branch
         assert pos.shape == vel.shape == (rows, n), branch
@@ -297,7 +209,7 @@ def test_float_loop_leaves_its_arguments_and_first_row_alone():
     theta0, v0 = _interior_start(4, seed=1)
     saved = theta0.copy(), v0.copy()
     for eps in (1e-9, 1.0):  # a full run, and an exit at the start
-        times, pos, vel = kernels.rk4_coupled_numpy(theta0, v0, 0.01, 0.3, eps)[:3]
+        times, pos, vel = kernels.rk4_coupled(theta0, v0, 0.01, 0.3, eps)[:3]
         assert times[0] == 0.0
         assert np.array_equal(pos[0], theta0) and np.array_equal(vel[0], v0)
     assert np.array_equal(theta0, saved[0]) and np.array_equal(v0, saved[1])
@@ -307,7 +219,7 @@ def test_float_loop_compiles_for_many_coordinates():
     # every sum is one statement per term, so no expression nests n deep
     theta0, v0 = _interior_start(300, seed=300)
     args = (theta0, v0, 1e-3, 0.02, 1e-9)
-    new = kernels.rk4_coupled_numpy(*args)
+    new = kernels.rk4_coupled(*args)
     ref = REFERENCE(*args)
     assert new[3:] == ref[3:] == (21, -1, 0.02)
     assert np.abs(new[1] - ref[1]).max() < 1e-13
@@ -316,14 +228,14 @@ def test_float_loop_compiles_for_many_coordinates():
 
 def test_float_loop_is_compiled_once_per_coordinate_count(monkeypatch):
     theta0, v0 = _interior_start(6, seed=6)
-    first = kernels.rk4_coupled_numpy(theta0, v0, 0.01, 0.1, 1e-9)
+    first = kernels.rk4_coupled(theta0, v0, 0.01, 0.1, 1e-9)
     loop = kernels._COUPLED_LOOPS[6]
 
     def no_source(n):
         raise AssertionError(f"loop for n = {n} generated twice")
 
     monkeypatch.setattr(kernels, "_coupled_source", no_source)
-    second = kernels.rk4_coupled_numpy(theta0, v0, 0.01, 0.1, 1e-9)
+    second = kernels.rk4_coupled(theta0, v0, 0.01, 0.1, 1e-9)
     assert kernels._COUPLED_LOOPS[6] is loop
     for a, b in zip(first[:3], second[:3]):
         assert np.array_equal(a, b)
@@ -333,10 +245,10 @@ def test_float_loop_buffers_one_block_at_a_time():
     # Python-float rows held between flushes stay a fixed amount, not a
     # multiple of the run's length
     theta0, v0 = _interior_start(2, seed=2)
-    kernels.rk4_coupled_numpy(theta0, v0, 0.01, 0.02, 1e-9)  # compile first
+    kernels.rk4_coupled(theta0, v0, 0.01, 0.02, 1e-9)  # compile first
     tracemalloc.start()
     try:
-        times, pos, vel = kernels.rk4_coupled_numpy(theta0, v0, 1e-4, 0.25, 1e-9)[:3]
+        times, pos, vel = kernels.rk4_coupled(theta0, v0, 1e-4, 0.25, 1e-9)[:3]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from frgeo import kernels
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -54,3 +56,13 @@ def test_tracer_installs_and_restores(perfbench_modules):
 def test_checks_and_workloads_import(perfbench_modules):
     assert callable(perfbench_modules["checks"].check_outputs)
     assert callable(perfbench_modules["workloads"].make_plan)
+
+
+def test_names_read_outside_targets_resolve(perfbench_modules, tmp_path):
+    # checks.backend_crosscheck reads kernels.rk4_coupled_jit, and run.py
+    # records kernels.backend_name() in every result
+    plan = perfbench_modules["workloads"].make_plan("oracle", 1, True, tmp_path)
+    record = perfbench_modules["checks"].backend_crosscheck(plan.experiments[0])
+    ((name, verdict),) = record.items()
+    assert name.endswith("_crosscheck") and verdict.startswith("skipped:")
+    assert kernels.backend_name() == "numpy"
