@@ -11,7 +11,9 @@ runs are printed.  The cases are the aligned ``uniform2d``/``g01_2d`` pair
 at levels 8 and 10, a staggered catalog of 18 x 18 boxes whose frames hold
 over a thousand distinct values, and one of 32 x 32 boxes at level 5, where
 every cell has its own (alpha, beta) and nearly every value of a frame is
-distinct, so that formatting each distinct value once saves least.  Every
+distinct, so that formatting each distinct value once saves least.  A CSV
+frame is written one run of same-class cells at a time; ``runs`` counts
+them per frame (the staggered cases have the shortest runs).  Every
 written value text is then checked against direct formatting (``%.17g`` per
 CSV cell, ``repr`` per JSON item) of the frames evaluated here.  Exits
 non-zero if a run fails or a text differs.
@@ -52,6 +54,7 @@ from frgeo import (  # noqa: E402
     normalize_velocity,
 )
 from frgeo.catalogs import BUILTIN_CATALOGS  # noqa: E402
+from frgeo.cli import _catalog_state, _frame_runs  # noqa: E402
 
 N_FRAMES = 12
 T_END = 3.0
@@ -92,14 +95,16 @@ def write_staggered(directory: Path, strips: int = 18, seed: int = 7) -> tuple[s
 
 
 def flow_state(f0: str, g0: str, level: int):
-    """The geodesic state the CLI builds for a catalog pair, evaluated here."""
+    """The geodesic state the CLI builds for a catalog pair, evaluated here,
+    and the number of class runs a CSV frame is written in."""
     f0_cat, g0_cat = (
         load_catalog(c) if Path(c).exists() else BUILTIN_CATALOGS[c]() for c in (f0, g0)
     )
     grid = DyadicGrid(2, level)
     f = FiniteDensity(grid, f0_cat.cell_averages(grid))
     g = SignedFunction(grid, g0_cat.cell_averages(grid))
-    return geodesic_flow(f, normalize_velocity(f, g))
+    blocks = _frame_runs(_catalog_state(f0_cat, g0_cat, level).space)
+    return geodesic_flow(f, normalize_velocity(f, g)), sum(len(t) for _, t in blocks)
 
 
 # validates as the command line does, then times run_experiment alone
@@ -164,7 +169,7 @@ def main() -> int:
     args = ap.parse_args()
     failed = 0
     print(f"{'case':>13} {'fmt':>4} {'wall_s':>8} {'run_s':>7} {'maxrss_mb':>10} "
-          f"{'distinct':>11} check exit")
+          f"{'distinct':>11} {'runs':>6} check exit")
     with tempfile.TemporaryDirectory() as tmp:
         # every child runs before any frame is evaluated here: a child's
         # ru_maxrss counts this process's RSS at the fork
@@ -188,7 +193,7 @@ def main() -> int:
                 results.append((fmt, out, code, wall, run, max(r[3] for r in reps)))
             runs.append((case, pair, int(level), results))
         for case, pair, level, results in runs:
-            state = flow_state(*pair, level)
+            state, n_runs = flow_state(*pair, level)
             times = np.linspace(0.0, T_END, N_FRAMES)
             distinct = [
                 len(np.unique(density_at(state, t).values.view(np.int64))) for t in times
@@ -206,7 +211,7 @@ def main() -> int:
                 shutil.rmtree(out, ignore_errors=True)
                 check = "ok" if ok else "MISMATCH"
                 row = (f"{case:>13} {fmt:>4} {wall:8.3f} {run:7.3f} {rss:10.1f} "
-                       f"{spread:>11} {check:>5}")
+                       f"{spread:>11} {n_runs if fmt == 'csv' else '-':>6} {check:>5}")
                 print(row, code, flush=True)
                 failed += not ok
     return 1 if failed else 0

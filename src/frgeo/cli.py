@@ -22,11 +22,13 @@ JSON object to stderr.
 Outputs are deterministic: the same configuration produces byte-identical
 files.  Floats are written with 17 significant digits in CSV and with
 ``repr`` round-trip formatting in JSON, so re-importing loses nothing.
-Time and memory follow the output size: CSV lines are ``%`` fills of line
-templates, written in blocks of rows (a frame's index and center columns
-are formatted once per grid, from each axis's 2^level center texts), and
-JSON is written piece by piece, each float list or array through json's C
-encoder, a block at a time, so no array is held as Python floats in full.
+Time and memory follow the output size: CSV is written in blocks of rows,
+trajectory and oracle lines as ``%`` fills of line templates, and density
+frames one run of same-class cells at a time (each run's index and center
+columns are formatted once per grid, with a NUL for the value that each
+frame replaces); JSON is written piece by piece, each float list or array
+through json's C encoder, a block at a time, so no array is held as Python
+floats in full.
 A catalog pair is projected onto the grid's cell classes (products of
 per-axis runs on which both catalogs' averages are constant, see
 ``frgeo.boxes.grid_classes``), and the flow is one scalar geodesic per
@@ -85,7 +87,7 @@ from .pixelation import (
     write_ladder_csv,
 )
 from .simplex import BOUNDARY_FLOOR, SimplexPoint, TangentVector
-from .spaces import DyadicGrid, FiniteDensity, SignedFunction
+from .spaces import CellClasses, DyadicGrid, FiniteDensity, SignedFunction
 
 FLOAT_FMT = "%.17g"
 
@@ -258,7 +260,7 @@ def _merge_overrides(pairs: dict[str, str], overrides: list[str]) -> dict[str, s
     merged = dict(pairs)
     for token in overrides:
         if "=" not in token:
-            raise ConfigError(token, "override must look like key=value")
+            raise ConfigError(token, "neither a key=value override nor a known option")
         key, _, value = token.partition("=")
         key = key.strip()
         if key in seen:
@@ -606,12 +608,58 @@ def _catalog_state(f0_cat: BoxFunction, g0_cat: BoxFunction, level: int) -> Geod
     return geodesic_flow(f0, normalize_velocity(f0, g_raw))
 
 
+def _frame_runs(classes: CellClasses) -> list[tuple[list[int], list[str]]]:
+    """A density frame's CSV lines, per write block, as runs of one class:
+    the runs' classes and their texts (two lists, not a tuple per run).
+
+    In cell order the cells fall into runs of one class: each grid row (a
+    1-D grid is a single row) cut at the last axis's class edges, and cut
+    again where a block of ``_ITEMS_PER_WRITE`` cells ends.  A run's text
+    holds its cells' index and center columns, formatted from each axis's
+    2^level center texts, with a NUL where each f_value goes.
+    """
+    grid = classes.grid
+    side, last = grid.side_count, classes.edges[-1]
+    axis = _csv_floats(grid.axis_centers().tolist())
+    # each row's center columns before the last axis's, and its first cell's class
+    rows = [(",", 0)]
+    for e in classes.edges[:-1]:
+        run_of = [i for i in range(len(e) - 1) for _ in range(e[i], e[i + 1])]
+        rows = [
+            (lead + axis[k] + ",", c * (len(e) - 1) + run_of[k])
+            for lead, c in rows
+            for k in range(side)
+        ]
+    # each part of a row that falls in one block: its first cell p and its
+    # runs (i, lo, hi), cells p + lo .. p + hi - 1 of run i along the last axis
+    parts = []
+    for p in range(0, side, _ITEMS_PER_WRITE):
+        spans = zip(range(len(last) - 1), last, last[1:])
+        cut = [(i, max(e - p, 0), min(f - p, _ITEMS_PER_WRITE)) for i, e, f in spans]
+        parts.append((p, [run for run in cut if run[1] < run[2]]))
+    blocks = [([], []) for _ in range(0, grid.cell_count, _ITEMS_PER_WRITE)]
+    for r, (lead, c) in enumerate(rows):
+        c *= len(last) - 1
+        for p, runs in parts:
+            a = r * side + p
+            # filled in place: a comprehension grows its list through small
+            # heap chunks that, freed among the run texts, keep glibc from
+            # returning the heap after the run
+            lines = [lead] * min(side - p, _ITEMS_PER_WRITE)
+            for q in range(len(lines)):
+                lines[q] = f"{a + q}{lead}{axis[p + q]},\0\r\n"
+            owners, texts = blocks[a // _ITEMS_PER_WRITE]
+            for i, lo, hi in runs:
+                owners.append(c + i)
+                texts.append("".join(lines[lo:hi]))
+    return blocks
+
+
 def _run_density_geodesic(cfg: ExperimentConfig) -> list[Path]:
     p = cfg.params
     state = _catalog_state(p["f0"], p["g0"], p["level"])
     grid: DyadicGrid = state.space.grid
     times = np.linspace(0.0, p["t_end"], p["n_frames"])
-    inverse = state.space.cell_classes()
 
     written: list[Path] = []
     if cfg.fmt == "csv":
@@ -620,32 +668,17 @@ def _run_density_geodesic(cfg: ExperimentConfig) -> list[Path]:
             + [f"x_center_{d + 1}" for d in range(grid.dimension)]
             + ["f_value"]
         )
-        # index and center columns are the same in every frame: format them
-        # once, from each axis's 2^level center texts, leaving a slot
-        # (escaped as %%) per cell for the f_value text.  %.24s copies a
-        # %.17g text whole (24 characters at most) and is as long as a %.17g
-        # slot, so a fill grows its output buffer in the same steps as a
-        # float fill; a bare %s left 11 MB of malloc heap untrimmed after a
-        # 2-D level-8 run.
-        line = "%d" + ",%s" * grid.dimension + ",%%.24s\r\n"
-        axis = np.array(_csv_floats(grid.axis_centers().tolist()), dtype=object)
-        shape = (grid.side_count,) * grid.dimension
-        blocks = []
-        for s in range(0, grid.cell_count, _ITEMS_PER_WRITE):
-            cells = np.arange(s, min(s + _ITEMS_PER_WRITE, grid.cell_count))
-            indices = np.unravel_index(cells, shape)
-            columns = [cells.astype(object), *(axis[k] for k in indices)]
-            items = np.column_stack(columns).ravel().tolist()
-            blocks.append(line * cells.size % tuple(items))
+        blocks = _frame_runs(state.space)
         for k, t in enumerate(times):
             path = cfg.out_dir / _indexed_name("frame", k, len(times), "csv")
-            texts = _class_texts(density_at(state, t).values, inverse, _csv_floats)
+            texts = _csv_floats(density_at(state, t).values.tolist())
             with open(path, "w", newline="") as fh:
                 fh.write(",".join(header) + "\r\n")
-                for block, fill in zip(blocks, texts):
-                    fh.write(block % tuple(fill))
+                for owners, runs in blocks:
+                    fh.write("".join([run.replace("\0", texts[c]) for c, run in zip(owners, runs)]))
             written.append(path)
     else:
+        inverse = state.space.cell_classes()
 
         def frame_texts(t: float) -> Iterator[list[str]]:
             # evaluates the frame only when it is written
@@ -820,10 +853,11 @@ def _emit_error(exc: FrgeoError) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # key=value tokens after an option are left over by argparse
+    args, leftovers = build_parser().parse_known_args(argv)
     try:
         pairs = read_config_file(args.config) if args.config else {}
-        pairs = _merge_overrides(pairs, args.overrides)
+        pairs = _merge_overrides(pairs, args.overrides + leftovers)
         cfg = validate_config(args.kind, pairs, args.out, args.fmt)
         written = run_experiment(cfg)
     except ConfigError as exc:

@@ -80,7 +80,9 @@ def _coupled_accel(theta, v):
 
 def _coupled_low(theta, eps):
     # any coordinate (including the dependent one) at or below the floor?
-    return theta.min() <= eps or (1.0 - np.sum(theta)) <= eps
+    if theta.min() <= eps or (1.0 - np.sum(theta)) <= eps:
+        return -1  # no single coordinate to blame
+    return None
 
 
 def _decoupled_accel(y, z):
@@ -92,7 +94,7 @@ def _first_low(y, eps):
     for k in range(y.size):
         if y[k] <= eps:
             return k
-    return -1
+    return None
 
 
 def _tables(x0, v0, n_steps):
@@ -107,14 +109,19 @@ def _tables(x0, v0, n_steps):
 
 
 def _make_coupled(accel, low):
-    """The coupled loop over numpy arrays, the reference of ``rk4_coupled``;
-    tests pass a ``low`` that records the domain checks."""
+    """The RK4 loop over numpy arrays of the system x'' = accel(x, x').
+
+    ``low(x, eps)`` is None inside the domain and the exit coordinate
+    otherwise.  The coupled loop is the reference of ``rk4_coupled``; tests
+    pass a ``low`` that records the domain checks.
+    """
 
     def loop(theta0, v0, step, t_end, eps):
         n_steps = step_count(step, t_end)
         times, pos, vel = _tables(theta0, v0, n_steps)
-        if low(theta0, eps):
-            return times, pos, vel, 0, -1, 0.0
+        bad = low(theta0, eps)
+        if bad is not None:
+            return times, pos, vel, 0, bad, 0.0
         t = 0.0
         for i in range(n_steps):
             t_next = min((i + 1) * step, t_end)
@@ -124,70 +131,36 @@ def _make_coupled(accel, low):
             a1 = accel(th, v)
             th2 = th + 0.5 * h * v
             v2 = v + 0.5 * h * a1
-            if low(th2, eps):
-                return times, pos, vel, i + 1, -1, t + 0.5 * h
+            bad = low(th2, eps)
+            if bad is not None:
+                return times, pos, vel, i + 1, bad, t + 0.5 * h
             a2 = accel(th2, v2)
             th3 = th + 0.5 * h * v2
             v3 = v + 0.5 * h * a2
-            if low(th3, eps):
-                return times, pos, vel, i + 1, -1, t + 0.5 * h
+            bad = low(th3, eps)
+            if bad is not None:
+                return times, pos, vel, i + 1, bad, t + 0.5 * h
             a3 = accel(th3, v3)
             th4 = th + h * v3
             v4 = v + h * a3
-            if low(th4, eps):
-                return times, pos, vel, i + 1, -1, t_next
+            bad = low(th4, eps)
+            if bad is not None:
+                return times, pos, vel, i + 1, bad, t_next
             a4 = accel(th4, v4)
             t = t_next
             times[i + 1] = t
             pos[i + 1] = th + h / 6.0 * (v + 2.0 * v2 + 2.0 * v3 + v4)
             vel[i + 1] = v + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-            if low(pos[i + 1], eps):
-                return times, pos, vel, i + 1, -1, t
+            bad = low(pos[i + 1], eps)
+            if bad is not None:
+                return times, pos, vel, i + 1, bad, t
         return times, pos, vel, n_steps + 1, -1, t_end
 
     return loop
 
 
-def rk4_decoupled(y0, z0, step, t_end, eps):
-    """The decoupled system y'' = (y'^2 - y^2) / (2y) over numpy arrays."""
-    n_steps = step_count(step, t_end)
-    times, pos, vel = _tables(y0, z0, n_steps)
-    bad = _first_low(y0, eps)
-    if bad >= 0:
-        return times, pos, vel, 0, bad, 0.0
-    t = 0.0
-    for i in range(n_steps):
-        t_next = min((i + 1) * step, t_end)
-        h = t_next - t
-        y = pos[i]
-        z = vel[i]
-        a1 = _decoupled_accel(y, z)
-        y2 = y + 0.5 * h * z
-        z2 = z + 0.5 * h * a1
-        bad = _first_low(y2, eps)
-        if bad >= 0:
-            return times, pos, vel, i + 1, bad, t + 0.5 * h
-        a2 = _decoupled_accel(y2, z2)
-        y3 = y + 0.5 * h * z2
-        z3 = z + 0.5 * h * a2
-        bad = _first_low(y3, eps)
-        if bad >= 0:
-            return times, pos, vel, i + 1, bad, t + 0.5 * h
-        a3 = _decoupled_accel(y3, z3)
-        y4 = y + h * z3
-        z4 = z + h * a3
-        bad = _first_low(y4, eps)
-        if bad >= 0:
-            return times, pos, vel, i + 1, bad, t_next
-        a4 = _decoupled_accel(y4, z4)
-        t = t_next
-        times[i + 1] = t
-        pos[i + 1] = y + h / 6.0 * (z + 2.0 * z2 + 2.0 * z3 + z4)
-        vel[i + 1] = z + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        bad = _first_low(pos[i + 1], eps)
-        if bad >= 0:
-            return times, pos, vel, i + 1, bad, t
-    return times, pos, vel, n_steps + 1, -1, t_end
+# the decoupled system y'' = (y'^2 - y^2) / (2y) over numpy arrays
+rk4_decoupled = _make_coupled(_decoupled_accel, _first_low)
 
 
 # rows the float loop holds as Python floats between writes into its arrays

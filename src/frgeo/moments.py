@@ -35,7 +35,6 @@ discriminant B^2 - 4AC picks the label.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -231,11 +230,7 @@ def write_moments_csv(path: str | Path, curve: MomentCurve) -> None:
         + [f"var_{i + 1}" for i in range(d)]
     )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
+        fh.write(",".join(fields) + "\r\n")
         for k in range(curve.times.size):
-            writer.writerow(
-                [f"{curve.times[k]:.17g}"]
-                + [f"{val:.17g}" for val in curve.mean[k]]
-                + [f"{val:.17g}" for val in curve.variance[k]]
-            )
+            values = [curve.times[k], *curve.mean[k], *curve.variance[k]]
+            fh.write(",".join([f"{val:.17g}" for val in values]) + "\r\n")

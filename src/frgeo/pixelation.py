@@ -43,7 +43,6 @@ math.fsum's over the runs.  A level costs O(2^j) per axis plus O(classes).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -417,17 +416,12 @@ def write_ladder_csv(
     weak_error_t0, weak_error_tpi2 (empty fields at degenerate levels)."""
     rows = ladder_summary_rows(ladder, phi, j_ref)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LADDER_FIELDS)
+        fh.write(",".join(LADDER_FIELDS) + "\r\n")
         for row in rows:
-            writer.writerow(
-                [
-                    row["j"],
-                    f"{row['alpha_j']:.17g}",
-                    str(row["degenerate"]).lower(),
-                    *(
-                        "" if row[k] is None else f"{row[k]:.17g}"
-                        for k in LADDER_FIELDS[3:]
-                    ),
-                ]
-            )
+            fields = [
+                str(row["j"]),
+                f"{row['alpha_j']:.17g}",
+                str(row["degenerate"]).lower(),
+                *("" if row[k] is None else f"{row[k]:.17g}" for k in LADDER_FIELDS[3:]),
+            ]
+            fh.write(",".join(fields) + "\r\n")

@@ -35,6 +35,7 @@ from frgeo.cli import (
     _catalog_state,
     _class_texts,
     _csv_floats,
+    _frame_runs,
     _json_chunks,
     _json_floats,
     _parse_levels,
@@ -289,6 +290,25 @@ def test_duplicate_override_rejected(tmp_path, capsys):
     )
     assert code == 2
     assert stderr_payload(capsys)["field"] == "t_end"
+
+
+def test_overrides_after_an_option(tmp_path, capsys):
+    argv = ("pixelation-convergence", "levels=3-4", "--out", str(tmp_path), "j_ref=9")
+    assert run_cli(*argv, "--format", "json") == 0
+    obj = json.loads((tmp_path / "ladder.json").read_text())
+    assert obj["config"]["levels"] == [3, 4] and obj["config"]["j_ref"] == 9
+    # the same duplicate check as overrides before the option
+    assert run_cli(*argv, "levels=5") == 2
+    assert stderr_payload(capsys)["field"] == "levels"
+
+
+def test_unknown_option_is_a_config_error(tmp_path, capsys):
+    assert run_cli("moments", "level=3", "--out", str(tmp_path), "--bogus") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "ConfigError" and payload["field"] == "--bogus"
+    assert not list(tmp_path.iterdir())
 
 
 def test_conflicting_velocity_keys_rejected(tmp_path, capsys):
@@ -647,6 +667,72 @@ def test_class_frames_match_density_at(tmp_path, f0, g0, level):
         # at t = 0 the classes +-z of a uniform f0 share the value
         # (1 + z^2) cos^2(atan z), though their beta differ
         assert shared
+
+
+def reference_frame_chunks(state, t, chunk=4096):
+    """A frame's CSV bytes after the header, cell by cell: the index and
+    center columns, then %.17g of the cell's class value, CRLF-terminated."""
+    grid = state.space.grid
+    values = density_at(state, t).values[state.space.cell_classes()]
+    axis = np.array(["%.17g" % x for x in grid.axis_centers().tolist()], dtype=object)
+    shape = (grid.side_count,) * grid.dimension
+    line = "%d" + ",%s" * grid.dimension + ",%.17g\r\n"
+    for s in range(0, grid.cell_count, chunk):
+        cells = np.arange(s, min(s + chunk, grid.cell_count))
+        centers = [axis[k] for k in np.unravel_index(cells, shape)]
+        columns = [cells.astype(object), *centers, values[cells].astype(object)]
+        items = np.column_stack(columns).ravel().tolist()
+        yield (line * cells.size % tuple(items)).encode()
+
+
+# aligned 2-D runs (levels 8 and 10), whole-row classes (misaligned 2-D),
+# runs of about 7 cells (staggered), single rows longer than a write block
+# whose runs are cut at block ends or start on one (1-D levels 11 and 12),
+# and a grid smaller than one block
+RUN_CASES = [
+    ("uniform2d", "g01_2d", 8),
+    ("uniform2d", "g01_2d", 10),
+    ("misaligned_f0_2d", "misaligned_g0_2d", 8),
+    ("staggered", "staggered", 8),
+    ("uniform1d", "g01_1d", 12),
+    ("misaligned_f0_1d", "misaligned_g0_1d", 11),
+    ("uniform2d", "g02_2d", 3),
+]
+
+
+@pytest.mark.parametrize("f0, g0, level", RUN_CASES)
+def test_density_csv_runs_match_per_cell_reference(tmp_path, f0, g0, level):
+    tokens, catalogs = catalog_pair(f0, g0, tmp_path)
+    argv = ("density-geodesic", f"f0={tokens[0]}", f"g0={tokens[1]}",
+            f"level={level}", "n_frames=2", "t_end=3pi/4")
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
+    state = _catalog_state(*catalogs, level)
+    grid = state.space.grid
+    blocks = _frame_runs(state.space)
+    lines = [sum(text.count("\0") for text in texts) for _, texts in blocks]
+    assert sum(lines) == grid.cell_count
+    assert all(n == _ITEMS_PER_WRITE for n in lines[:-1]) and lines[-1] <= _ITEMS_PER_WRITE
+    header = ",".join(
+        ["cell_index", *(f"x_center_{d + 1}" for d in range(grid.dimension)), "f_value"]
+    )
+    for k, t in enumerate(np.linspace(0.0, 3.0 * math.pi / 4.0, 2)):
+        with open(tmp_path / f"frame_{k:02d}.csv", "rb") as fh:
+            assert fh.readline() == header.encode() + b"\r\n"
+            for expected in reference_frame_chunks(state, t):
+                assert fh.read(len(expected)) == expected
+            assert fh.read() == b""
+
+
+def test_frame_runs_are_cut_at_block_ends():
+    # 1-D level 12: class edges 0, 512, 1024, 2048, 4096 and 1,024-line blocks
+    catalogs = BUILTIN_CATALOGS["uniform1d"](), BUILTIN_CATALOGS["g01_1d"]()
+    state = _catalog_state(*catalogs, 12)
+    assert _ITEMS_PER_WRITE == 1024 and state.space.edges == ((0, 512, 1024, 2048, 4096),)
+    blocks = _frame_runs(state.space)
+    runs = [[(c, text.count("\0")) for c, text in zip(*block)] for block in blocks]
+    # class 2 starts on a block boundary; class 3 spans two blocks
+    assert runs == [[(0, 512), (1, 512)], [(2, 1024)], [(3, 1024)], [(3, 1024)]]
+    assert blocks[3][1][0].startswith("3072,")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
