@@ -11,9 +11,9 @@ runs are printed.  The cases are the aligned ``uniform2d``/``g01_2d`` pair
 at levels 8 and 10, a staggered catalog of 18 x 18 boxes whose frames hold
 over a thousand distinct values, and one of 32 x 32 boxes at level 5, where
 every cell has its own (alpha, beta) and nearly every value of a frame is
-distinct, so that formatting each distinct value once saves least.  A CSV
-frame is written one run of same-class cells at a time; ``runs`` counts
-them per frame (the staggered cases have the shortest runs).  Every
+distinct, so that formatting each distinct value once saves least.  CSV and
+JSON frames are written one run of same-class cells at a time; ``runs``
+counts them per frame (the staggered cases have the shortest runs).  Every
 written value text is then checked against direct formatting (``%.17g`` per
 CSV cell, ``repr`` per JSON item) of the frames evaluated here.  Exits
 non-zero if a run fails or a text differs.
@@ -54,7 +54,7 @@ from frgeo import (  # noqa: E402
     normalize_velocity,
 )
 from frgeo.catalogs import BUILTIN_CATALOGS  # noqa: E402
-from frgeo.cli import _catalog_state, _frame_runs  # noqa: E402
+from frgeo.cli import _catalog_state, _class_runs  # noqa: E402
 
 N_FRAMES = 12
 T_END = 3.0
@@ -103,8 +103,8 @@ def flow_state(f0: str, g0: str, level: int):
     grid = DyadicGrid(2, level)
     f = FiniteDensity(grid, f0_cat.cell_averages(grid))
     g = SignedFunction(grid, g0_cat.cell_averages(grid))
-    blocks = _frame_runs(_catalog_state(f0_cat, g0_cat, level).space)
-    return geodesic_flow(f, normalize_velocity(f, g)), sum(len(t) for _, t in blocks)
+    blocks = _class_runs(_catalog_state(f0_cat, g0_cat, level).space)
+    return geodesic_flow(f, normalize_velocity(f, g)), sum(len(c) for c, _, _ in blocks)
 
 
 # validates as the command line does, then times run_experiment alone
@@ -211,7 +211,7 @@ def main() -> int:
                 shutil.rmtree(out, ignore_errors=True)
                 check = "ok" if ok else "MISMATCH"
                 row = (f"{case:>13} {fmt:>4} {wall:8.3f} {run:7.3f} {rss:10.1f} "
-                       f"{spread:>11} {n_runs if fmt == 'csv' else '-':>6} {check:>5}")
+                       f"{spread:>11} {n_runs:>6} {check:>5}")
                 print(row, code, flush=True)
                 failed += not ok
     return 1 if failed else 0

@@ -2,10 +2,10 @@
 """Wall time and peak RSS of 2-D ``pixelation-convergence`` ladders by depth.
 
 Each ladder of the misaligned 2-D pair runs in a fresh child interpreter
-(``python -m frgeo.cli``), so its ``ru_maxrss`` is that run's own peak and
-not a high-water mark left by an earlier, larger run.  A ladder summary
-holds the deepest level's state, so memory should follow the deepest level.
-Exits non-zero if any run fails.
+(through ``frgeo.cli.entry``, the ``frgeo`` entry point), so its
+``ru_maxrss`` is that run's own peak and not a high-water mark left by an
+earlier, larger run.  A ladder summary holds the deepest level's state, so
+memory should follow the deepest level.  Exits non-zero if any run fails.
 
     python3 benchmarks/bench_ladder.py
     python3 benchmarks/bench_ladder.py --levels 3-6 3-8
@@ -29,7 +29,7 @@ def run_ladder(levels: str, out: Path) -> tuple[int, float, float]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     argv = [
-        sys.executable, "-m", "frgeo.cli", "pixelation-convergence",
+        sys.executable, "-c", "from frgeo.cli import entry; entry()", "pixelation-convergence",
         "f0=misaligned_f0_2d", "g0=misaligned_g0_2d", f"levels={levels}",
         "--out", str(out),
     ]

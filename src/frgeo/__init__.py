@@ -15,6 +15,7 @@ from .boxes import (
     overlay_energy,
 )
 from .catalogs import BUILTIN_CATALOGS
+from .cli import write_ladder_csv, write_moments_csv
 from .errors import (
     BoundaryTouch,
     ConfigError,
@@ -58,7 +59,6 @@ from .moments import (
     fit_mean_coefficients,
     mean_coefficients_direct,
     moments,
-    write_moments_csv,
 )
 from .oracle import (
     DOMAIN_EPS,
@@ -77,7 +77,6 @@ from .pixelation import (
     test_functions_2d,
     three_term_errors,
     weak_error,
-    write_ladder_csv,
 )
 from .simplex import (
     SimplexPoint,

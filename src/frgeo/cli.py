@@ -22,21 +22,24 @@ JSON object to stderr.
 Outputs are deterministic: the same configuration produces byte-identical
 files.  Floats are written with 17 significant digits in CSV and with
 ``repr`` round-trip formatting in JSON, so re-importing loses nothing.
-Time and memory follow the output size: CSV is written in blocks of rows,
-trajectory and oracle lines as ``%`` fills of line templates, and density
-frames one run of same-class cells at a time (each run's index and center
-columns are formatted once per grid, with a NUL for the value that each
-frame replaces); JSON is written piece by piece, each float list or array
-through json's C encoder, a block at a time, so no array is held as Python
-floats in full.
+Time and memory follow the output size.  Every file goes through one CSV
+writer (``_write_csv``) or one JSON encoder (``_json_chunks``), and no other
+module writes a file.  CSV is written in blocks of rows; trajectory,
+moment and oracle lines are ``%`` fills of line templates.  JSON is written
+piece by piece, each float array through json's C encoder, a block at a
+time, so no array is held as Python floats in full.  Density frames, in
+both formats, are written from one decomposition of the cells into runs
+of one class (``_class_runs``): a CSV run is a text of its cells' index and
+center columns, formatted once per grid with a NUL for the value that each
+frame replaces, and a JSON run is its class's text repeated per cell.
 A catalog pair is projected onto the grid's cell classes (products of
 per-axis runs on which both catalogs' averages are constant, see
 ``frgeo.boxes.grid_classes``), and the flow is one scalar geodesic per
 class: projection, normalisation, the state's checks and ``moments`` cost
 O(per-axis cell types), whatever the level.  Cells appear only at write
 time: each density frame (and the density archive's ``alpha``/``beta``) is
-evaluated and formatted once per class, and a class's text is taken for
-each of its cells, so the bytes are those of evaluating and formatting
+evaluated and formatted once per class, and a class's text is written for
+each cell of its runs, so the bytes are those of evaluating and formatting
 cell by cell.  Frames are evaluated one at a time, as they are written.
 ``moments`` values are evaluated through the three-term identity and may
 differ from the dense evaluation of version 0.1.0 in the last ulp; every
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from types import GeneratorType
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -77,14 +80,16 @@ from .geodesics import (
     simplex_state,
     simplex_trajectory,  # noqa: F401  (perfbench/spans.py wraps it by name)
 )
-from .moments import moments, write_moments_csv
+from .moments import MomentCurve, moments
 from .oracle import IntegratorConfig, integrate_coupled
 from .pixelation import (
+    LADDER_FIELDS,
+    PixelationLadder,
+    TentFunction,
     build_ladder,
     ladder_summary_rows,
     test_functions_1d,
     test_functions_2d,
-    write_ladder_csv,
 )
 from .simplex import BOUNDARY_FLOOR, SimplexPoint, TangentVector
 from .spaces import CellClasses, DyadicGrid, FiniteDensity, SignedFunction
@@ -417,21 +422,31 @@ def _resolve_velocities(params: dict, allow_sweep: bool) -> list[tuple[float | N
 _ITEMS_PER_WRITE = 1024
 
 
+def _write_csv(path: Path, header: list[str], pieces: Iterable[str]) -> None:
+    """CSV file: the header line, then the pieces, CRLF-terminated lines.
+
+    These are the bytes ``csv.writer`` writes, as no number or column name
+    needs quoting.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(pieces)
+
+
 def _write_rows(
     path: Path, header: list[str], blocks: list[str], table: np.ndarray
 ) -> None:
     """CSV file: the header line, then ``blocks[k] % tuple(rows of block k)``.
 
-    Block k is the text of table rows ``k * _ITEMS_PER_WRITE`` onward:
-    CRLF-terminated lines with one ``%.17g`` slot per value of the row (a
-    1-D table has one value per row).  These are the bytes ``csv.writer``
-    writes, as no number or column name needs quoting.
+    Block k is the text of table rows ``k * _ITEMS_PER_WRITE`` onward, one
+    ``%.17g`` slot per value (a 1-D table has one value per row).
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for k, block in enumerate(blocks):
-            rows = table[k * _ITEMS_PER_WRITE : (k + 1) * _ITEMS_PER_WRITE]
-            fh.write(block % tuple(rows.ravel().tolist()))
+    m = _ITEMS_PER_WRITE
+    pieces = (
+        block % tuple(table[k * m : (k + 1) * m].ravel().tolist())
+        for k, block in enumerate(blocks)
+    )
+    _write_csv(path, header, pieces)
 
 
 def _write_table(path: Path, header: list[str], table: np.ndarray) -> None:
@@ -444,6 +459,34 @@ def _write_table(path: Path, header: list[str], table: np.ndarray) -> None:
     _write_rows(path, header, blocks, table)
 
 
+def write_moments_csv(path: str | Path, curve: MomentCurve) -> None:
+    """Moment curve as CSV: t, mean_1..mean_d, var_1..var_d."""
+    d = curve.dimension
+    header = (
+        ["t"]
+        + [f"mean_{i + 1}" for i in range(d)]
+        + [f"var_{i + 1}" for i in range(d)]
+    )
+    _write_table(path, header, np.column_stack([curve.times, curve.mean, curve.variance]))
+
+
+def write_ladder_csv(
+    path: str | Path,
+    ladder: PixelationLadder,
+    phi: TentFunction,
+    j_ref: int | None = None,
+) -> None:
+    """Ladder summary as CSV: j, alpha_j, degenerate, e_f, e_g, e_q,
+    weak_error_t0, weak_error_tpi2 (empty fields at degenerate levels)."""
+    lines = []
+    for row in ladder_summary_rows(ladder, phi, j_ref):
+        j, alpha, degenerate, *errors = (row[k] for k in LADDER_FIELDS)
+        errors = ["" if e is None else FLOAT_FMT % e for e in errors]
+        fields = [str(j), FLOAT_FMT % alpha, str(degenerate).lower(), *errors]
+        lines.append(",".join(fields) + "\r\n")
+    _write_csv(path, list(LADDER_FIELDS), lines)
+
+
 def _csv_floats(xs: list[float]) -> list[str]:
     """The ``%.17g`` texts of floats, from one ``%`` fill."""
     return ("\n".join([FLOAT_FMT] * len(xs)) % tuple(xs)).split("\n")
@@ -454,92 +497,57 @@ def _json_floats(xs: list[float]) -> list[str]:
     return json.dumps(xs)[1:-1].split(", ")
 
 
-def _class_texts(
-    values: np.ndarray,
-    inverse: np.ndarray,
-    texts_of: Callable[[list[float]], list[str]],
-) -> Iterator[list[str]]:
-    """Texts of ``values[inverse]``, ``_ITEMS_PER_WRITE`` items at a time.
-
-    ``texts_of`` formats each of the 1-D float64 ``values`` once; its text
-    is then taken for every item of its class.
-    """
-    texts = np.array(texts_of(values.tolist()), dtype=object)
-    for s in range(0, inverse.size, _ITEMS_PER_WRITE):
-        yield texts[inverse[s : s + _ITEMS_PER_WRITE]].tolist()
-
-
 def _json_chunks(obj, indent: str):
-    """Pieces of ``json.dumps(obj, indent=2)`` for a value nested at ``indent``.
+    """Pieces of ``json.dumps(obj, indent=2, default=np.ndarray.tolist)``
+    for a value nested at ``indent``.
 
-    A numpy array is written as its ``tolist()``, converted one block of
-    items (of whole rows, for a 2-D array) at a time.  A list of floats, or
-    a non-empty 1-D or 2-D float array, goes through the C encoder a block
-    at a time, and the row and item separators are then widened to the
-    indented layout; float reprs hold no ``", "`` or ``"], ["``, so this is
-    exact.  A generator of lists of item texts, the first list non-empty,
-    is written as the array of those items.  Everything else keeps
-    ``json.dumps`` semantics.
+    A non-empty dict is written key by key.  A non-empty 1-D or 2-D float
+    array goes through the C encoder a block of items (of whole rows) at a
+    time, and the separators are then widened to the indented layout (float
+    reprs hold no ``", "`` or ``"], ["``).  A generator of lists of (item
+    text, count), the first list non-empty, is the array of those items,
+    each repeated count times.  Anything else is one ``json.dumps``,
+    re-indented (exact, as JSON strings hold no raw newline).
     """
     inner = indent + "  "
     sep = ",\n" + inner
     if isinstance(obj, GeneratorType):
         lead = "[\n" + inner
-        for texts in obj:
-            yield lead + sep.join(texts)
+        for items in obj:
+            yield lead + sep.join([sep.join([text] * n) for text, n in items])
             lead = sep
         yield "\n" + indent + "]"
-        return
-    if isinstance(obj, dict):
-        brackets = "{}"
-        items = (
+    elif isinstance(obj, dict) and obj:
+        lead = "{\n" + inner
+        for k, v in obj.items():
             # json turns int, float, bool and None keys into their JSON text
-            (json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": ", v)
-            for k, v in obj.items()
-        )
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        per_block = _ITEMS_PER_WRITE
-        flat = getattr(obj, "ndim", 1) == 1
-        if isinstance(obj, np.ndarray):
-            floats = obj.ndim <= 2 and obj.dtype.kind == "f" and obj.size
-            if obj.ndim == 2 and obj.shape[1]:
-                per_block = max(1, _ITEMS_PER_WRITE // obj.shape[1])
-            starts = range(0, len(obj), per_block)
-            blocks = (obj[s : s + per_block].tolist() for s in starts)
-        else:
-            floats = len(obj) and all(type(v) is float for v in obj)
-            starts = range(0, len(obj), per_block)
-            blocks = (obj[s : s + per_block] for s in starts)
-        if floats:
-            lead = "[\n" + inner
-            row = inner + "  "
-            row_sep = "\n" + inner + "]" + sep + "[\n" + row
-            for block in blocks:
-                text = json.dumps(block)
-                if flat:
-                    text = text[1:-1].replace(", ", sep)
-                else:  # "[[a, b], [c, d]]"
-                    text = text[2:-2].replace("], [", row_sep)
-                    text = "[\n" + row + text.replace(", ", ",\n" + row)
-                    text += "\n" + inner + "]"
-                yield lead + text
-                lead = sep
-            yield "\n" + indent + "]"
-            return
-        brackets = "[]"
-        items = (("", v) for block in blocks for v in block)
+            yield lead + json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": "
+            yield from _json_chunks(v, inner)
+            lead = sep
+        yield "\n" + indent + "}"
+    elif (
+        isinstance(obj, np.ndarray) and obj.ndim in (1, 2)
+        and obj.dtype.kind == "f" and obj.size
+    ):
+        flat = obj.ndim == 1
+        per_block = _ITEMS_PER_WRITE if flat else max(1, _ITEMS_PER_WRITE // obj.shape[1])
+        lead = "[\n" + inner
+        row = inner + "  "
+        row_sep = "\n" + inner + "]" + sep + "[\n" + row
+        for s in range(0, len(obj), per_block):
+            text = json.dumps(obj[s : s + per_block].tolist())
+            if flat:
+                text = text[1:-1].replace(", ", sep)
+            else:  # "[[a, b], [c, d]]"
+                text = text[2:-2].replace("], [", row_sep)
+                text = "[\n" + row + text.replace(", ", ",\n" + row)
+                text += "\n" + inner + "]"
+            yield lead + text
+            lead = sep
+        yield "\n" + indent + "]"
     else:
-        yield json.dumps(obj)
-        return
-    if not len(obj):
-        yield brackets
-        return
-    lead = brackets[0] + "\n" + inner
-    for prefix, value in items:
-        yield lead + prefix
-        yield from _json_chunks(value, inner)
-        lead = sep
-    yield "\n" + indent + brackets[1]
+        text = json.dumps(obj, indent=2, default=np.ndarray.tolist)
+        yield text.replace("\n", "\n" + indent)
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -608,50 +616,57 @@ def _catalog_state(f0_cat: BoxFunction, g0_cat: BoxFunction, level: int) -> Geod
     return geodesic_flow(f0, normalize_velocity(f0, g_raw))
 
 
-def _frame_runs(classes: CellClasses) -> list[tuple[list[int], list[str]]]:
-    """A density frame's CSV lines, per write block, as runs of one class:
-    the runs' classes and their texts (two lists, not a tuple per run).
+def _class_runs(classes: CellClasses) -> list[tuple[list[int], list[int], list[int]]]:
+    """Per block of ``_ITEMS_PER_WRITE`` cells, its runs of one class in
+    cell order: the runs' classes, first cells and lengths (three lists).
 
     In cell order the cells fall into runs of one class: each grid row (a
     1-D grid is a single row) cut at the last axis's class edges, and cut
-    again where a block of ``_ITEMS_PER_WRITE`` cells ends.  A run's text
-    holds its cells' index and center columns, formatted from each axis's
-    2^level center texts, with a NUL where each f_value goes.
+    again where a block ends.
     """
     grid = classes.grid
     side, last = grid.side_count, classes.edges[-1]
-    axis = _csv_floats(grid.axis_centers().tolist())
-    # each row's center columns before the last axis's, and its first cell's class
-    rows = [(",", 0)]
+    # the class of each row's first cell
+    rows = [0]
     for e in classes.edges[:-1]:
         run_of = [i for i in range(len(e) - 1) for _ in range(e[i], e[i + 1])]
-        rows = [
-            (lead + axis[k] + ",", c * (len(e) - 1) + run_of[k])
-            for lead, c in rows
-            for k in range(side)
-        ]
-    # each part of a row that falls in one block: its first cell p and its
-    # runs (i, lo, hi), cells p + lo .. p + hi - 1 of run i along the last axis
-    parts = []
-    for p in range(0, side, _ITEMS_PER_WRITE):
-        spans = zip(range(len(last) - 1), last, last[1:])
-        cut = [(i, max(e - p, 0), min(f - p, _ITEMS_PER_WRITE)) for i, e, f in spans]
-        parts.append((p, [run for run in cut if run[1] < run[2]]))
-    blocks = [([], []) for _ in range(0, grid.cell_count, _ITEMS_PER_WRITE)]
-    for r, (lead, c) in enumerate(rows):
-        c *= len(last) - 1
-        for p, runs in parts:
-            a = r * side + p
+        rows = [c * (len(e) - 1) + run_of[k] for c in rows for k in range(side)]
+    m, per_row = _ITEMS_PER_WRITE, len(last) - 1
+    blocks = [([], [], []) for _ in range(0, grid.cell_count, m)]
+    for r, c in enumerate(rows):
+        for i in range(per_row):
+            a, end = r * side + last[i], r * side + last[i + 1]
+            while a < end:  # cut at block ends
+                n = min(end, (a // m + 1) * m) - a
+                for column, x in zip(blocks[a // m], (c * per_row + i, a, n)):
+                    column.append(x)
+                a += n
+    return blocks
+
+
+def _csv_run_texts(grid: DyadicGrid, runs) -> list[list[str]]:
+    """Per block of ``_class_runs``, its runs' CSV lines: the cells' index
+    and center columns, from each axis's 2^level center texts, with a NUL
+    where each f_value goes."""
+    side = grid.side_count
+    axis = _csv_floats(grid.axis_centers().tolist())
+    # each row's center columns before the last axis's
+    leads = [","]
+    for _ in range(grid.dimension - 1):
+        leads = [lead + axis[k] + "," for lead in leads for k in range(side)]
+    blocks = []
+    for _, starts, lengths in runs:
+        texts = []
+        for a, n in zip(starts, lengths):
+            lead = leads[a // side]
             # filled in place: a comprehension grows its list through small
             # heap chunks that, freed among the run texts, keep glibc from
             # returning the heap after the run
-            lines = [lead] * min(side - p, _ITEMS_PER_WRITE)
-            for q in range(len(lines)):
-                lines[q] = f"{a + q}{lead}{axis[p + q]},\0\r\n"
-            owners, texts = blocks[a // _ITEMS_PER_WRITE]
-            for i, lo, hi in runs:
-                owners.append(c + i)
-                texts.append("".join(lines[lo:hi]))
+            lines = [lead] * n
+            for q in range(n):
+                lines[q] = f"{a + q}{lead}{axis[(a + q) % side]},\0\r\n"
+            texts.append("".join(lines))
+        blocks.append(texts)
     return blocks
 
 
@@ -660,6 +675,7 @@ def _run_density_geodesic(cfg: ExperimentConfig) -> list[Path]:
     state = _catalog_state(p["f0"], p["g0"], p["level"])
     grid: DyadicGrid = state.space.grid
     times = np.linspace(0.0, p["t_end"], p["n_frames"])
+    runs = _class_runs(state.space)
 
     written: list[Path] = []
     if cfg.fmt == "csv":
@@ -668,22 +684,23 @@ def _run_density_geodesic(cfg: ExperimentConfig) -> list[Path]:
             + [f"x_center_{d + 1}" for d in range(grid.dimension)]
             + ["f_value"]
         )
-        blocks = _frame_runs(state.space)
+        run_texts = _csv_run_texts(grid, runs)
         for k, t in enumerate(times):
             path = cfg.out_dir / _indexed_name("frame", k, len(times), "csv")
             texts = _csv_floats(density_at(state, t).values.tolist())
-            with open(path, "w", newline="") as fh:
-                fh.write(",".join(header) + "\r\n")
-                for owners, runs in blocks:
-                    fh.write("".join([run.replace("\0", texts[c]) for c, run in zip(owners, runs)]))
+            pieces = (
+                "".join([run.replace("\0", texts[c]) for c, run in zip(owners, lines)])
+                for (owners, _, _), lines in zip(runs, run_texts)
+            )
+            _write_csv(path, header, pieces)
             written.append(path)
     else:
-        inverse = state.space.cell_classes()
 
-        def frame_texts(t: float) -> Iterator[list[str]]:
-            # evaluates the frame only when it is written
-            values = density_at(state, t).values
-            yield from _class_texts(values, inverse, _json_floats)
+        def items(values: Callable[[], np.ndarray]) -> Iterator[list[tuple[str, int]]]:
+            # a frame is evaluated only when it is written
+            texts = _json_floats(values().tolist())
+            for owners, _, lengths in runs:
+                yield [(texts[c], n) for c, n in zip(owners, lengths)]
 
         path = cfg.out_dir / "density_geodesic.json"
         obj = {
@@ -693,9 +710,12 @@ def _run_density_geodesic(cfg: ExperimentConfig) -> list[Path]:
                 "dimension": grid.dimension,
                 "level": grid.level,
             },
-            "alpha": _class_texts(state.alpha, inverse, _json_floats),
-            "beta": _class_texts(state.beta, inverse, _json_floats),
-            "frames": {repr(float(t)): frame_texts(t) for t in times},
+            "alpha": items(lambda: state.alpha),
+            "beta": items(lambda: state.beta),
+            "frames": {
+                repr(float(t)): items(lambda t=t: density_at(state, t).values)
+                for t in times
+            },
         }
         _write_json(path, obj)
         written.append(path)
@@ -812,8 +832,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[Path]:
 # argument parsing and entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a ConfigError (exit 2), not usage text
+        raise ConfigError("command line", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="frgeo",
         description="Fisher-Rao geodesic experiments (CSV/JSON export).",
     )
@@ -831,9 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--out", metavar="DIR", default=".", help="output directory"
         )
-        sp.add_argument(
-            "--format", choices=("csv", "json"), default="csv", dest="fmt"
-        )
+        sp.add_argument("--format", default="csv", dest="fmt", help="csv or json")
         sp.add_argument(
             "overrides",
             nargs="*",
@@ -853,9 +876,9 @@ def _emit_error(exc: FrgeoError) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # key=value tokens after an option are left over by argparse
-    args, leftovers = build_parser().parse_known_args(argv)
     try:
+        # key=value tokens after an option are left over by argparse
+        args, leftovers = build_parser().parse_known_args(argv)
         pairs = read_config_file(args.config) if args.config else {}
         pairs = _merge_overrides(pairs, args.overrides + leftovers)
         cfg = validate_config(args.kind, pairs, args.out, args.fmt)

@@ -91,10 +91,9 @@ def _decoupled_accel(y, z):
 
 
 def _first_low(y, eps):
-    for k in range(y.size):
-        if y[k] <= eps:
-            return k
-    return None
+    # the first coordinate at or below the floor; NaN compares false
+    low = (y <= eps).tolist()
+    return low.index(True) if True in low else None
 
 
 def _tables(x0, v0, n_steps):

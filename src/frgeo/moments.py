@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -220,17 +219,3 @@ def classify_conic(points) -> ConicFit:
         return ConicFit(ELLIPSE, residual, coef)
     return ConicFit(DEGENERATE, residual, coef)
 
-
-def write_moments_csv(path: str | Path, curve: MomentCurve) -> None:
-    """Moment curve as CSV: t, mean_1..mean_d, var_1..var_d."""
-    d = curve.dimension
-    fields = (
-        ["t"]
-        + [f"mean_{i + 1}" for i in range(d)]
-        + [f"var_{i + 1}" for i in range(d)]
-    )
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(fields) + "\r\n")
-        for k in range(curve.times.size):
-            values = [curve.times[k], *curve.mean[k], *curve.variance[k]]
-            fh.write(",".join([f"{val:.17g}" for val in values]) + "\r\n")

@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -379,7 +378,8 @@ def ladder_summary_rows(
     phi: TentFunction,
     j_ref: int | None = None,
 ) -> list[dict]:
-    """Per-level summary used by the CSV export (see write_ladder_csv).
+    """Per-level summary rows, one dict of LADDER_FIELDS per level, that
+    ``frgeo.cli`` writes as ladder CSV (``write_ladder_csv``) and JSON.
 
     Each row holds three_term_errors and weak_error at t = 0 and t = pi/2.
     phi's region weights and the five continuum pairings (f0, g0, g0^2/f0
@@ -405,23 +405,3 @@ def ladder_summary_rows(
         rows.append(dict(zip(LADDER_FIELDS, row)))
     return rows
 
-
-def write_ladder_csv(
-    path: str | Path,
-    ladder: PixelationLadder,
-    phi: TentFunction,
-    j_ref: int | None = None,
-) -> None:
-    """Ladder summary as CSV: j, alpha_j, degenerate, e_f, e_g, e_q,
-    weak_error_t0, weak_error_tpi2 (empty fields at degenerate levels)."""
-    rows = ladder_summary_rows(ladder, phi, j_ref)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(LADDER_FIELDS) + "\r\n")
-        for row in rows:
-            fields = [
-                str(row["j"]),
-                f"{row['alpha_j']:.17g}",
-                str(row["degenerate"]).lower(),
-                *("" if row[k] is None else f"{row[k]:.17g}" for k in LADDER_FIELDS[3:]),
-            ]
-            fh.write(",".join(fields) + "\r\n")

@@ -38,6 +38,37 @@ def test_exit_record_mid_run():
     assert abs(t_exit - np.pi) < 0.05
 
 
+def _per_coordinate_low(y, eps):
+    # the domain check coordinate by coordinate, the reference of _first_low
+    for k in range(y.size):
+        if y[k] <= eps:
+            return k
+    return None
+
+
+DECOUPLED_REFERENCE = kernels._make_coupled(kernels._decoupled_accel, _per_coordinate_low)
+
+
+@pytest.mark.parametrize(
+    "y0, z0, coord, t_exit",
+    [
+        # a NaN coordinate never counts as low: coordinate 1 exits at pi
+        ([np.nan, 1.0], [0.0, 0.0], 1, np.pi),
+        ([np.nan, 1e-12], [0.0, 0.0], 1, 0.0),
+        # the last coordinate, cos^2((t + 1)/2), exits first, at pi - 1
+        ([1.0, 1.0, np.cos(0.5) ** 2], [0.0, 0.0, -np.sin(1.0) / 2.0], 2, np.pi - 1.0),
+    ],
+)
+def test_decoupled_exit_matches_per_coordinate_check(y0, z0, coord, t_exit):
+    args = (np.array(y0), np.array(z0), 1e-3, 4.0, 1e-9)
+    new = kernels.rk4_decoupled(*args)
+    ref = DECOUPLED_REFERENCE(*args)
+    assert new[3:] == ref[3:]
+    for a, b in zip(new[:3], ref[:3]):
+        assert np.array_equal(a[: ref[3]], b[: ref[3]], equal_nan=True)
+    assert new[4] == coord and abs(new[5] - t_exit) < 0.05
+
+
 # ---------------------------------------------------------------------------
 # the float stepping loop against the reference factory loop
 
