@@ -4,8 +4,9 @@
 Each ladder of the misaligned 2-D pair runs in a fresh child interpreter
 (through ``frgeo.cli.entry``, the ``frgeo`` entry point), so its
 ``ru_maxrss`` is that run's own peak and not a high-water mark left by an
-earlier, larger run.  A ladder summary holds the deepest level's state, so
-memory should follow the deepest level.  Exits non-zero if any run fails.
+earlier, larger run.  A ladder holds its levels on cell classes and pairs
+its test function in closed form, so memory should not grow with depth.
+Exits non-zero if any run fails.
 
     python3 benchmarks/bench_ladder.py
     python3 benchmarks/bench_ladder.py --levels 3-6 3-8
@@ -43,7 +44,7 @@ def run_ladder(levels: str, out: Path) -> tuple[int, float, float]:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--levels", nargs="+", default=["3-6", "3-8", "3-10"])
+    ap.add_argument("--levels", nargs="+", default=["3-6", "3-8", "3-10", "3-20", "3-30"])
     args = ap.parse_args()
     failed = 0
     print(f"{'levels':>8} {'wall_s':>8} {'maxrss_mb':>10} exit")

@@ -15,7 +15,6 @@ from .boxes import (
     overlay_energy,
 )
 from .catalogs import BUILTIN_CATALOGS
-from .cli import write_ladder_csv, write_moments_csv
 from .errors import (
     BoundaryTouch,
     ConfigError,
@@ -106,3 +105,14 @@ from .spaces import (
 __version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]
+__all__ += ["write_ladder_csv", "write_moments_csv"]
+
+
+# frgeo.cli's writers load on first use (PEP 562): importing frgeo.cli here
+# would make ``python -m frgeo.cli`` run a second copy of the module
+def __getattr__(name):
+    if name in ("write_ladder_csv", "write_moments_csv"):
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -215,21 +215,6 @@ def _axis_ends(lo: Fraction, hi: Fraction, level: int) -> tuple[int, int, float,
     return first, last, head, (hi_n - max(lo_n, last * s * q)) / den
 
 
-def _axis_overlaps(lo: Fraction, hi: Fraction, level: int) -> tuple[int, np.ndarray]:
-    """Exact overlap lengths of [lo, hi) with the level-j cells it meets.
-
-    Returns the first cell index and the vector of per-cell overlap lengths
-    (converted to float after exact computation).  Only the end cells can be
-    partial (``_axis_ends``); every cell in between is covered whole, and
-    1.0 / side is its exact length.
-    """
-    first, last, head, tail = _axis_ends(lo, hi, level)
-    lengths = np.full(max(last - first + 1, 0), 1.0 / (1 << level))
-    if lengths.size:
-        lengths[0], lengths[-1] = head, tail
-    return first, lengths
-
-
 def grid_classes(grid: DyadicGrid, *bounds: Bounds) -> CellClasses:
     """Classes of ``grid`` whose cells each region of ``bounds`` meets alike.
 

@@ -209,7 +209,7 @@ KIND_KEYS: dict[str, dict[str, _Key]] = {
         "levels": _Key(_parse_levels, "3-8", "ladder levels, e.g. 3-8 or 3,5,7"),
         "delta": _Key(_parse_fraction, Fraction(1, 1000), "density floor"),
         "phi_index": _Key(_parse_int, 0, "index into the fixed test-function set"),
-        "j_ref": _Key(_parse_int, None, "reference level (default: max + 4)"),
+        "j_ref": _Key(_parse_int, None, "reference level (default: max + 4, at most 1074)"),
     },
     "moments": {
         "f0": _Key(_parse_catalog, "uniform1d", "initial density catalog"),
@@ -365,6 +365,8 @@ def _check_preconditions(kind: str, params: dict) -> None:
     if "j_ref" in p and p["j_ref"] is not None and "levels" in p:
         if p["j_ref"] <= max(p["levels"]):
             raise ConfigError("j_ref", "must exceed the deepest ladder level")
+        if p["j_ref"] > 1074:  # 2^-1074 is the smallest positive double
+            raise ConfigError("j_ref", "a reference cell below 2^-1074 has no float side")
     if "phi_index" in p and p["phi_index"] < 0:
         raise ConfigError("phi_index", "must be non-negative")
     if "tau_count" in p and p["tau_count"] is not None and p["tau_count"] < 1:
@@ -737,20 +739,13 @@ def _run_pixelation_convergence(cfg: ExperimentConfig) -> list[Path]:
         )
     phi = phis[p["phi_index"]]
     ladder = build_ladder(p["f0"], p["g0"], p["levels"], delta=p["delta"])
-    try:  # the summary samples phi on the level-j_ref axis before a file opens
-        if cfg.fmt == "csv":
-            path = cfg.out_dir / "ladder.csv"
-            write_ladder_csv(path, ladder, phi, p["j_ref"])
-        else:
-            path = cfg.out_dir / "ladder.json"
-            _write_json(
-                path,
-                {"config": cfg.echo, "rows": ladder_summary_rows(ladder, phi, p["j_ref"])},
-            )
-    except MemoryError as exc:
-        raise ConfigError(
-            "levels" if p["j_ref"] is None else "j_ref",
-            f"the level-j_ref axis (default: deepest level + 4) does not fit in memory: {exc}",
+    if cfg.fmt == "csv":
+        path = cfg.out_dir / "ladder.csv"
+        write_ladder_csv(path, ladder, phi, p["j_ref"])
+    else:
+        path = cfg.out_dir / "ladder.json"
+        _write_json(
+            path, {"config": cfg.echo, "rows": ladder_summary_rows(ladder, phi, p["j_ref"])}
         )
     return [path]
 

@@ -17,28 +17,18 @@ g0/f0 is constant on every cell; alpha_j increases to 1 under refinement.
 Levels where alpha_j vanishes numerically are recorded as degenerate and
 carry no geodesic state.
 
-Weak errors compare the discrete flow with the exact continuum flow: the
-continuum initial data is piecewise constant on the overlay of the two
-catalogs, so alpha(x), beta(x) are exact per overlay region (no projection
-of the initial data is involved).  Test functions phi are fixed once as a
-staircase at a reference level J_ref (midpoint sampling), and both sides
-are integrated exactly against that staircase.
-
-The pairings are separable, and no J_ref grid is ever built.  phi is a
-product of per-axis tents and every overlay region is a box, so phi's
-staircase is the outer product of 1-D staircases s_d, and the pairing of
-the staircase with a function v constant per region is
-
-    sum_r v_r W_r,    W_r = prod_d sum_k overlap_{r,d}[k] s_d[k],
-
-with the exact per-axis overlaps of region r.  W costs O(regions * 2^J_ref)
-per axis and serves every continuum pairing (f0, g0, g0^2/f0 and the flow at
-any time); the sums are taken with math.fsum, so each pairing is within a
-few ulp of its exact value.  No level holds a per-cell array either: its
-state lives on the grid's cell classes (``CellClasses``), and the coarse
-test function at level j, the outer product of the per-axis block means of
-s_d, enters through its sum over each class, the product of per-axis
-math.fsum's over the runs.  A level costs O(2^j) per axis plus O(classes).
+Weak errors compare the discrete flow with the exact continuum flow, which
+is constant on each region of the overlay of the two catalogs.  A test
+function phi, a product of per-axis tents, is fixed once as its midpoint
+staircase at a reference level J_ref, and both sides are integrated exactly
+against it.  Overlay regions and a level's cell classes (``CellClasses``)
+are boxes, so each side is sum_b v_b W_b over boxes b, with v constant per
+box and W_b the product over axes of the staircase's integral over the
+box's side.  A tent is linear between its kinks c - r, c and c + r, so that
+integral is two arithmetic series in integers, rounded once
+(``_axis_integrals``); the sums are math.fsum's, so each pairing is within
+a few ulp of its exact value, and a summary costs O(regions + classes),
+whatever J_ref is.
 """
 
 from __future__ import annotations
@@ -49,9 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boxes import (
-    BoxFunction, OverlayRegion, _axis_overlaps, grid_classes, overlay, project_regions,
-)
+from .boxes import BoxFunction, OverlayRegion, grid_classes, overlay, project_regions
 from .errors import HypothesisViolation
 from .geodesics import GeodesicState, geodesic_flow, normalize_velocity, velocity_energy
 from .spaces import CellClasses, DyadicGrid, FiniteDensity, SignedFunction, outer
@@ -221,17 +209,43 @@ def alpha_sequence(ladder: PixelationLadder) -> list[tuple[int, float]]:
     return [(j, ladder.levels[j].alpha) for j in sorted(ladder.levels)]
 
 
-def _axis_staircases(phi: TentFunction, j_ref: int) -> list[np.ndarray]:
-    """phi's per-axis tents sampled at the level-j_ref cell midpoints."""
-    x = DyadicGrid(1, j_ref).axis_centers()
-    return [phi.axis_tent(d, x) for d in range(phi.dimension)]
-
-
 def phi_staircase(phi: TentFunction, dimension: int, j_ref: int) -> np.ndarray:
     """phi sampled at the cell midpoints of the level-j_ref grid."""
     if phi.dimension != dimension:
         raise ValueError("test function dimension mismatch")
-    return outer(_axis_staircases(phi, j_ref))
+    x = DyadicGrid(1, j_ref).axis_centers()
+    return outer([phi.axis_tent(d, x) for d in range(dimension)])
+
+
+def _axis_integrals(phi: TentFunction, axis: int, j_ref: int, points) -> list[float]:
+    """Integrals over [points[i], points[i + 1]) of phi's level-j_ref
+    midpoint staircase on axis ``axis``, exact for rational points and
+    rounded once (int division is correctly rounded, like ``float(Fraction)``).
+
+    Times 2^shift, the tent's center and radius (floats, so dyadic) are
+    integers C and R and cell k's midpoint is (2k + 1) g, so the cell's value
+    is u_k / R, u_k = max(0, R - |(2k + 1) g - C|); the sum of u_k over k < K
+    is two arithmetic series, split where the midpoints reach c - r, c, c + r.
+    """
+    c, r, side = Fraction(phi.centers[axis]), Fraction(phi.radii[axis]), 1 << j_ref
+    shift = max(j_ref + 1, c.denominator.bit_length() - 1, r.denominator.bit_length() - 1)
+    C, R = ((v.numerator << shift) // v.denominator for v in (c, r))
+    g = 1 << (shift - j_ref - 1)
+    k_lo, k_mid, k_hi = (-((g - x) // (2 * g)) for x in (C - R, C, C + R))
+
+    def upto(x: Fraction) -> tuple[int, int]:  # q * R * side * integral over [0, x), q
+        p, q = x.numerator, x.denominator
+        k = p * side // q
+        # the sum of u_i over i < k: rising on [k_lo, a), falling on [k_mid, b)
+        a, b = min(max(k, k_lo), k_mid), min(max(k, k_mid), k_hi)
+        below = g * (a * a - k_lo * k_lo) + (R - C) * (a - k_lo)
+        below += (R + C) * (b - k_mid) - g * (b * b - k_mid * k_mid)
+        return q * below + (p * side - k * q) * max(0, R - abs((2 * k + 1) * g - C)), q
+
+    ends = [upto(x) for x in points]
+    return [
+        (n1 * q0 - n0 * q1) / (q0 * q1 * R * side) for (n0, q0), (n1, q1) in zip(ends, ends[1:])
+    ]
 
 
 def region_flow_values(regions, t: float) -> np.ndarray:
@@ -255,42 +269,30 @@ def continuum_cell_averages(
 
 
 def _separable_phi(ladder: PixelationLadder, phi: TentFunction, j_ref):
-    """Resolved j_ref (default: max + 4), phi's per-axis staircases there,
-    and its region weights.
-
-    W_r = prod_d <overlap_{r,d}, s_d> is the pairing of phi's j_ref staircase
-    with the indicator of overlay region r, from the exact per-axis overlaps.
-    """
+    """Resolved j_ref (default: max + 4) and phi's region weights W_r, the
+    integrals of its level-j_ref staircase over each overlay region."""
     j_ref = ladder.max_level + J_REF_OFFSET if j_ref is None else j_ref
     if j_ref <= ladder.max_level:
         raise ValueError("j_ref must exceed the deepest ladder level")
     if phi.dimension != ladder.dimension:
         raise ValueError("test function dimension mismatch")
-    stairs = _axis_staircases(phi, j_ref)
-    weights = []
-    for r in ladder.regions:
-        w = 1.0
-        for lo, hi, stair in zip(r.lo, r.hi, stairs):
-            first, lengths = _axis_overlaps(lo, hi, j_ref)
-            w *= math.fsum((lengths * stair[first : first + lengths.size]).tolist())
-        weights.append(w)
-    return j_ref, stairs, np.array(weights)
+    weights = [
+        math.prod(
+            _axis_integrals(phi, d, j_ref, bounds)[0] for d, bounds in enumerate(zip(r.lo, r.hi))
+        )
+        for r in ladder.regions
+    ]
+    return j_ref, np.array(weights)
 
 
-def _phi_coarse(stairs: list[np.ndarray], j_ref: int, classes: CellClasses) -> np.ndarray:
-    """Per class, the cell weight times the sum over its cells of the level-j
-    block means of phi's staircase: per axis the math.fsum over each run."""
-    ratio = 1 << (j_ref - classes.grid.level)
-    sums = []
-    for s, e in zip(stairs, classes.edges):
-        means = s.reshape(-1, ratio).mean(axis=1).tolist()
-        sums.append(np.array([math.fsum(means[a:b]) for a, b in zip(e, e[1:])]))
-    return outer(sums) * classes.grid.cell_weight
-
-
-def _cont_pairings(weights: np.ndarray, *region_values) -> list[float]:
-    """Pairings of phi's staircase with functions constant per region."""
-    return [math.fsum((v * weights).tolist()) for v in region_values]
+def _phi_coarse(phi: TentFunction, j_ref: int, classes: CellClasses) -> np.ndarray:
+    """phi's class weights: the integrals of its level-j_ref staircase over
+    each class, the outer product of the per-axis integrals over the runs."""
+    side = classes.grid.side_count
+    return outer([
+        np.array(_axis_integrals(phi, d, j_ref, [Fraction(k, side) for k in e]))
+        for d, e in enumerate(classes.edges)
+    ])
 
 
 def _ladder_level(ladder: PixelationLadder, j: int) -> LadderLevel:
@@ -299,9 +301,10 @@ def _ladder_level(ladder: PixelationLadder, j: int) -> LadderLevel:
     return ladder.levels[j]
 
 
-def _pairing(values: np.ndarray, phi_coarse: np.ndarray) -> float:
-    """Integral of a class-constant function times the coarse test function."""
-    return math.fsum((values * phi_coarse).tolist())
+def _pairing(values: np.ndarray, weights: np.ndarray) -> float:
+    """Pairing of phi's staircase with a function constant per box (class
+    or overlay region), given phi's box weights."""
+    return math.fsum((values * weights).tolist())
 
 
 def _block_values(regions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -347,9 +350,9 @@ def weak_error(
         raise HypothesisViolation(
             "degenerate-level", f"level {j} carries no geodesic state"
         )
-    j_ref, stairs, weights = _separable_phi(ladder, phi, j_ref)
-    phi_coarse = _phi_coarse(stairs, j_ref, level.state.space)
-    (cont,) = _cont_pairings(weights, region_flow_values(ladder.regions, t))
+    j_ref, weights = _separable_phi(ladder, phi, j_ref)
+    phi_coarse = _phi_coarse(phi, j_ref, level.state.space)
+    cont = _pairing(region_flow_values(ladder.regions, t), weights)
     return _flow_error(level, t, phi_coarse, cont)
 
 
@@ -365,11 +368,11 @@ def three_term_errors(
     e_q the discrete kinetic ratio g_j^2/f0_j against g0^2/f0.  At a
     degenerate level only e_f is defined; the other two come back as None.
     """
-    j_ref, stairs, weights = _separable_phi(ladder, phi, j_ref)
+    j_ref, weights = _separable_phi(ladder, phi, j_ref)
     level = _ladder_level(ladder, j)
-    phi_coarse = _phi_coarse(stairs, j_ref, level.density.space)
+    phi_coarse = _phi_coarse(phi, j_ref, level.density.space)
     values = _block_values(ladder.regions)[: 1 if level.degenerate else 3]
-    cont = _cont_pairings(weights, *values)
+    cont = [_pairing(v, weights) for v in values]
     return _block_errors(level, phi_coarse, cont)
 
 
@@ -386,14 +389,14 @@ def ladder_summary_rows(
     and the flow at both times) do not depend on the level, so they are
     built once per ladder; each level adds only its discrete pairings.
     """
-    j_ref, stairs, weights = _separable_phi(ladder, phi, j_ref)
+    j_ref, weights = _separable_phi(ladder, phi, j_ref)
     times = (0.0, math.pi / 2.0)
     flows = [region_flow_values(ladder.regions, t) for t in times]
-    cont = _cont_pairings(weights, *_block_values(ladder.regions), *flows)
+    cont = [_pairing(v, weights) for v in (*_block_values(ladder.regions), *flows)]
     rows = []
     for j in sorted(ladder.levels):
         level = ladder.levels[j]
-        phi_coarse = _phi_coarse(stairs, j_ref, level.density.space)
+        phi_coarse = _phi_coarse(phi, j_ref, level.density.space)
         e_f, e_g, e_q = _block_errors(level, phi_coarse, cont[:3])
         if level.degenerate:
             w0 = wpi2 = None

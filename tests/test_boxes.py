@@ -19,7 +19,7 @@ from frgeo import (
     overlay_energy,
 )
 from frgeo import boxes
-from frgeo.boxes import _axis_overlaps, grid_classes
+from frgeo.boxes import _axis_ends, grid_classes
 from frgeo.catalogs import (
     g01_1d,
     g02_1d,
@@ -319,11 +319,13 @@ def _reference_axis_overlaps(lo, hi, level):
 
 
 def _assert_same_overlaps(lo, hi, level):
-    first, lengths = _axis_overlaps(lo, hi, level)
+    # _axis_ends gives the end cells and their overlaps; every cell between
+    # them is covered whole
+    first, last, head, tail = _axis_ends(lo, hi, level)
     ref_first, ref_lengths = _reference_axis_overlaps(lo, hi, level)
-    assert first == ref_first, (lo, hi, level)
-    assert lengths.dtype == ref_lengths.dtype
-    assert np.array_equal(lengths, ref_lengths), (lo, hi, level)
+    assert (first, last) == (ref_first, ref_first + ref_lengths.size - 1), (lo, hi, level)
+    assert (head, tail) == (ref_lengths[0], ref_lengths[-1]), (lo, hi, level)
+    assert np.all(ref_lengths[1:-1] == 1.0 / (1 << level)), (lo, hi, level)
 
 
 def _random_bounds(rng, count):
@@ -365,9 +367,9 @@ def test_axis_overlaps_match_reference_special_bounds(level):
 
 
 def test_axis_overlaps_single_cell_is_region_length():
-    first, lengths = _axis_overlaps(F(5, 17), F(6, 17), 2)
-    assert first == 1
-    assert lengths.tolist() == [float(F(1, 17))]
+    first, last, head, tail = _axis_ends(F(5, 17), F(6, 17), 2)
+    assert first == last == 1
+    assert head == tail == float(F(1, 17))
 
 
 def test_project_regions_2d_misaligned_matches_reference():

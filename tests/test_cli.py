@@ -6,14 +6,19 @@ import csv
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import within_a_second
+import frgeo
 from frgeo import (
     DyadicGrid,
     FiniteDensity,
@@ -328,6 +333,25 @@ def test_argparse_errors_are_config_errors(tmp_path, capsys, monkeypatch, argv, 
     assert not list(tmp_path.iterdir())
 
 
+def test_module_run_writes_one_error_line(tmp_path):
+    # ``python -m frgeo.cli`` must run the module once: if importing frgeo
+    # imported frgeo.cli too, runpy would warn on stderr ahead of the error
+    src = Path(frgeo.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    argv = [sys.executable, "-W", "default", "-m", "frgeo.cli", "moments", "--format", "xml"]
+    proc = subprocess.run(
+        [*argv, "--out", str(out)], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 2
+    err = proc.stderr.splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "ConfigError" and payload["field"] == "format"
+    assert not out.exists()
+
+
 def test_conflicting_velocity_keys_rejected(tmp_path, capsys):
     code = run_cli(
         "simplex-geodesic", "tau=1.0", "w_raw=1,1", "--out", str(tmp_path)
@@ -458,23 +482,39 @@ def test_rk4_table_beyond_memory_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("j_ref, field", [(None, "levels"), (40, "j_ref")])
-def test_ladder_reference_beyond_memory_exits_2(tmp_path, capsys, fmt, j_ref, field):
-    # the default j_ref = 34 puts 2^34 floats (128 GiB) on phi's reference
-    # axis, j_ref = 40 puts 8 TiB: those allocations fail at once, unlike
-    # levels around 20-26, which may really take gigabytes
+@pytest.mark.parametrize("j_ref", [None, 40, 1074])
+def test_deep_ladder_runs_within_a_second(tmp_path, fmt, j_ref):
+    # phi is paired in closed form, so no array grows with the reference
+    # level: 2-D levels 3-30 run at the default j_ref = 34, at 40 and at
+    # the deepest level a float cell side allows
     argv = (
         "pixelation-convergence", "f0=misaligned_f0_2d", "g0=misaligned_g0_2d",
         "levels=3-30", *([] if j_ref is None else [f"j_ref={j_ref}"]),
         "--format", fmt, "--out", str(tmp_path),
     )
+    assert within_a_second(run_cli, *argv) == 0
+    if fmt == "csv":
+        with open(tmp_path / "ladder.csv", newline="") as fh:
+            rows = [(int(r["j"]), float(r["alpha_j"])) for r in csv.DictReader(fh)]
+    else:
+        doc = json.loads((tmp_path / "ladder.json").read_text())
+        rows = [(r["j"], r["alpha_j"]) for r in doc["rows"]]
+    assert [j for j, _ in rows] == list(range(3, 31))
+    assert all(0.0 < alpha <= 1.0 for _, alpha in rows)
+
+
+def test_ladder_reference_below_float_resolution_exits_2(tmp_path, capsys):
+    # 2^-1074 is the smallest positive double: a level-1075 cell has no
+    # float side
+    argv = (
+        "pixelation-convergence", "f0=misaligned_f0_2d", "g0=misaligned_g0_2d",
+        "levels=3-30", "j_ref=1075", "--out", str(tmp_path),
+    )
     assert within_a_second(run_cli, *argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     payload = json.loads(err[0])
-    assert payload["error"] == "ConfigError"
-    assert payload["field"] == field
-    assert "does not fit in memory" in payload["message"]
+    assert payload["error"] == "ConfigError" and payload["field"] == "j_ref"
     assert not any(tmp_path.iterdir())
 
 
