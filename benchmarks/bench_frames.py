@@ -13,7 +13,11 @@ over a thousand distinct values, and one of 32 x 32 boxes at level 5, where
 every cell has its own (alpha, beta) and nearly every value of a frame is
 distinct, so that formatting each distinct value once saves least.  CSV and
 JSON frames are written one run of same-class cells at a time; ``runs``
-counts them per frame (the staggered cases have the shortest runs).  Every
+counts them per frame (the staggered cases have the shortest runs).  A CSV
+run is bytes formatted once per grid, with a NUL where the value goes, that
+each frame fills with one ``bytes.replace`` by its class's text; a JSON run
+of n cells is its class's text and separator repeated n - 1 times, then the
+text.  At staggered 32, level 5, every run is one cell.  Every
 written value text is then checked against direct formatting (``%.17g`` per
 CSV cell, ``repr`` per JSON item) of the frames evaluated here.  Exits
 non-zero if a run fails or a text differs.

@@ -28,12 +28,17 @@ from __future__ import annotations
 
 import argparse
 import statistics
+import sys
 import time
+from pathlib import Path
 
-import numpy as np
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
-from frgeo import SimplexPoint, boundary_touch_time, ellipsoid_tangent
-from frgeo import kernels
+import numpy as np  # noqa: E402
+
+from frgeo import SimplexPoint, boundary_touch_time, ellipsoid_tangent  # noqa: E402
+from frgeo import kernels  # noqa: E402
 
 PAIRWISE_SUM_FROM = 8  # np.sum adds pairwise from this many items
 FLOAT_LOOP_TOL = 1e-13

@@ -24,14 +24,17 @@ files.  Floats are written with 17 significant digits in CSV and with
 ``repr`` round-trip formatting in JSON, so re-importing loses nothing.
 Time and memory follow the output size.  Every file goes through one CSV
 writer (``_write_csv``) or one JSON encoder (``_json_chunks``), and no other
-module writes a file.  CSV is written in blocks of rows; trajectory,
-moment and oracle lines are ``%`` fills of line templates.  JSON is written
-piece by piece, each float array through json's C encoder, a block at a
-time, so no array is held as Python floats in full.  Density frames, in
-both formats, are written from one decomposition of the cells into runs
-of one class (``_class_runs``): a CSV run is a text of its cells' index and
-center columns, formatted once per grid with a NUL for the value that each
-frame replaces, and a JSON run is its class's text repeated per cell.
+module writes a file.  Every file is opened in binary mode and written as
+ASCII bytes, each piece encoded once.  CSV is written in blocks of rows;
+trajectory, moment and oracle lines are ``%`` fills of line templates.  JSON
+is written piece by piece, each float array through json's C encoder, a
+block at a time, so no array is held as Python floats in full.  Density
+frames, in both formats, are written from one decomposition of the cells
+into runs of one class (``_class_runs``): a CSV run is the bytes of its
+cells' index and center columns, formatted once per grid with a NUL for the
+value, which each frame fills with one ``bytes.replace`` by its class's
+text, and a JSON run of n cells is its class's text and separator repeated
+n - 1 times, then the text.
 A catalog pair is projected onto the grid's cell classes (products of
 per-axis runs on which both catalogs' averages are constant, see
 ``frgeo.boxes.grid_classes``), and the flow is one scalar geodesic per
@@ -424,14 +427,15 @@ def _resolve_velocities(params: dict, allow_sweep: bool) -> list[tuple[float | N
 _ITEMS_PER_WRITE = 1024
 
 
-def _write_csv(path: Path, header: list[str], pieces: Iterable[str]) -> None:
-    """CSV file: the header line, then the pieces, CRLF-terminated lines.
+def _write_csv(path: Path, header: list[str], pieces: Iterable[bytes]) -> None:
+    """CSV file: the header line, then the pieces (ASCII bytes of
+    CRLF-terminated lines).
 
     These are the bytes ``csv.writer`` writes, as no number or column name
     needs quoting.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
         fh.writelines(pieces)
 
 
@@ -445,7 +449,7 @@ def _write_rows(
     """
     m = _ITEMS_PER_WRITE
     pieces = (
-        block % tuple(table[k * m : (k + 1) * m].ravel().tolist())
+        (block % tuple(table[k * m : (k + 1) * m].ravel().tolist())).encode()
         for k, block in enumerate(blocks)
     )
     _write_csv(path, header, pieces)
@@ -485,7 +489,7 @@ def write_ladder_csv(
         j, alpha, degenerate, *errors = (row[k] for k in LADDER_FIELDS)
         errors = ["" if e is None else FLOAT_FMT % e for e in errors]
         fields = [str(j), FLOAT_FMT % alpha, str(degenerate).lower(), *errors]
-        lines.append(",".join(fields) + "\r\n")
+        lines.append((",".join(fields) + "\r\n").encode())
     _write_csv(path, list(LADDER_FIELDS), lines)
 
 
@@ -516,7 +520,7 @@ def _json_chunks(obj, indent: str):
     if isinstance(obj, GeneratorType):
         lead = "[\n" + inner
         for items in obj:
-            yield lead + sep.join([sep.join([text] * n) for text, n in items])
+            yield lead + sep.join([(text + sep) * (n - 1) + text for text, n in items])
             lead = sep
         yield "\n" + indent + "]"
     elif isinstance(obj, dict) and obj:
@@ -554,9 +558,9 @@ def _json_chunks(obj, indent: str):
 
 def _write_json(path: Path, obj: dict) -> None:
     """The bytes of ``json.dump(obj, fh, indent=2)`` plus a final newline."""
-    with open(path, "w") as fh:
-        fh.writelines(_json_chunks(obj, ""))
-        fh.write("\n")
+    with open(path, "wb") as fh:
+        fh.writelines(chunk.encode() for chunk in _json_chunks(obj, ""))
+        fh.write(b"\n")
 
 
 def _indexed_name(stem: str, k: int, count: int, suffix: str) -> str:
@@ -646,10 +650,10 @@ def _class_runs(classes: CellClasses) -> list[tuple[list[int], list[int], list[i
     return blocks
 
 
-def _csv_run_texts(grid: DyadicGrid, runs) -> list[list[str]]:
-    """Per block of ``_class_runs``, its runs' CSV lines: the cells' index
-    and center columns, from each axis's 2^level center texts, with a NUL
-    where each f_value goes."""
+def _csv_run_texts(grid: DyadicGrid, runs) -> list[list[bytes]]:
+    """Per block of ``_class_runs``, its runs' CSV lines as ASCII bytes: the
+    cells' index and center columns, from each axis's 2^level center texts,
+    with a NUL where each f_value goes."""
     side = grid.side_count
     axis = _csv_floats(grid.axis_centers().tolist())
     # each row's center columns before the last axis's
@@ -669,6 +673,12 @@ def _csv_run_texts(grid: DyadicGrid, runs) -> list[list[str]]:
                 lines[q] = f"{a + q}{lead}{axis[(a + q) % side]},\0\r\n"
             texts.append("".join(lines))
         blocks.append(texts)
+    # encoded once every text is built, so that each run's bytes can take
+    # the place its text frees: encoding run by run strands the freed texts
+    # among later allocations (10% more peak RSS at 2-D level 11)
+    for texts in blocks:
+        for k, text in enumerate(texts):
+            texts[k] = text.encode()
     return blocks
 
 
@@ -689,9 +699,9 @@ def _run_density_geodesic(cfg: ExperimentConfig) -> list[Path]:
         run_texts = _csv_run_texts(grid, runs)
         for k, t in enumerate(times):
             path = cfg.out_dir / _indexed_name("frame", k, len(times), "csv")
-            texts = _csv_floats(density_at(state, t).values.tolist())
+            texts = [x.encode() for x in _csv_floats(density_at(state, t).values.tolist())]
             pieces = (
-                "".join([run.replace("\0", texts[c]) for c, run in zip(owners, lines)])
+                b"".join([run.replace(b"\0", texts[c]) for c, run in zip(owners, lines)])
                 for (owners, _, _), lines in zip(runs, run_texts)
             )
             _write_csv(path, header, pieces)

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -118,9 +119,12 @@ def staggered_catalogs(directory, strips=18, seed=7):
 
 
 def catalog_pair(f0, g0, tmp_path):
-    """Config tokens and catalogs of a built-in pair, or of "staggered"."""
-    if f0 == "staggered":
-        f0, g0 = (str(p) for p in staggered_catalogs(tmp_path))
+    """Config tokens and catalogs of a built-in pair, or of "staggered" with
+    an optional strip count (18 by default), as in "staggered32"."""
+    staggered = re.fullmatch(r"staggered(\d*)", f0)
+    if staggered:
+        strips = int(staggered.group(1) or 18)
+        f0, g0 = (str(p) for p in staggered_catalogs(tmp_path, strips))
         return (f0, g0), (load_catalog(f0), load_catalog(g0))
     return (f0, g0), (BUILTIN_CATALOGS[f0](), BUILTIN_CATALOGS[g0]())
 
@@ -637,19 +641,29 @@ def test_density_csv_frames(tmp_path):
 
 
 # level 6 in 2-D has 4,096 cells, several write blocks; the staggered pair
-# holds more than 1,000 distinct values in each of 16 blocks' worth of cells
+# holds more than 1,000 distinct values in each of 16 blocks' worth of cells,
+# and at level 5 the 32 x 32 staggered pair has a class, and a run, per cell
 DENSITY_CASES = [
     ("uniform1d", "g01_1d", 3),
     ("uniform2d", "g02_2d", 3),
     ("uniform2d", "g02_2d", 6),
     ("misaligned_f0_2d", "misaligned_g0_2d", 6),
     ("staggered", "staggered", 7),
+    ("staggered32", "staggered32", 5),
 ]
+
+
+def runs_of_one_cell(catalogs, level):
+    """Whether every class run of the grid is a single cell."""
+    runs = _class_runs(_catalog_state(*catalogs, level).space)
+    return all(n == 1 for _, _, lengths in runs for n in lengths)
 
 
 @pytest.mark.parametrize("f0, g0, level", DENSITY_CASES)
 def test_density_csv_frames_match_csv_writer(tmp_path, f0, g0, level):
     tokens, (f0_cat, g0_cat) = catalog_pair(f0, g0, tmp_path)
+    if f0 == "staggered32":
+        assert runs_of_one_cell((f0_cat, g0_cat), level)
     argv = ("density-geodesic", f"f0={tokens[0]}", f"g0={tokens[1]}",
             f"level={level}", "n_frames=4")
     assert run_cli(*argv, "t_end=3pi/4", "--out", str(tmp_path)) == 0
@@ -678,6 +692,8 @@ def test_density_csv_frames_match_csv_writer(tmp_path, f0, g0, level):
 )
 def test_density_json_matches_json_dump(tmp_path, f0, g0, level):
     tokens, (f0_cat, g0_cat) = catalog_pair(f0, g0, tmp_path)
+    if f0 == "staggered32":  # each run is its class's text once, no repeat
+        assert runs_of_one_cell((f0_cat, g0_cat), level)
     pairs = {"f0": tokens[0], "g0": tokens[1], "level": str(level),
              "n_frames": "4", "t_end": "3pi/4"}
     argv = [f"{k}={v}" for k, v in pairs.items()]
@@ -800,10 +816,10 @@ def test_frame_runs_are_cut_at_block_ends():
     assert runs == [[(0, 512), (1, 512)], [(2, 1024)], [(3, 1024)], [(3, 1024)]]
     assert blocks[3][1] == [3072]
     texts = _csv_run_texts(state.space.grid, blocks)
-    assert [[t.count("\0") for t in block] for block in texts] == [
+    assert [[t.count(b"\0") for t in block] for block in texts] == [
         [n for _, n in block] for block in runs
     ]
-    assert texts[3][0].startswith("3072,")
+    assert texts[3][0].startswith(b"3072,")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -984,6 +1000,21 @@ def test_ladder_csv_default_run(tmp_path):
     )
     errors = [float(r[7]) for r in rows[1:]]  # weak error at t = pi/2
     assert errors[2] < errors[0] and errors[4] < errors[2]
+
+
+@pytest.mark.parametrize("dimension, levels", [(1, (3, 40)), (2, (3, 26))])
+def test_misaligned_alpha_j_in_closed_form(tmp_path, dimension, levels):
+    # the built-in misaligned pair: 1 - alpha_j is 2^(1-j) at odd j and
+    # 2^(3-j)/5 at even j, and alpha_j is that fraction correctly rounded
+    assert run_cli("pixelation-convergence", f"f0=misaligned_f0_{dimension}d",
+                   f"g0=misaligned_g0_{dimension}d", "levels=%d-%d" % levels,
+                   "--out", str(tmp_path)) == 0
+    rows = read_rows(tmp_path / "ladder.csv")[1:]
+    assert [int(r[0]) for r in rows] == list(range(levels[0], levels[1] + 1))
+    for j, alpha, *_ in rows:
+        j = int(j)
+        gap = Fraction(2) ** (1 - j) if j % 2 else Fraction(2) ** (3 - j) / 5
+        assert float(alpha) == float(1 - gap), j
 
 
 def test_level_list_matches_range(tmp_path):
