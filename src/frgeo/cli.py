@@ -22,19 +22,21 @@ JSON object to stderr.
 Outputs are deterministic: the same configuration produces byte-identical
 files.  Floats are written with 17 significant digits in CSV and with
 ``repr`` round-trip formatting in JSON, so re-importing loses nothing.
-Time and memory follow the output size.  Every file goes through one CSV
-writer (``_write_csv``) or one JSON encoder (``_json_chunks``), and no other
-module writes a file.  Every file is opened in binary mode and written as
-ASCII bytes, each piece encoded once.  CSV is written in blocks of rows;
-trajectory, moment and oracle lines are ``%`` fills of line templates.  JSON
-is written piece by piece, each float array through json's C encoder, a
-block at a time, so no array is held as Python floats in full.  Density
-frames, in both formats, are written from one decomposition of the cells
-into runs of one class (``_class_runs``): a CSV run is the bytes of its
-cells' index and center columns, formatted once per grid with a NUL for the
-value, which each frame fills with one ``bytes.replace`` by its class's
-text, and a JSON run of n cells is its class's text and separator repeated
-n - 1 times, then the text.
+Time and memory follow the output size.  Every CSV file is opened, and its
+header written, in one place (``_csv_files``), every JSON file goes through
+one encoder (``_json_chunks``), and no other module writes a file.  Every
+file is opened in binary mode and written as ASCII bytes, each piece
+encoded once.  CSV is written in blocks of rows; trajectory, moment and
+oracle lines are ``%`` fills of line templates.  JSON is written piece by
+piece, each float array through json's C encoder, a block at a time, so no
+array is held as Python floats in full.  Density frames, in both formats,
+are written from one decomposition of the cells into runs of one class
+(``_class_runs``): a CSV run is the bytes of its cells' index and center
+columns with a NUL for the value, one ``%d`` fill of the cell indices into
+center texts formatted once per grid, built a block at a time; every frame
+of a group fills it with one ``bytes.replace`` by its class's text.  A JSON
+run of n cells is its class's text and separator repeated n - 1 times, then
+the text.
 A catalog pair is projected onto the grid's cell classes (products of
 per-axis runs on which both catalogs' averages are constant, see
 ``frgeo.boxes.grid_classes``), and the flow is one scalar geodesic per
@@ -43,7 +45,9 @@ O(per-axis cell types), whatever the level.  Cells appear only at write
 time: each density frame (and the density archive's ``alpha``/``beta``) is
 evaluated and formatted once per class, and a class's text is written for
 each cell of its runs, so the bytes are those of evaluating and formatting
-cell by cell.  Frames are evaluated one at a time, as they are written.
+cell by cell.  CSV frames are evaluated a group at a time and written in
+lockstep, a block of cells at a time (``_run_density_geodesic``); JSON
+frames are evaluated one at a time, as they are written.
 ``moments`` values are evaluated through the three-term identity and may
 differ from the dense evaluation of version 0.1.0 in the last ulp; every
 other output keeps the 0.1.0 bytes.
@@ -56,11 +60,12 @@ import json
 import math
 import re
 import sys
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from types import GeneratorType
-from typing import Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -427,16 +432,26 @@ def _resolve_velocities(params: dict, allow_sweep: bool) -> list[tuple[float | N
 _ITEMS_PER_WRITE = 1024
 
 
-def _write_csv(path: Path, header: list[str], pieces: Iterable[bytes]) -> None:
-    """CSV file: the header line, then the pieces (ASCII bytes of
-    CRLF-terminated lines).
+# density CSV frame files open at once.  A group of frames is written in
+# lockstep, each block's run texts built once for all of them, so the
+# default 12 frames make one group; the class texts held grow with the
+# group, and the open files stay far below the usual limit of 1,024
+_FRAMES_PER_GROUP = 32
 
-    These are the bytes ``csv.writer`` writes, as no number or column name
-    needs quoting.
+
+@contextmanager
+def _csv_files(paths: list[Path], header: list[str]) -> Iterator[list[BinaryIO]]:
+    """CSV files opened in binary mode, each holding the header line.
+
+    What is written after it is ASCII bytes of CRLF-terminated lines: the
+    bytes ``csv.writer`` writes, as no number or column name needs quoting.
     """
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\r\n").encode())
-        fh.writelines(pieces)
+    line = (",".join(header) + "\r\n").encode()
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "wb")) for path in paths]
+        for fh in files:
+            fh.write(line)
+        yield files
 
 
 def _write_rows(
@@ -448,11 +463,11 @@ def _write_rows(
     ``%.17g`` slot per value (a 1-D table has one value per row).
     """
     m = _ITEMS_PER_WRITE
-    pieces = (
-        (block % tuple(table[k * m : (k + 1) * m].ravel().tolist())).encode()
-        for k, block in enumerate(blocks)
-    )
-    _write_csv(path, header, pieces)
+    with _csv_files([path], header) as (fh,):
+        fh.writelines(
+            (block % tuple(table[k * m : (k + 1) * m].ravel().tolist())).encode()
+            for k, block in enumerate(blocks)
+        )
 
 
 def _write_table(path: Path, header: list[str], table: np.ndarray) -> None:
@@ -490,7 +505,8 @@ def write_ladder_csv(
         errors = ["" if e is None else FLOAT_FMT % e for e in errors]
         fields = [str(j), FLOAT_FMT % alpha, str(degenerate).lower(), *errors]
         lines.append((",".join(fields) + "\r\n").encode())
-    _write_csv(path, list(LADDER_FIELDS), lines)
+    with _csv_files([path], list(LADDER_FIELDS)) as (fh,):
+        fh.writelines(lines)
 
 
 def _csv_floats(xs: list[float]) -> list[str]:
@@ -650,39 +666,43 @@ def _class_runs(classes: CellClasses) -> list[tuple[list[int], list[int], list[i
     return blocks
 
 
-def _csv_run_texts(grid: DyadicGrid, runs) -> list[list[bytes]]:
-    """Per block of ``_class_runs``, its runs' CSV lines as ASCII bytes: the
-    cells' index and center columns, from each axis's 2^level center texts,
-    with a NUL where each f_value goes."""
+def _csv_run_texts(grid: DyadicGrid, runs) -> Iterator[list[bytes]]:
+    """Per block of ``_class_runs``, in turn, its runs' CSV lines as ASCII
+    bytes: the cells' index and center columns, with a NUL where each
+    f_value goes.
+
+    A run is one ``%d`` fill of its row's head (the index slot and the
+    center columns before the last axis's) joined over the last axis's
+    center texts.  Heads and tails are built once: 2^level texts per axis
+    and one head per grid row, not a text per cell (in 1-D the axis is the
+    grid).
+    """
     side = grid.side_count
-    axis = _csv_floats(grid.axis_centers().tolist())
-    # each row's center columns before the last axis's
-    leads = [","]
+    axis = [x.encode() for x in _csv_floats(grid.axis_centers().tolist())]
+    tails = [x + b",\0\r\n" for x in axis]
+    heads = [b"%d,"]
     for _ in range(grid.dimension - 1):
-        leads = [lead + axis[k] + "," for lead in leads for k in range(side)]
-    blocks = []
+        heads = [head + x + b"," for head in heads for x in axis]
     for _, starts, lengths in runs:
         texts = []
         for a, n in zip(starts, lengths):
-            lead = leads[a // side]
-            # filled in place: a comprehension grows its list through small
-            # heap chunks that, freed among the run texts, keep glibc from
-            # returning the heap after the run
-            lines = [lead] * n
-            for q in range(n):
-                lines[q] = f"{a + q}{lead}{axis[(a + q) % side]},\0\r\n"
-            texts.append("".join(lines))
-        blocks.append(texts)
-    # encoded once every text is built, so that each run's bytes can take
-    # the place its text frees: encoding run by run strands the freed texts
-    # among later allocations (10% more peak RSS at 2-D level 11)
-    for texts in blocks:
-        for k, text in enumerate(texts):
-            texts[k] = text.encode()
-    return blocks
+            head, c = heads[a // side], a % side
+            texts.append((head + head.join(tails[c : c + n])) % tuple(range(a, a + n)))
+        yield texts
 
 
 def _run_density_geodesic(cfg: ExperimentConfig) -> list[Path]:
+    """Density frames: one CSV file per frame, or one JSON archive.
+
+    CSV frames are written in groups of up to ``_FRAMES_PER_GROUP``, in
+    lockstep: the group's frames are evaluated and their class texts
+    formatted, in frame order, then each block's run texts are built once
+    and filled into every frame file of the group.  So the writer holds
+    (frames in a group) x classes class texts and one block's run texts,
+    where it held every cell's index and center text: the classes are at
+    most (2B + 1)^d for catalogs of B bounds per axis, the cells 2^(d level).
+    JSON frames are evaluated one at a time, as they are written.
+    """
     p = cfg.params
     state = _catalog_state(p["f0"], p["g0"], p["level"])
     grid: DyadicGrid = state.space.grid
@@ -696,16 +716,20 @@ def _run_density_geodesic(cfg: ExperimentConfig) -> list[Path]:
             + [f"x_center_{d + 1}" for d in range(grid.dimension)]
             + ["f_value"]
         )
-        run_texts = _csv_run_texts(grid, runs)
-        for k, t in enumerate(times):
-            path = cfg.out_dir / _indexed_name("frame", k, len(times), "csv")
-            texts = [x.encode() for x in _csv_floats(density_at(state, t).values.tolist())]
-            pieces = (
-                b"".join([run.replace(b"\0", texts[c]) for c, run in zip(owners, lines)])
-                for (owners, _, _), lines in zip(runs, run_texts)
-            )
-            _write_csv(path, header, pieces)
-            written.append(path)
+        for k in range(len(times)):
+            written.append(cfg.out_dir / _indexed_name("frame", k, len(times), "csv"))
+        for g in range(0, len(times), _FRAMES_PER_GROUP):
+            group = slice(g, g + _FRAMES_PER_GROUP)
+            frames = [
+                [x.encode() for x in _csv_floats(density_at(state, t).values.tolist())]
+                for t in times[group]
+            ]
+            with _csv_files(written[group], header) as files:
+                for (owners, _, _), lines in zip(runs, _csv_run_texts(grid, runs)):
+                    for fh, texts in zip(files, frames):
+                        fh.write(b"".join(
+                            [run.replace(b"\0", texts[c]) for c, run in zip(owners, lines)]
+                        ))
     else:
 
         def items(values: Callable[[], np.ndarray]) -> Iterator[list[tuple[str, int]]]:

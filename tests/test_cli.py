@@ -37,6 +37,7 @@ from frgeo import (
 from frgeo.boxes import load_catalog
 from frgeo.catalogs import BUILTIN_CATALOGS
 from frgeo.cli import (
+    _FRAMES_PER_GROUP,
     _ITEMS_PER_WRITE,
     _catalog_state,
     _class_runs,
@@ -659,14 +660,27 @@ def runs_of_one_cell(catalogs, level):
     return all(n == 1 for _, _, lengths in runs for n in lengths)
 
 
-@pytest.mark.parametrize("f0, g0, level", DENSITY_CASES)
-def test_density_csv_frames_match_csv_writer(tmp_path, f0, g0, level):
+# CSV frames are written in lockstep groups of up to _FRAMES_PER_GROUP:
+# the last case takes three groups, the last one partial
+CSV_FRAME_CASES = [(*case, 4) for case in DENSITY_CASES] + [
+    ("uniform2d", "g02_2d", 3, 2 * _FRAMES_PER_GROUP + 5)
+]
+
+
+@pytest.mark.parametrize(
+    "f0, g0, level, n_frames",
+    CSV_FRAME_CASES,
+    ids=[f"{f0}-{g0}-{level}" + (f"-{n}_frames" if n != 4 else "")
+         for f0, g0, level, n in CSV_FRAME_CASES],
+)
+def test_density_csv_frames_match_csv_writer(tmp_path, f0, g0, level, n_frames):
     tokens, (f0_cat, g0_cat) = catalog_pair(f0, g0, tmp_path)
     if f0 == "staggered32":
         assert runs_of_one_cell((f0_cat, g0_cat), level)
     argv = ("density-geodesic", f"f0={tokens[0]}", f"g0={tokens[1]}",
-            f"level={level}", "n_frames=4")
+            f"level={level}", f"n_frames={n_frames}")
     assert run_cli(*argv, "t_end=3pi/4", "--out", str(tmp_path)) == 0
+    assert len(list(tmp_path.glob("frame_*.csv"))) == n_frames
     state = flow_state(f0_cat, g0_cat, level)
     grid = state.space
     header = (
@@ -675,7 +689,7 @@ def test_density_csv_frames_match_csv_writer(tmp_path, f0, g0, level):
         + ["f_value"]
     )
     centers = grid.centers()
-    for k, t in enumerate(np.linspace(0.0, 3.0 * math.pi / 4.0, 4)):
+    for k, t in enumerate(np.linspace(0.0, 3.0 * math.pi / 4.0, n_frames)):
         values = density_at(state, t).values
         if f0 == "staggered" and k:
             assert len(np.unique(values)) > 1000
@@ -815,7 +829,8 @@ def test_frame_runs_are_cut_at_block_ends():
     # class 2 starts on a block boundary; class 3 spans two blocks
     assert runs == [[(0, 512), (1, 512)], [(2, 1024)], [(3, 1024)], [(3, 1024)]]
     assert blocks[3][1] == [3072]
-    texts = _csv_run_texts(state.space.grid, blocks)
+    # the run texts are built a block at a time, as the frames are written
+    texts = list(_csv_run_texts(state.space.grid, blocks))
     assert [[t.count(b"\0") for t in block] for block in texts] == [
         [n for _, n in block] for block in runs
     ]
@@ -975,9 +990,10 @@ def test_json_archive_is_not_held_as_python_floats(tmp_path):
 
 
 def test_density_csv_texts_stay_block_bounded(tmp_path):
-    # 12 CSV frames of 65,536 cells, evaluated one at a time (0.5 MiB each);
-    # the peak is about 10 MiB.  Holding a whole frame's text, one str per
-    # cell or the frame's CSV text, adds 3.5 to 4.5 MiB
+    # 12 CSV frames of 65,536 cells; the peak is about 0.5 MiB (about 2.4 MiB
+    # while every cell's index and center text was held).  Holding a whole
+    # frame's text, one str per cell or the frame's CSV text, adds 3.5 to
+    # 4.5 MiB
     args = ("density-geodesic", "f0=uniform2d", "g0=g01_2d", "level=8",
             "n_frames=12", "--out", str(tmp_path))
     tracemalloc.start()
@@ -987,6 +1003,58 @@ def test_density_csv_texts_stay_block_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20
+
+
+def test_density_csv_writer_holds_no_grid_sized_text(tmp_path):
+    # 2-D level 9: 262,144 cells, whose index and center texts take about
+    # 9 MiB; the frames are written a block of run texts at a time, and the
+    # peak is about 0.6 MiB
+    args = ("density-geodesic", "f0=uniform2d", "g0=g01_2d", "level=9",
+            "n_frames=2", "--out", str(tmp_path))
+    tracemalloc.start()
+    try:
+        assert run_cli(*args) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+# prints the growth of a peak RSS (KiB) over one density-geodesic run, in a
+# forked process: its peak starts from this process's RSS at the fork, where
+# this one's starts from the peak of the test process that started it
+_RSS_GROWTH = """
+import os, resource, sys
+from frgeo.cli import run_experiment, validate_config
+fmt, out = sys.argv[1:]
+pairs = {"f0": "uniform2d", "g0": "g01_2d", "level": "9", "n_frames": "2"}
+cfg = validate_config("density-geodesic", pairs, out, fmt)
+if os.fork() == 0:
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    run_experiment(cfg)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, flush=True)
+    os._exit(0)
+sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_density_csv_peak_rss_follows_json(tmp_path):
+    # tracemalloc cannot see heap fragmentation, so a child's peak RSS is
+    # read.  Both grow by about 4 MB; holding the grid's index and center
+    # texts made the CSV run's grow by about 13.5 MB
+    src = Path(frgeo.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    growth = {}
+    for fmt in ("csv", "json"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _RSS_GROWTH, fmt, str(tmp_path / fmt)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        growth[fmt] = int(proc.stdout) / 1024
+    assert growth["csv"] < growth["json"] + 2, growth
 
 
 def test_ladder_csv_default_run(tmp_path):
@@ -1015,6 +1083,32 @@ def test_misaligned_alpha_j_in_closed_form(tmp_path, dimension, levels):
         j = int(j)
         gap = Fraction(2) ** (1 - j) if j % 2 else Fraction(2) ** (3 - j) / 5
         assert float(alpha) == float(1 - gap), j
+
+
+@pytest.mark.parametrize("dimension, levels", [(1, (3, 40)), (2, (3, 26))])
+def test_misaligned_weak_limit_rates(tmp_path, dimension, levels):
+    # 1 - alpha_j alternates with the parity of j, so the rate pairs levels
+    # of one parity: r_j = log2(e_j / e_{j+2}) / 2
+    assert run_cli("pixelation-convergence", f"f0=misaligned_f0_{dimension}d",
+                   f"g0=misaligned_g0_{dimension}d", "levels=%d-%d" % levels,
+                   "phi_index=0", "--out", str(tmp_path)) == 0
+    with open(tmp_path / "ladder.csv", newline="") as fh:
+        rows = {int(r["j"]): r for r in csv.DictReader(fh)}
+
+    def rates(column, js):
+        return [math.log2(float(rows[j][column]) / float(rows[j + 2][column])) / 2
+                for j in js]
+
+    # second order.  The errors are differences of sums near 1, rounded to
+    # about 1e-16: at e_20, about 4e-13, that moves a rate by about 2e-4
+    # (measured at most 1.7e-4), and past j = 20 the errors near 1e-14
+    for column in ("e_f", "weak_error_t0"):
+        assert all(abs(r - 2) < 1e-3 for r in rates(column, range(4, 19))), column
+    # first order.  A faster-decaying term still moves e_g's rate by 1.4% at
+    # j = 10 and 0.5% at j = 11 (0.9946), less above; to j = 24 the errors
+    # stay above 5e-10, far from rounding
+    for column in ("e_g", "e_q", "weak_error_tpi2"):
+        assert all(abs(r - 1) < 0.01 for r in rates(column, range(11, 23))), column
 
 
 def test_level_list_matches_range(tmp_path):

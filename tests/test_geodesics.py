@@ -285,6 +285,27 @@ def test_trajectory_boundary_touch_raises():
     assert abs(info.value.time - t_star) < 1e-12
 
 
+def test_default_sweep_moves_at_unit_fisher_rao_speed():
+    # sqrt f lies on the unit sphere, where the Fisher-Rao distance is twice
+    # the great-circle angle: d(f0, f) = 4 asin(|sqrt f - sqrt f0| / 2).  The
+    # 12 trajectories of the default sweep at 100 samples on [0, pi/2]
+    times = np.linspace(0.0, math.pi / 2.0, 100)
+    touched = 0
+    for k in range(12):
+        v = TangentVector(ellipse_param_n2(2.0 * math.pi * k / 12))
+        y, _ = simplex_flow_samples(BARY, v, times)
+        d = 4.0 * np.arcsin(np.linalg.norm(np.sqrt(y) - np.sqrt(y[0]), axis=1) / 2.0)
+        before = times <= boundary_touch_time(BARY, v)
+        # until the touch, d = t: sqrt, the norm and asin each round, and
+        # 1e-15 is about 4.5 ulp of pi/2 (measured at most 2 ulp)
+        assert np.max(np.abs(d[before] - times[before])) <= 1e-15
+        # past it, sqrt f would turn negative and the closed form reflects,
+        # so the chord is shorter than the arc (d = 1.3622 at t = 1.380)
+        assert np.all(d[~before] < times[~before])
+        touched += not before.all()
+    assert touched == 9
+
+
 def test_flow_samples_shapes_and_velocity():
     v = ellipsoid_tangent(BARY, np.array([1.0, -2.0]))
     times = np.linspace(0.0, 1.0, 11)
