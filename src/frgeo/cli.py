@@ -28,15 +28,15 @@ one encoder (``_json_chunks``), and no other module writes a file.  Every
 file is opened in binary mode and written as ASCII bytes, each piece
 encoded once.  CSV is written in blocks of rows; trajectory, moment and
 oracle lines are ``%`` fills of line templates.  JSON is written piece by
-piece, each float array through json's C encoder, a block at a time, so no
-array is held as Python floats in full.  Density frames, in both formats,
-are written from one decomposition of the cells into runs of one class
-(``_class_runs``): a CSV run is the bytes of its cells' index and center
-columns with a NUL for the value, one ``%d`` fill of the cell indices into
-center texts formatted once per grid, built a block at a time; every frame
-of a group fills it with one ``bytes.replace`` by its class's text.  A JSON
-run of n cells is its class's text and separator repeated n - 1 times, then
-the text.
+piece, each float array a block at a time, each block one ``%r`` fill of
+a per-row template, so no array is held as Python floats in full.  Density
+frames, in both formats, are written from one decomposition of the cells
+into runs of one class (``_class_runs``): a CSV run is the bytes of its
+cells' index and center columns with a NUL for the value, one ``%d`` fill
+of the cell indices into center texts formatted once per grid, built a
+block at a time; every frame of a group fills it with one ``bytes.replace``
+by its class's text.  A JSON run of n cells is its class's text and
+separator repeated n - 1 times, then the text.
 A catalog pair is projected onto the grid's cell classes (products of
 per-axis runs on which both catalogs' averages are constant, see
 ``frgeo.boxes.grid_classes``), and the flow is one scalar geodesic per
@@ -523,10 +523,11 @@ def _json_chunks(obj, indent: str):
     """Pieces of ``json.dumps(obj, indent=2, default=np.ndarray.tolist)``
     for a value nested at ``indent``.
 
-    A non-empty dict is written key by key.  A non-empty 1-D or 2-D float
-    array goes through the C encoder a block of items (of whole rows) at a
-    time, and the separators are then widened to the indented layout (float
-    reprs hold no ``", "`` or ``"], ["``).  A generator of lists of (item
+    A non-empty dict is written key by key.  A non-empty 1-D or 2-D array
+    of float16, float32 or float64 is written a block of whole rows at a
+    time, as one ``%r`` fill of the rows' indented layout: json writes a
+    finite float as its ``repr``, and ``nan``/``inf`` as ``NaN``/``Infinity``
+    (finite reprs hold no ``n``).  A generator of lists of (item
     text, count), the first list non-empty, is the array of those items,
     each repeated count times.  Anything else is one ``json.dumps``,
     re-indented (exact, as JSON strings hold no raw newline).
@@ -549,21 +550,23 @@ def _json_chunks(obj, indent: str):
         yield "\n" + indent + "}"
     elif (
         isinstance(obj, np.ndarray) and obj.ndim in (1, 2)
-        and obj.dtype.kind == "f" and obj.size
+        and obj.dtype.kind == "f" and obj.itemsize <= 8 and obj.size
     ):
-        flat = obj.ndim == 1
-        per_block = _ITEMS_PER_WRITE if flat else max(1, _ITEMS_PER_WRITE // obj.shape[1])
+        if obj.ndim == 1:
+            item, per_block = "%r", _ITEMS_PER_WRITE
+        else:
+            row = inner + "  "
+            cells = (",\n" + row).join(["%r"] * obj.shape[1])
+            item = "[\n" + row + cells + "\n" + inner + "]"
+            per_block = max(1, _ITEMS_PER_WRITE // obj.shape[1])
         lead = "[\n" + inner
-        row = inner + "  "
-        row_sep = "\n" + inner + "]" + sep + "[\n" + row
         for s in range(0, len(obj), per_block):
-            text = json.dumps(obj[s : s + per_block].tolist())
-            if flat:
-                text = text[1:-1].replace(", ", sep)
-            else:  # "[[a, b], [c, d]]"
-                text = text[2:-2].replace("], [", row_sep)
-                text = "[\n" + row + text.replace(", ", ",\n" + row)
-                text += "\n" + inner + "]"
+            rows = obj[s : s + per_block]
+            if s == 0 or len(rows) < per_block:  # first block, short last block
+                block = sep.join([item] * len(rows))
+            text = block % tuple(rows.ravel().tolist())
+            if "n" in text:  # nan, inf: finite reprs hold no n
+                text = text.replace("nan", "NaN").replace("inf", "Infinity")
             yield lead + text
             lead = sep
         yield "\n" + indent + "]"

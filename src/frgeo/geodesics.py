@@ -277,10 +277,16 @@ def boundary_touch_time(p0: sx.SimplexPoint, v0: sx.TangentVector) -> float:
 
 
 def ellipsoid_tangent(p: sx.SimplexPoint, w_raw: np.ndarray) -> sx.TangentVector:
-    """Scale a direction onto the unit Fisher sphere at p."""
+    """Scale a direction onto the unit Fisher sphere at p.
+
+    w is first scaled by the power of two that brings max |w_k| into
+    [1/2, 1), so its norm cannot over- or underflow.  The scaling is exact:
+    wherever the norm of w itself does neither, the result is unchanged.
+    """
     w = np.atleast_1d(np.asarray(w_raw, dtype=float))
     if not np.any(w != 0.0):
         raise ZeroDirection("cannot normalize the zero direction")
+    w = np.ldexp(w, -math.frexp(float(np.max(np.abs(w))))[1])
     cand = sx.TangentVector(w)
     norm2 = sx.metric_inner(p, cand, cand)
     return sx.TangentVector(w / math.sqrt(norm2))

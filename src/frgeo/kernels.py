@@ -12,8 +12,10 @@ same loop over numpy arrays (``_make_coupled``) makes about 120 calls per
 step.  ``rk4_coupled`` instead runs straight-line code over local variables,
 one per coordinate, that ``_coupled_source`` unrolls for each coordinate
 count n.  It is compiled the first time n is seen, at about 0.4 ms per
-coordinate, and cached in ``_COUPLED_LOOPS``.  A step takes about 5 us at
-n = 2 and 10 us at n = 5 (2-vCPU VM, Python 3.11).  Every operation runs in
+coordinate, and cached in ``_COUPLED_LOOPS``.  A step calls no builtin:
+each domain check is one chain of comparisons and the step's end one
+clamp.  It takes about 2.5 us at n = 2 and 5.5 us at n = 5 (2-vCPU VM,
+Python 3.11; 1.5-9.2 us for n = 1..7).  Every operation runs in
 the order of ``_coupled_accel`` and the numpy loop, each sum left to right
 (one statement per term) as ``np.sum`` adds fewer than 8 items: below 8
 coordinates the two loops agree bit for bit, and from 8 on ``np.sum`` adds
@@ -196,8 +198,8 @@ def _coupled_source(n):
     def total(name, stem):  # left to right from 0.0, one statement per term
         return [f"{name} = 0.0", *each(f"{name} += {stem}_$")]
 
-    def low(x):  # the smallest coordinate, as min() over a list takes it
-        return f"{x}_0" if n == 1 else f"min({names(x)})"
+    def low(x):  # any coordinate or the dependent one at the floor, no min()
+        return " or ".join([*each(f"{x}_$ <= eps"), "last <= eps"])
 
     def stage(x, y, a, x1, y1, new_x, new_y, t_exit, *keep):
         # acceleration a at (x, y), then the next point (x1, y1) and its check
@@ -211,14 +213,16 @@ def _coupled_source(n):
             *total("su", y1),
             *keep,
             "last = 1.0 - s",
-            f"if {low(x1)} <= eps or last <= eps:",
+            f"if {low(x1)}:",
             "    _flush(times, pos, vel, i0 + 1, tb, pb, vb)",
             f"    return i + 1, {t_exit}",
             "sv = su",
         ]
 
     step = [
-        "t_next = min((i + 1) * step, t_end)",
+        "t_next = (i + 1) * step",
+        "if t_end < t_next:",
+        "    t_next = t_end",
         "h = t_next - t",
         "half = 0.5 * h",
         "sixth = h / 6.0",
@@ -239,7 +243,7 @@ def _coupled_source(n):
         f"    {names('u')}, = v",
         *("    " + line for line in total("s", "p") + total("sv", "u")),
         "    last = 1.0 - s",
-        f"    if {low('p')} <= eps or last <= eps:",
+        f"    if {low('p')}:",
         "        return 0, 0.0",
         "    t = 0.0",
         f"    for i0 in range(0, n_steps, {_ROWS_PER_FLUSH}):",
@@ -267,8 +271,13 @@ def rk4_coupled(theta0, v0, step, t_end, eps):
     on Python floats (see the module docstring).
 
     w_k is formed only once a stage's domain check has passed, so no
-    coordinate at or below the floor is divided by.  Rows are written into
-    the preallocated arrays every ``_ROWS_PER_FLUSH`` steps and on exit.
+    coordinate at or below the floor is divided by.  A domain check is the
+    chain ``p_0 <= eps or ... or last <= eps``: a NaN coordinate (and so
+    ``last``) compares false, and the other coordinates are still checked.
+    Only there does it differ from ``min(p_0, ...) <= eps``, which keeps a
+    first NaN and skips later ones (the reference never exits on a NaN).
+    Rows are written into the preallocated arrays every ``_ROWS_PER_FLUSH``
+    steps and on exit.
     """
     n_steps = step_count(step, t_end)
     times, pos, vel = _tables(theta0, v0, n_steps)

@@ -357,6 +357,21 @@ def test_module_run_writes_one_error_line(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["oracle-compare", "simplex-geodesic"])
+@pytest.mark.parametrize("w_raw", ["1e-170,-2e-170", "1e200,-3e200", "5e-324,0"])
+def test_extreme_direction_magnitudes_run_without_warnings(tmp_path, kind, w_raw):
+    # the norm of w_raw itself under- or overflows; the direction does not
+    src = Path(frgeo.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "frgeo.cli", kind,
+            "theta0=0.2,0.3", f"w_raw={w_raw}", "--out", str(tmp_path)]
+    proc = subprocess.run(
+        argv, capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+
+
 def test_conflicting_velocity_keys_rejected(tmp_path, capsys):
     code = run_cli(
         "simplex-geodesic", "tau=1.0", "w_raw=1,1", "--out", str(tmp_path)
@@ -967,6 +982,46 @@ def test_2d_float_array_json_keeps_every_float_text():
         text = "".join(_json_chunks(obj, ""))
         assert text == json.dumps(obj, indent=2, default=np.ndarray.tolist)
     assert json.loads("".join(_json_chunks(special, ""))) == special.tolist()
+
+
+def _non_finite(shape, dtype):
+    """Seeded floats of one dtype with NaN, inf and -inf at the first
+    item, the last item, and the items on both sides of the first block
+    boundary."""
+    rng = np.random.default_rng(shape[0] + 7 * shape[-1])
+    values = rng.standard_normal(shape).astype(dtype)
+    flat = values.reshape(-1)
+    per_block = _ITEMS_PER_WRITE if values.ndim == 1 else (
+        max(1, _ITEMS_PER_WRITE // shape[1]) * shape[1]
+    )
+    edge = min(per_block, flat.size - 1)
+    for k, x in zip((0, edge - 1, edge, -1), (np.nan, np.inf, -np.inf, np.nan)):
+        flat[k] = x
+    return values
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f8", "f4"])
+@pytest.mark.parametrize(
+    "shape", [(3,), (1025,), (3000,), (2, 2), (513, 2), (1025, 1), (700, 3)], ids=str
+)
+def test_float_array_json_with_nan_inf_matches_json_dumps(shape, dtype):
+    values = _non_finite(shape, dtype)
+    assert values.dtype == dtype and not np.all(np.isfinite(values))
+    for obj in (values, {"v": values, "after": [values, -np.inf]}, [values[:1], values]):
+        text = "".join(_json_chunks(obj, ""))
+        assert text == json.dumps(obj, indent=2, default=np.ndarray.tolist)
+
+
+@pytest.mark.parametrize(
+    "shape", [(5,), (1025,), (3, 1), (513, 2), (10001, 5)], ids=str
+)
+def test_float32_array_json_matches_json_dumps(shape):
+    rng = np.random.default_rng(shape[0])
+    values = (rng.standard_normal(shape) * 1e30).astype(np.float32)
+    values.reshape(-1)[:3] = [-0.0, np.float32(1e-45), np.finfo(np.float32).max]
+    for obj in (values, {"v": values, "w": [values]}):
+        text = "".join(_json_chunks(obj, ""))
+        assert text == json.dumps(obj, indent=2, default=np.ndarray.tolist)
 
 
 def test_2d_int_array_json_keeps_the_generic_path():

@@ -32,6 +32,7 @@ from frgeo import (
     geodesic_residual_coupled,
     geodesic_residual_decoupled,
     integrate,
+    metric_inner,
     normalize_velocity,
     simplex_flow_samples,
     simplex_state,
@@ -323,6 +324,21 @@ def test_ellipsoid_tangent():
     assert np.allclose(v.v, [r, r], atol=1e-15)
     with pytest.raises(ZeroDirection):
         ellipsoid_tangent(BARY, np.zeros(2))
+
+
+def test_ellipsoid_tangent_ignores_the_scale_of_the_direction():
+    # the direction is scaled by a power of two before its norm is taken,
+    # so w and ldexp(w, k) give the same velocity bit for bit, even where
+    # the norm of ldexp(w, k) itself over- or underflows
+    p = SimplexPoint(np.array([0.2, 0.3]))
+    w = np.array([0.7, -1.3])
+    v = ellipsoid_tangent(p, w).v
+    for k in (500, -500, 900, -900):
+        assert np.array_equal(ellipsoid_tangent(p, np.ldexp(w, k)).v, v), k
+    # the least subnormal is a direction too
+    tiny = ellipsoid_tangent(p, np.array([5e-324, 0.0])).v
+    assert np.all(np.isfinite(tiny)) and tiny[0] > 0.0 and tiny[1] == 0.0
+    assert metric_inner(p, TangentVector(tiny), TangentVector(tiny)) == pytest.approx(1.0)
 
 
 def test_ellipse_param_frozen():

@@ -246,6 +246,18 @@ def test_float_loop_leaves_its_arguments_and_first_row_alone():
     assert np.array_equal(theta0, saved[0]) and np.array_equal(v0, saved[1])
 
 
+def test_float_loop_checks_every_coordinate_beside_a_nan():
+    # a NaN coordinate compares false in the domain check, whatever its
+    # place; the other coordinates are still checked
+    for theta0 in ([np.nan, 0.0, 0.4], [0.0, np.nan, 0.4], [0.4, 0.0, np.nan]):
+        out = kernels.rk4_coupled(np.array(theta0), np.zeros(3), 0.1, 0.3, 1e-9)
+        assert out[3:] == (0, -1, 0.0), theta0
+    times, pos, _, n_valid, _, _ = kernels.rk4_coupled(
+        np.array([np.nan, 0.3, 0.4]), np.zeros(3), 0.1, 0.3, 1e-9
+    )
+    assert n_valid == times.size == 4 and np.all(np.isnan(pos[1:]))
+
+
 def test_float_loop_compiles_for_many_coordinates():
     # every sum is one statement per term, so no expression nests n deep
     theta0, v0 = _interior_start(300, seed=300)
