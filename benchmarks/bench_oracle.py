@@ -3,15 +3,16 @@
 
 For each free simplex dimension n (``--n``, default 2 and 5), one
 ``oracle-compare`` configuration: a seeded start ``theta0`` and direction
-``w_raw``, integrated at ``--step`` (default 1e-4) up to ``--t-end``, capped
-at 0.9 of the closed form's boundary touch.  The stages of the run are timed
-on the arrays the run makes:
+``w_raw`` (seed 0), integrated at ``--step`` (default 1e-4) up to t = 1,
+capped at 0.9 of the closed form's boundary touch.  The stages are timed on
+the arrays of one run (``frgeo.cli._oracle_compare_arrays``):
 
 * ``rk4 kernel``: ``kernels.rk4_coupled``, in µs per step;
 * ``closed form``: the closed form at the RK4 times and each row's largest
   deviation from RK4, in µs per row;
-* ``csv writer`` and ``json writer``: ``oracle_compare.csv`` and
-  ``oracle_compare.json`` as the CLI writes them, in ns per float written;
+* ``csv writer`` and ``json writer``: the runner's writer
+  (``frgeo.cli._write_oracle_compare``) for ``oracle_compare.csv`` and
+  ``oracle_compare.json``, in ns per float written;
 * ``%.17g floor`` and ``%r floor``: one bare ``%`` fill of the same floats
   (the CSV table's, and the JSON arrays'), ``tolist`` included: what
   formatting alone costs.  ``x floor`` is the median over the rounds of
@@ -49,73 +50,66 @@ from frgeo.geodesics import simplex_positions  # noqa: E402
 from frgeo.oracle import DOMAIN_EPS  # noqa: E402
 
 
-def overrides(n: int, seed: int, step: float, t_end: float) -> list[str]:
-    """``key=value`` tokens of a seeded start, direction, step and horizon."""
-    rng = np.random.default_rng(seed)
+# the seed of every start and direction, and the horizon before the cap
+SEED, T_END = 0, 1.0
+
+
+def config_pairs(n: int, step: float) -> dict[str, str]:
+    """``oracle-compare`` keys of a seeded start, direction, step and horizon."""
+    rng = np.random.default_rng(SEED)
     raw = rng.gamma(shape=2.0, scale=1.0, size=n + 1)
     theta0 = (0.98 * raw / raw.sum() + 0.02 / (n + 1))[:n]
     w_raw = rng.standard_normal(n)
     p0 = SimplexPoint(theta0)
-    horizon = min(t_end, 0.9 * boundary_touch_time(p0, ellipsoid_tangent(p0, w_raw)))
-    return [
-        "theta0=" + ",".join(map(repr, theta0.tolist())),
-        "w_raw=" + ",".join(map(repr, w_raw.tolist())),
-        f"step={step!r}",
-        f"t_end={horizon!r}",
-    ]
+    horizon = min(T_END, 0.9 * boundary_touch_time(p0, ellipsoid_tangent(p0, w_raw)))
+    return {
+        "theta0": ",".join(map(repr, theta0.tolist())),
+        "w_raw": ",".join(map(repr, w_raw.tolist())),
+        "step": repr(step),
+        "t_end": repr(horizon),
+    }
 
 
 def run_dimension(n: int, args, tmp: Path) -> None:
-    tokens = overrides(n, args.seed, args.step, args.t_end)
+    pairs = config_pairs(n, args.step)
+    tokens = [f"{key}={value}" for key, value in pairs.items()]
     by_cli, ours = tmp / f"cli_{n}", tmp / f"bench_{n}"
     for fmt in ("csv", "json"):
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["oracle-compare", *tokens, "--format", fmt, "--out", str(by_cli)])
         if code != 0:
             raise SystemExit(f"n = {n}: oracle-compare --format {fmt} exited {code}")
-    cfg = cli.validate_config("oracle-compare", cli._merge_overrides({}, tokens), ours, "json")
-    cfg.out_dir.mkdir(parents=True)
-    p = cfg.params
+    csv_cfg, json_cfg = (
+        cli.validate_config("oracle-compare", pairs, ours, fmt) for fmt in ("csv", "json")
+    )
+    ours.mkdir(parents=True)
+    # the arrays of one run, which both writers write
+    arrays = cli._oracle_compare_arrays(csv_cfg)
+    _, times, closed, rk4, diff = arrays
+    p = csv_cfg.params
     p0 = SimplexPoint(p["theta0"])
-    ((tau, v),) = cli._resolve_velocities(p, allow_sweep=False)
+    v = ellipsoid_tangent(p0, p["w_raw"])
     theta0, v0 = np.ascontiguousarray(p0.theta), np.ascontiguousarray(v.v)
     step, t_end = float(p["step"]), float(p["t_end"])
-
-    times, rk4, _, n_valid, _, _ = kernels.rk4_coupled(theta0, v0, step, t_end, DOMAIN_EPS)
-    if n_valid != times.size:
-        raise SystemExit(f"n = {n}: RK4 left the domain")
 
     def closed_form():
         closed = simplex_positions(p0, v, times)[:, :n]
         return closed, np.abs(closed - rk4).max(axis=1)
 
-    closed, diff = closed_form()
-    header = (
-        ["t"] + [f"theta_{i + 1}" for i in range(n)]
-        + [f"rk4_theta_{i + 1}" for i in range(n)] + ["abs_diff"]
-    )
-    table = np.column_stack([times, closed, rk4, diff])
-    obj = {
-        "config": {**cfg.echo, "tau": tau},
-        "times": times,
-        "closed": closed,
-        "rk4": rk4,
-        "max_abs_diff": float(diff.max()),
-    }
-    csv_floats = table.ravel()
+    # the floats of the CSV table and of the JSON arrays, in any order
     json_floats = np.concatenate([times, closed.ravel(), rk4.ravel()])
+    csv_floats = np.concatenate([json_floats, diff])
     g_fill = "\n".join(["%.17g"] * csv_floats.size)
     r_fill = "\n".join(["%r"] * json_floats.size)
-    csv_path, json_path = ours / "oracle_compare.csv", ours / "oracle_compare.json"
 
     # (name, stage, unit count, unit name, floor)
     cases = [
         ("rk4 kernel", lambda: kernels.rk4_coupled(theta0, v0, step, t_end, DOMAIN_EPS),
          times.size - 1, "us/step", None),
         ("closed form", closed_form, times.size, "us/row", None),
-        ("csv writer", lambda: cli._write_table(csv_path, header, table),
+        ("csv writer", lambda: cli._write_oracle_compare(csv_cfg, *arrays),
          csv_floats.size, "ns/float", "%.17g floor"),
-        ("json writer", lambda: cli._write_json(json_path, obj),
+        ("json writer", lambda: cli._write_oracle_compare(json_cfg, *arrays),
          json_floats.size, "ns/float", "%r floor"),
         ("%.17g floor", lambda: g_fill % tuple(csv_floats.tolist()),
          csv_floats.size, "ns/float", None),
@@ -149,11 +143,7 @@ def main() -> None:
         help="free simplex dimensions: a range 1-7 or a list 2,5",
     )
     ap.add_argument("--step", type=float, default=1e-4, help="RK4 step size")
-    ap.add_argument(
-        "--t-end", type=float, default=1.0, help="horizon (capped below the touch)"
-    )
     ap.add_argument("--repeats", type=int, default=5, help="round-robin rounds")
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
     print(f"step = {args.step:g}, median of {args.repeats} round-robin rounds")

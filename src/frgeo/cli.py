@@ -809,7 +809,9 @@ def _run_moments(cfg: ExperimentConfig) -> list[Path]:
     return [path]
 
 
-def _run_oracle_compare(cfg: ExperimentConfig) -> list[Path]:
+def _oracle_compare_arrays(cfg: ExperimentConfig):
+    """tau, the RK4 times, the closed form and RK4 positions at them, and
+    each row's largest absolute difference between the two."""
     p = cfg.params
     p0 = SimplexPoint(p["theta0"])
     ((tau, v),) = _resolve_velocities(p, allow_sweep=False)
@@ -819,30 +821,38 @@ def _run_oracle_compare(cfg: ExperimentConfig) -> list[Path]:
         raise ConfigError("step", f"the RK4 table does not fit in memory: {exc}")
     closed = simplex_positions(p0, v, traj.times)[:, : p0.n]
     diff = np.abs(closed - traj.positions).max(axis=1)
+    return tau, traj.times, closed, traj.positions, diff
 
+
+def _write_oracle_compare(cfg: ExperimentConfig, tau, times, closed, rk4, diff) -> Path:
+    """``oracle_compare.csv`` or ``.json`` of the arrays, in ``cfg.fmt``."""
+    n = closed.shape[1]
     if cfg.fmt == "csv":
         path = cfg.out_dir / "oracle_compare.csv"
         header = (
             ["t"]
-            + [f"theta_{i + 1}" for i in range(p0.n)]
-            + [f"rk4_theta_{i + 1}" for i in range(p0.n)]
+            + [f"theta_{i + 1}" for i in range(n)]
+            + [f"rk4_theta_{i + 1}" for i in range(n)]
             + ["abs_diff"]
         )
-        table = np.column_stack([traj.times, closed, traj.positions, diff])
-        _write_table(path, header, table)
+        _write_table(path, header, np.column_stack([times, closed, rk4, diff]))
     else:
         path = cfg.out_dir / "oracle_compare.json"
         _write_json(
             path,
             {
                 "config": {**cfg.echo, "tau": tau},
-                "times": traj.times,
+                "times": times,
                 "closed": closed,
-                "rk4": traj.positions,
+                "rk4": rk4,
                 "max_abs_diff": float(diff.max()),
             },
         )
-    return [path]
+    return path
+
+
+def _run_oracle_compare(cfg: ExperimentConfig) -> list[Path]:
+    return [_write_oracle_compare(cfg, *_oracle_compare_arrays(cfg))]
 
 
 _RUNNERS = {

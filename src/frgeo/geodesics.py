@@ -280,8 +280,10 @@ def ellipsoid_tangent(p: sx.SimplexPoint, w_raw: np.ndarray) -> sx.TangentVector
     """Scale a direction onto the unit Fisher sphere at p.
 
     w is first scaled by the power of two that brings max |w_k| into
-    [1/2, 1), so its norm cannot over- or underflow.  The scaling is exact:
-    wherever the norm of w itself does neither, the result is unchanged.
+    [1/2, 1), so its norm cannot over- or underflow.  The scaling is exact
+    unless it makes a component subnormal (one about 2^1022 times smaller
+    than max |w_k|: 5e-324 beside 1 scales to 0); short of that, wherever the
+    norm of w itself neither over- nor underflows, the result is unchanged.
     """
     w = np.atleast_1d(np.asarray(w_raw, dtype=float))
     if not np.any(w != 0.0):
