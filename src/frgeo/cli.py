@@ -37,9 +37,9 @@ of the cell indices into center texts formatted once per grid, built a
 block at a time; every frame of a group fills it with one ``bytes.replace``
 by its class's text.  A JSON run of n cells is its class's text and
 separator repeated n - 1 times, then the text.
-A catalog pair is projected onto the grid's cell classes (products of
-per-axis runs on which both catalogs' averages are constant, see
-``frgeo.boxes.grid_classes``), and the flow is one scalar geodesic per
+``frgeo.pixelation.project_pair`` projects a catalog pair onto the grid's
+cell classes (products of per-axis runs on which both catalogs' averages
+are constant), as for a ladder level, and the flow is one scalar geodesic per
 class: projection, normalisation, the state's checks and ``moments`` cost
 O(per-axis cell types), whatever the level.  Cells appear only at write
 time: each density frame (and the density archive's ``alpha``/``beta``) is
@@ -69,7 +69,7 @@ from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
-from .boxes import BoxFunction, grid_classes, load_catalog
+from .boxes import BoxFunction, load_catalog
 from .catalogs import BUILTIN_CATALOGS
 from .errors import (
     ConfigError,
@@ -96,11 +96,12 @@ from .pixelation import (
     TentFunction,
     build_ladder,
     ladder_summary_rows,
+    project_pair,
     test_functions_1d,
     test_functions_2d,
 )
 from .simplex import BOUNDARY_FLOOR, SimplexPoint, TangentVector
-from .spaces import CellClasses, DyadicGrid, FiniteDensity, SignedFunction
+from .spaces import CellClasses, DyadicGrid
 
 FLOAT_FMT = "%.17g"
 
@@ -188,8 +189,6 @@ class _Key:
     default: object
     doc: str
 
-
-_REQUIRED = object()  # sentinel default for keys that must be given
 
 _COMMON_SIMPLEX_KEYS = {
     "theta0": _Key(_parse_vector, "1/3,1/3", "free simplex coordinates"),
@@ -284,14 +283,10 @@ def _merge_overrides(pairs: dict[str, str], overrides: list[str]) -> dict[str, s
 
 
 def _jsonable(value):
-    if isinstance(value, BoxFunction):
-        return None  # replaced by the raw token in validate_config
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, Path):
-        return str(value)
     return value
 
 
@@ -316,8 +311,6 @@ def validate_config(
                 value = spec.parse(token)
             except (ValueError, ZeroDivisionError, InvalidCatalogFunction) as exc:
                 raise ConfigError(key, f"cannot parse {token!r}: {exc}")
-        elif spec.default is _REQUIRED:
-            raise ConfigError(key, "required key is missing")
         else:
             value = spec.default
         params[key] = value
@@ -629,15 +622,12 @@ def _run_simplex_geodesic(cfg: ExperimentConfig) -> list[Path]:
 
 
 def _catalog_state(f0_cat: BoxFunction, g0_cat: BoxFunction, level: int) -> GeodesicState:
-    """Project a catalog pair onto a grid's cell classes and normalize it
-    into a geodesic state on them."""
-    grid = DyadicGrid(f0_cat.dimension, level)
-    classes = grid_classes(grid, f0_cat.bounds, g0_cat.bounds)
+    """Project a catalog pair onto a grid's cell classes (``project_pair``)
+    and normalize it into a geodesic state on them."""
     try:
-        f0 = FiniteDensity(classes, f0_cat.class_averages(classes))
+        f0, g_raw = project_pair(f0_cat, g0_cat, level)
     except ValueError as exc:
         raise ConfigError("f0", str(exc))
-    g_raw = SignedFunction(classes, g0_cat.class_averages(classes))
     return geodesic_flow(f0, normalize_velocity(f0, g_raw))
 
 

@@ -33,7 +33,7 @@ class NotUnitSpeed(FrgeoError):
 
 
 class DegenerateVelocity(FrgeoError):
-    """Velocity with (numerically) zero energy cannot be normalized."""
+    """Velocity with (numerically) zero or overflowing energy cannot be normalized."""
 
 
 class NotCentered(FrgeoError):

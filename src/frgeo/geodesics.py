@@ -63,14 +63,14 @@ class UnitVelocity:
         if self.g.space != self.f0.space:
             raise SpaceMismatch("velocity and density live on different spaces")
         mean = integrate(self.g)
-        if abs(mean) > UNIT_VELOCITY_MEAN_TOL:
+        if not abs(mean) <= UNIT_VELOCITY_MEAN_TOL:
             raise NotCentered(f"velocity mean is {mean!r}, not 0")
-        if self.f0.min_value <= 0.0:
+        if not self.f0.min_value > 0.0:
             raise NonpositiveInitialDensity("companion density must be positive")
         energy = float(
             np.dot(self.g.values**2 / self.f0.values, self.g.space.weights)
         )
-        if abs(energy - 1.0) > UNIT_SPEED_TOL:
+        if not abs(energy - 1.0) <= UNIT_SPEED_TOL:
             raise NotUnitSpeed(f"velocity energy is {energy!r}, not 1")
 
     @property
@@ -95,16 +95,15 @@ class GeodesicState:
             object.__setattr__(self, name, arr)
             if arr.shape != (self.space.n_points,):
                 raise ValueError(f"{name} does not match the space")
-        if np.any(self.alpha <= 0):
+        if not np.all(self.alpha > 0):
             raise ValueError("alpha must be strictly positive")
         mass = float(np.dot(self.alpha, self.space.weights))
-        if abs(mass - 2.0) > ALPHA_MASS_TOL:
+        if not abs(mass - 2.0) <= ALPHA_MASS_TOL:
             raise ValueError(f"integral of alpha is {mass!r}, expected 2")
         # the amplitude/phase pair must reconstruct the initial data
         y0, z0, _ = evaluate_scalar(self.alpha, self.beta, 0.0)
-        if np.max(np.abs(y0 - self.f0)) > ALPHA_MASS_TOL or np.max(
-            np.abs(z0 - self.g0)
-        ) > ALPHA_MASS_TOL:
+        gap = np.max(np.abs(np.concatenate([y0 - self.f0, z0 - self.g0])))
+        if not gap <= ALPHA_MASS_TOL:
             raise ValueError("(alpha, beta) do not reconstruct (f0, g0)")
 
 
@@ -135,20 +134,35 @@ def evaluate_scalar(alpha, beta, t):
 
 
 def normalize_velocity(f0: FiniteDensity, g_raw: SignedFunction) -> UnitVelocity:
-    """Scale a centered velocity candidate to unit energy against f0."""
+    """Scale a centered velocity candidate to unit energy against f0.
+
+    Where the energy of g overflows, it is taken again with g scaled exactly
+    by the power of two 2^-e that brings max |g| into [1/2, 1), as in
+    ``ellipsoid_tangent``.  DegenerateVelocity is raised if that overflows
+    too, or if the energy (times 2^2e when scaled) is at most DEGENERATE_ENERGY.
+    """
     if g_raw.space != f0.space:
         raise SpaceMismatch("velocity candidate and density spaces differ")
     mean = integrate(g_raw)
-    if abs(mean) > CENTERING_TOL:
+    if not abs(mean) <= CENTERING_TOL:
         raise NotCentered(f"velocity mean is {mean!r}, not 0")
-    if f0.min_value <= 0.0:
+    if not f0.min_value > 0.0:
         raise NonpositiveInitialDensity("density must be strictly positive")
-    energy = velocity_energy(f0, g_raw.values)
-    if energy <= DEGENERATE_ENERGY:
+    g, e = g_raw.values, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = velocity_energy(f0, g)
+        if not math.isfinite(energy):
+            e = math.frexp(float(np.max(np.abs(g))))[1]
+            g = np.ldexp(g, -e)
+            energy = velocity_energy(f0, g)
+        unscaled = float(np.ldexp(energy, 2 * e))
+    if not math.isfinite(energy):
+        raise DegenerateVelocity(f"velocity energy overflows even with g scaled by 2^{-e}")
+    if not unscaled > DEGENERATE_ENERGY:
         raise DegenerateVelocity(
-            f"velocity energy {energy!r} too small to normalize"
+            f"velocity energy {unscaled!r} too small to normalize"
         )
-    g = g_raw.values / math.sqrt(energy)
+    g = g / math.sqrt(energy)
     # one refinement pass tightens the float rounding of the first scaling
     g = g / math.sqrt(velocity_energy(f0, g))
     return UnitVelocity(SignedFunction(f0.space, g), f0)
@@ -165,11 +179,6 @@ def geodesic_flow(f0: FiniteDensity, g0: UnitVelocity) -> GeodesicState:
         raise SpaceMismatch("density and velocity live on different spaces")
     if not np.array_equal(g0.f0.values, f0.values):
         raise SpaceMismatch("velocity was normalized against a different density")
-    if f0.min_value <= 0.0:
-        raise NonpositiveInitialDensity("initial density must be positive")
-    energy = float(np.dot(g0.g.values**2 / f0.values, f0.space.weights))
-    if abs(energy - 1.0) > UNIT_SPEED_TOL:
-        raise NotUnitSpeed(f"velocity energy is {energy!r}, not 1")
     y0 = f0.values
     z0 = g0.g.values
     alpha = (y0 * y0 + z0 * z0) / y0
@@ -210,7 +219,7 @@ def simplex_state(p0: sx.SimplexPoint, v0: sx.TangentVector) -> GeodesicState:
     space = FiniteMeasureSpace.counting(p0.n + 1)
     f0 = FiniteDensity(space, p0.full)
     speed2 = sx.metric_inner(p0, v0, v0)
-    if abs(speed2 - 1.0) > UNIT_SPEED_TOL:
+    if not abs(speed2 - 1.0) <= UNIT_SPEED_TOL:
         raise NotUnitSpeed(f"Fisher speed squared is {speed2!r}, not 1")
     g0 = UnitVelocity(SignedFunction(space, v0.full), f0)
     return geodesic_flow(f0, g0)

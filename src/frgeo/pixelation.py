@@ -5,10 +5,10 @@ Starting from exact box catalogs (f0, g0) on [0,1)^m satisfying
     f0 >= delta > 0,   integral f0 = 1,   integral g0 = 0,
     integral g0^2 / f0 = 1,
 
-each level j produces discrete initial data by exact cell averaging:
-f0_j = avg(f0), g0_j = avg(g0).  Averaging preserves the first two integrals
-exactly but shrinks the energy, so the level restores it with the
-renormalizer
+each level j averages them exactly over its cell classes, f0_j = avg(f0)
+and g0_j = avg(g0) (``project_pair``, the grid kinds' projection too).
+Averaging preserves the first two integrals exactly but shrinks the energy,
+so the level restores it with the renormalizer
 
     alpha_j = integral (g0_j)^2 / f0_j dmu_j,      g_j = g0_j / sqrt(alpha_j).
 
@@ -27,8 +27,8 @@ box and W_b the product over axes of the staircase's integral over the
 box's side.  A tent is linear between its kinks c - r, c and c + r, so that
 integral is two arithmetic series in integers, rounded once
 (``_axis_integrals``); the sums are math.fsum's, so each pairing is within
-a few ulp of its exact value, and a summary costs O(regions + classes),
-whatever J_ref is.
+a few ulp of its exact value.  ``_level_errors`` pairs the continuum side
+once per ladder, so a summary costs O(regions + classes), whatever J_ref is.
 """
 
 from __future__ import annotations
@@ -119,7 +119,6 @@ class LadderLevel:
     both on the grid's cell classes."""
 
     level: int
-    grid: DyadicGrid
     density: FiniteDensity
     alpha: float
     degenerate: bool
@@ -134,15 +133,11 @@ class PixelationLadder:
     f0: BoxFunction
     g0: BoxFunction
     regions: tuple[OverlayRegion, ...]
-    delta: float
     levels: dict[int, LadderLevel]
 
     @property
     def max_level(self) -> int:
         return max(self.levels)
-
-    def grid(self, j: int) -> DyadicGrid:
-        return self.levels[j].grid
 
 
 def _check_hypotheses(f0: BoxFunction, g0: BoxFunction, delta) -> tuple:
@@ -171,6 +166,14 @@ def _check_hypotheses(f0: BoxFunction, g0: BoxFunction, delta) -> tuple:
     return regions
 
 
+def project_pair(f0: BoxFunction, g0: BoxFunction, j: int) -> tuple[FiniteDensity, SignedFunction]:
+    """A catalog pair averaged over the level-j cell classes: the density
+    (ValueError if it is not one) and the velocity before renormalization."""
+    classes = grid_classes(DyadicGrid(f0.dimension, j), f0.bounds, g0.bounds)
+    fd = FiniteDensity(classes, f0.class_averages(classes))
+    return fd, SignedFunction(classes, g0.class_averages(classes))
+
+
 def build_ladder(
     f0: BoxFunction,
     g0: BoxFunction,
@@ -189,19 +192,12 @@ def build_ladder(
     regions = _check_hypotheses(f0, g0, delta)
     out = {}
     for j in sorted(set(int(j) for j in levels)):
-        grid = DyadicGrid(f0.dimension, j)
-        classes = grid_classes(grid, f0.bounds, g0.bounds)
-        fd = FiniteDensity(classes, f0.class_averages(classes))
-        g_raw = SignedFunction(classes, g0.class_averages(classes))
+        fd, g_raw = project_pair(f0, g0, j)
         alpha = velocity_energy(fd, g_raw.values)
-        if alpha <= DEGENERATE_ALPHA:
-            out[j] = LadderLevel(j, grid, fd, alpha, True, None)
-            continue
-        state = geodesic_flow(fd, normalize_velocity(fd, g_raw))
-        out[j] = LadderLevel(j, grid, fd, alpha, False, state)
-    return PixelationLadder(
-        f0.dimension, f0, g0, tuple(regions), float(delta), out
-    )
+        degenerate = alpha <= DEGENERATE_ALPHA
+        state = None if degenerate else geodesic_flow(fd, normalize_velocity(fd, g_raw))
+        out[j] = LadderLevel(j, fd, alpha, degenerate, state)
+    return PixelationLadder(f0.dimension, f0, g0, tuple(regions), out)
 
 
 def alpha_sequence(ladder: PixelationLadder) -> list[tuple[int, float]]:
@@ -250,8 +246,7 @@ def _axis_integrals(phi: TentFunction, axis: int, j_ref: int, points) -> list[fl
 
 def region_flow_values(regions, t: float) -> np.ndarray:
     """Exact continuum flow value on each overlay region at time t."""
-    f = np.array([float(r.f_value) for r in regions])
-    g = np.array([float(r.g_value) for r in regions])
+    f, g, _ = _block_values(regions)
     alpha = (f * f + g * g) / f
     beta = np.arctan(g / f)
     c = np.cos(t / 2.0 - beta)
@@ -332,6 +327,24 @@ def _flow_error(level: LadderLevel, t: float, phi_coarse, cont: float) -> float:
     return abs(disc - cont)
 
 
+def _level_errors(ladder: PixelationLadder, phi: TentFunction, j_ref, levels, times=()):
+    """Per level of ``levels``: its LadderLevel, e_f, e_g, e_q and the weak
+    errors at ``times``, None where a degenerate level has no state.  phi's
+    region weights and the continuum pairings are built once for all levels."""
+    j_ref, weights = _separable_phi(ladder, phi, j_ref)
+    flows = [region_flow_values(ladder.regions, t) for t in times]
+    cont = [_pairing(v, weights) for v in (*_block_values(ladder.regions), *flows)]
+    for j in levels:
+        level = _ladder_level(ladder, j)
+        phi_coarse = _phi_coarse(phi, j_ref, level.density.space)
+        e_f, e_g, e_q = _block_errors(level, phi_coarse, cont[:3])
+        flow = [
+            None if level.degenerate else _flow_error(level, t, phi_coarse, c)
+            for t, c in zip(times, cont[3:])
+        ]
+        yield level, e_f, e_g, e_q, flow
+
+
 def weak_error(
     ladder: PixelationLadder,
     j: int,
@@ -345,15 +358,12 @@ def weak_error(
     J_ref staircase of phi, so the only representation error left is phi's.
     Requires j_ref strictly above every ladder level (default: max + 4).
     """
-    level = _ladder_level(ladder, j)
-    if level.degenerate:
+    if _ladder_level(ladder, j).degenerate:
         raise HypothesisViolation(
             "degenerate-level", f"level {j} carries no geodesic state"
         )
-    j_ref, weights = _separable_phi(ladder, phi, j_ref)
-    phi_coarse = _phi_coarse(phi, j_ref, level.state.space)
-    cont = _pairing(region_flow_values(ladder.regions, t), weights)
-    return _flow_error(level, t, phi_coarse, cont)
+    [(*_, [error])] = _level_errors(ladder, phi, j_ref, [j], [t])
+    return error
 
 
 def three_term_errors(
@@ -368,12 +378,8 @@ def three_term_errors(
     e_q the discrete kinetic ratio g_j^2/f0_j against g0^2/f0.  At a
     degenerate level only e_f is defined; the other two come back as None.
     """
-    j_ref, weights = _separable_phi(ladder, phi, j_ref)
-    level = _ladder_level(ladder, j)
-    phi_coarse = _phi_coarse(phi, j_ref, level.density.space)
-    values = _block_values(ladder.regions)[: 1 if level.degenerate else 3]
-    cont = [_pairing(v, weights) for v in values]
-    return _block_errors(level, phi_coarse, cont)
+    [(_, e_f, e_g, e_q, _)] = _level_errors(ladder, phi, j_ref, [j])
+    return e_f, e_g, e_q
 
 
 def ladder_summary_rows(
@@ -384,27 +390,12 @@ def ladder_summary_rows(
     """Per-level summary rows, one dict of LADDER_FIELDS per level, that
     ``frgeo.cli`` writes as ladder CSV (``write_ladder_csv``) and JSON.
 
-    Each row holds three_term_errors and weak_error at t = 0 and t = pi/2.
-    phi's region weights and the five continuum pairings (f0, g0, g0^2/f0
-    and the flow at both times) do not depend on the level, so they are
-    built once per ladder; each level adds only its discrete pairings.
+    Each row holds the level, alpha_j, degeneracy, three_term_errors and
+    weak_error at t = 0 and t = pi/2, from one ``_level_errors`` pass.
     """
-    j_ref, weights = _separable_phi(ladder, phi, j_ref)
-    times = (0.0, math.pi / 2.0)
-    flows = [region_flow_values(ladder.regions, t) for t in times]
-    cont = [_pairing(v, weights) for v in (*_block_values(ladder.regions), *flows)]
+    levels = sorted(ladder.levels)
     rows = []
-    for j in sorted(ladder.levels):
-        level = ladder.levels[j]
-        phi_coarse = _phi_coarse(phi, j_ref, level.density.space)
-        e_f, e_g, e_q = _block_errors(level, phi_coarse, cont[:3])
-        if level.degenerate:
-            w0 = wpi2 = None
-        else:
-            w0, wpi2 = (
-                _flow_error(level, t, phi_coarse, c) for t, c in zip(times, cont[3:])
-            )
-        row = (j, level.alpha, level.degenerate, e_f, e_g, e_q, w0, wpi2)
+    for level, *errors, flow in _level_errors(ladder, phi, j_ref, levels, (0.0, math.pi / 2)):
+        row = (level.level, level.alpha, level.degenerate, *errors, *flow)
         rows.append(dict(zip(LADDER_FIELDS, row)))
     return rows
-

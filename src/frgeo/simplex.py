@@ -51,7 +51,7 @@ class SimplexPoint:
         if self.theta.ndim != 1 or self.theta.size < 1:
             raise ValueError("theta must be a nonempty vector")
         last = 1.0 - float(np.sum(self.theta))
-        if np.min(self.theta) < BOUNDARY_FLOOR or last < BOUNDARY_FLOOR:
+        if not (np.min(self.theta) >= BOUNDARY_FLOOR and last >= BOUNDARY_FLOOR):
             raise ValueError(
                 "point is on or numerically too close to the simplex boundary"
             )

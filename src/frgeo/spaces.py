@@ -127,59 +127,14 @@ class DyadicGrid(FiniteMeasureSpace):
     def cell_weight(self) -> float:
         return 0.5 ** (self.level * self.dimension)
 
-    def refine(self) -> "DyadicGrid":
-        return DyadicGrid(self.dimension, self.level + 1)
-
-    def multi_index(self, flat: int) -> tuple[int, ...]:
-        """Multi-index (k_1, ..., k_m) of a linear cell index."""
-        if not 0 <= flat < self.cell_count:
-            raise IndexError(f"cell index {flat} out of range")
-        side = self.side_count
-        out = []
-        for _ in range(self.dimension):
-            out.append(flat % side)
-            flat //= side
-        return tuple(reversed(out))
-
-    def flat_index(self, multi: tuple[int, ...]) -> int:
-        """Linear index of a multi-index (k_m varies fastest)."""
-        if len(multi) != self.dimension:
-            raise ValueError("multi-index has wrong length")
-        flat = 0
-        for k in multi:
-            if not 0 <= k < self.side_count:
-                raise IndexError(f"axis index {k} out of range")
-            flat = flat * self.side_count + int(k)
-        return flat
-
-    def children(self, flat: int) -> np.ndarray:
-        """Linear indices, at level+1, of the 2^m cells refining cell ``flat``."""
-        child = self.refine()
-        base = self.multi_index(flat)
-        idx = []
-        for offset in range(1 << self.dimension):
-            bits = [(offset >> (self.dimension - 1 - d)) & 1 for d in range(self.dimension)]
-            idx.append(child.flat_index(tuple(2 * k + b for k, b in zip(base, bits))))
-        return np.array(sorted(idx))
-
-    def _axis_coords(self) -> np.ndarray:
-        return np.arange(self.side_count, dtype=float)
-
-    def corners(self) -> np.ndarray:
-        """(N, m) array of lower-left cell corners k 2^-level."""
-        return self._lattice(self._axis_coords() * self.cell_side)
-
     def centers(self) -> np.ndarray:
         """(N, m) array of cell centers (k + 1/2) 2^-level."""
-        return self._lattice(self.axis_centers())
+        mesh = np.meshgrid(*[self.axis_centers()] * self.dimension, indexing="ij")
+        return np.stack([g.reshape(-1) for g in mesh], axis=-1)
 
     def axis_centers(self) -> np.ndarray:
         """The 2^level cell centers (k + 1/2) 2^-level along one axis."""
-        return (self._axis_coords() + 0.5) * self.cell_side
-
-    def _lattice(self, axis: np.ndarray) -> np.ndarray:
-        mesh = np.meshgrid(*[axis] * self.dimension, indexing="ij")
-        return np.stack([g.reshape(-1) for g in mesh], axis=-1)
+        return (np.arange(self.side_count) + 0.5) * self.cell_side
 
     def __eq__(self, other) -> bool:
         return (
@@ -260,10 +215,10 @@ class FiniteDensity(SignedFunction):
 
     def __post_init__(self):
         super().__post_init__()
-        if np.any(self.values < 0):
+        if not np.all(self.values >= 0):
             raise ValueError("density values must be non-negative")
         total = float(np.dot(self.values, self.space.weights))
-        if abs(total - 1.0) > NORMALIZATION_TOL:
+        if not abs(total - 1.0) <= NORMALIZATION_TOL:
             raise ValueError(
                 f"density integrates to {total!r}, not 1 (tol {NORMALIZATION_TOL})"
             )

@@ -357,19 +357,80 @@ def test_module_run_writes_one_error_line(tmp_path):
     assert not out.exists()
 
 
+def run_cli_warnings_as_errors(*argv):
+    """``frgeo`` in a child process in which every RuntimeWarning is an error."""
+    src = Path(frgeo.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "frgeo.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
 @pytest.mark.parametrize("kind", ["oracle-compare", "simplex-geodesic"])
 @pytest.mark.parametrize("w_raw", ["1e-170,-2e-170", "1e200,-3e200", "5e-324,0"])
 def test_extreme_direction_magnitudes_run_without_warnings(tmp_path, kind, w_raw):
     # the norm of w_raw itself under- or overflows; the direction does not
-    src = Path(frgeo.__file__).resolve().parents[1]
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "frgeo.cli", kind,
-            "theta0=0.2,0.3", f"w_raw={w_raw}", "--out", str(tmp_path)]
-    proc = subprocess.run(
-        argv, capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=path),
+    proc = run_cli_warnings_as_errors(
+        kind, "theta0=0.2,0.3", f"w_raw={w_raw}", "--out", str(tmp_path)
     )
     assert proc.returncode == 0 and proc.stderr == ""
+
+
+def two_box_catalog(path, value, split):
+    """A 1-D catalog file: ``value`` on [0, split), ``-value`` on [split, 1)."""
+    path.write_text(f"{value} 0 {split}\n-{value} {split} 1\n")
+    return path
+
+
+@pytest.mark.parametrize("kind", ["density-geodesic", "moments"])
+def test_huge_velocity_values_normalize_without_warnings(tmp_path, kind):
+    # g0 = +-1e308 overflows g0^2 unless it is scaled first; scaled, it
+    # normalizes to the same unit velocity as g0 = +-1
+    huge = two_box_catalog(tmp_path / "huge.txt", "1e308", "1/2")
+    one = two_box_catalog(tmp_path / "one.txt", "1", "1/2")
+    proc = run_cli_warnings_as_errors(
+        kind, "f0=uniform1d", f"g0={huge}", "level=2", "--out", str(tmp_path / "huge")
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert run_cli(
+        kind, "f0=uniform1d", f"g0={one}", "level=2", "--out", str(tmp_path / "one")
+    ) == 0
+    names = sorted(p.name for p in (tmp_path / "one").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "huge").iterdir())
+    for name in names:
+        assert (tmp_path / "huge" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["density-geodesic", "moments"])
+@pytest.mark.parametrize(
+    "f0, g0, message",
+    [
+        # f0 = 1e-320 beside g0 = +-1: the energy overflows even scaled
+        ("tiny", ("1", "1/4"), "overflows"),
+        # the energy is 1e-600 or 1e-320: degenerate, as it always was
+        ("uniform1d", ("1e-300", "1/2"), "too small"),
+        ("uniform1d", ("1e-160", "1/2"), "too small"),
+    ],
+)
+def test_unnormalizable_velocity_energies_exit_3(tmp_path, kind, f0, g0, message):
+    if f0 == "tiny":
+        rest = Fraction(2) - Fraction("1e-320")
+        f0 = tmp_path / "tiny.txt"
+        f0.write_text(f"1e-320 0 1/2\n{rest} 1/2 1\n")
+        g0_path = tmp_path / "g0.txt"
+        g0_path.write_text(f"{g0[0]} 0 1/4\n-{g0[0]} 1/4 1/2\n0 1/2 1\n")
+    else:
+        g0_path = two_box_catalog(tmp_path / "g0.txt", *g0)
+    out = tmp_path / "out"
+    proc = run_cli_warnings_as_errors(
+        kind, f"f0={f0}", f"g0={g0_path}", "level=2", "--out", str(out)
+    )
+    assert proc.returncode == 3
+    err = proc.stderr.splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "DegenerateVelocity" and message in payload["message"]
 
 
 def test_conflicting_velocity_keys_rejected(tmp_path, capsys):

@@ -128,6 +128,8 @@ def test_normalize_velocity_rejections():
     f0 = FiniteDensity(grid, np.ones(8))
     with pytest.raises(NotCentered):
         normalize_velocity(f0, SignedFunction(grid, np.ones(8)))
+    with pytest.raises(NotCentered):
+        normalize_velocity(f0, SignedFunction(grid, np.full(8, np.nan)))
     with pytest.raises(SpaceMismatch):
         normalize_velocity(f0, SignedFunction(DyadicGrid(1, 2), np.zeros(4)))
     zero_cell = np.array([0.0, 2.0] + [1.0] * 6)
@@ -139,6 +141,15 @@ def test_normalize_velocity_rejections():
         )
 
 
+def test_normalize_velocity_keeps_unscaled_energy_that_is_finite():
+    # g^2 = 1e-320 underflows but g^2 / f0 is about 1: scaling g up to
+    # max |g| ~ 1 first would overflow g^2 / f0 = 1e-320^-1 instead
+    grid = DyadicGrid(1, 2)
+    f0 = FiniteDensity(grid, [1e-320, 1e-320, 2.0, 2.0])
+    g = normalize_velocity(f0, SignedFunction(grid, [1e-160, -1e-160, 0.0, 0.0]))
+    assert g.g.values[0] > 0 > g.g.values[1]
+
+
 def test_unit_velocity_validation():
     grid = DyadicGrid(1, 3)
     f0 = FiniteDensity(grid, np.ones(8))
@@ -147,6 +158,8 @@ def test_unit_velocity_validation():
         UnitVelocity(SignedFunction(grid, good), f0)
     with pytest.raises(NotCentered):
         UnitVelocity(SignedFunction(grid, np.full(8, 0.5)), f0)
+    with pytest.raises(NotCentered):
+        UnitVelocity(SignedFunction(grid, np.full(8, np.nan)), f0)
 
 
 def test_geodesic_flow_frozen_amplitudes():
@@ -166,6 +179,25 @@ def test_geodesic_state_rejects_inconsistent_data():
     with pytest.raises(ValueError):
         # alpha/beta do not reconstruct the claimed f0
         GeodesicState(grid, 2 * ones, 0 * ones, ones, 0 * ones)
+
+
+@pytest.mark.parametrize(
+    "field, match",
+    [
+        ("alpha", "strictly positive"),
+        ("beta", "reconstruct"),
+        ("f0", "reconstruct"),
+        ("g0", "reconstruct"),
+    ],
+)
+def test_geodesic_state_rejects_nan(field, match):
+    grid = DyadicGrid(1, 2)
+    ones = np.ones(4)
+    arrays = {"alpha": 2 * ones, "beta": 0 * ones, "f0": 2 * ones, "g0": 0 * ones}
+    GeodesicState(grid, **arrays)
+    arrays[field] = np.where(np.arange(4) == 1, np.nan, arrays[field])
+    with pytest.raises(ValueError, match=match):
+        GeodesicState(grid, **arrays)
 
 
 def test_geodesic_flow_rejects_foreign_velocity():

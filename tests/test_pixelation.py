@@ -35,6 +35,7 @@ from frgeo.catalogs import (
     uniform2d,
 )
 from frgeo.boxes import overlay
+from frgeo.cli import _catalog_state
 from frgeo.pixelation import (
     LADDER_FIELDS,
     _axis_integrals,
@@ -258,6 +259,23 @@ def test_misaligned_2d_alpha_is_correctly_rounded():
     assert ladder.levels[10].alpha == float(Fraction(639, 640))
     # on 6 classes, not 2^20 cells
     assert ladder.levels[10].state.space.n_points == 6
+
+
+@pytest.mark.parametrize(
+    "dimension, j", [*((1, j) for j in range(3, 9)), *((2, j) for j in range(3, 6))]
+)
+def test_grid_kinds_and_ladder_levels_share_one_projection(dimension, j):
+    catalogs = (
+        (misaligned_f0_1d(), misaligned_g0_1d())
+        if dimension == 1
+        else (misaligned_f0_2d(), misaligned_g0_2d())
+    )
+    cli_state = _catalog_state(*catalogs, j)
+    ladder_state = build_ladder(*catalogs, [j]).levels[j].state
+    assert cli_state.space == ladder_state.space
+    assert cli_state.space.weights.tobytes() == ladder_state.space.weights.tobytes()
+    for name in ("alpha", "beta", "f0", "g0"):
+        assert getattr(cli_state, name).tobytes() == getattr(ladder_state, name).tobytes()
 
 
 def test_single_break_catalog_builds():

@@ -40,6 +40,8 @@ def test_simplex_point_basics():
         SimplexPoint(np.array([0.5, 0.5]))  # boundary: theta_3 = 0
     with pytest.raises(ValueError):
         SimplexPoint(np.array([0.5, -0.1]))
+    with pytest.raises(ValueError, match="boundary"):
+        SimplexPoint(np.array([0.2, np.nan]))
 
 
 def test_tangent_vector_dependent_component():
