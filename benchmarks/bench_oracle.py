@@ -47,7 +47,7 @@ import numpy as np  # noqa: E402
 from bench_kernels import dimensions, round_robin  # noqa: E402
 from frgeo import SimplexPoint, boundary_touch_time, cli, ellipsoid_tangent, kernels  # noqa: E402
 from frgeo.geodesics import simplex_positions  # noqa: E402
-from frgeo.oracle import DOMAIN_EPS  # noqa: E402
+from frgeo.kernels import DOMAIN_EPS  # noqa: E402
 
 
 # the seed of every start and direction, and the horizon before the cap

@@ -48,6 +48,13 @@ from .geodesics import (
     solve_scalar_ivp,
     speed_density_at,
 )
+from .kernels import (
+    DOMAIN_EPS,
+    IntegratorConfig,
+    OdeTrajectory,
+    integrate_coupled,
+    integrate_decoupled,
+)
 from .moments import (
     DEGENERATE,
     ELLIPSE,
@@ -58,13 +65,6 @@ from .moments import (
     fit_mean_coefficients,
     mean_coefficients_direct,
     moments,
-)
-from .oracle import (
-    DOMAIN_EPS,
-    IntegratorConfig,
-    OdeTrajectory,
-    integrate_coupled,
-    integrate_decoupled,
 )
 from .pixelation import (
     LadderLevel,
@@ -105,14 +105,3 @@ from .spaces import (
 __version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-__all__ += ["write_ladder_csv", "write_moments_csv"]
-
-
-# frgeo.cli's writers load on first use (PEP 562): importing frgeo.cli here
-# would make ``python -m frgeo.cli`` run a second copy of the module
-def __getattr__(name):
-    if name in ("write_ladder_csv", "write_moments_csv"):
-        from . import cli
-
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

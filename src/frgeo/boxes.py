@@ -315,8 +315,13 @@ def overlay(f: BoxFunction, g: BoxFunction) -> tuple[OverlayRegion, ...]:
 
 def overlay_energy(f: BoxFunction, g: BoxFunction) -> Fraction:
     """Exact integral of g^2 / f (f must be nonzero on every region)."""
+    return regions_energy(overlay(f, g))
+
+
+def regions_energy(regions) -> Fraction:
+    """Exact integral of g^2 / f over overlay regions (f nonzero on each)."""
     total = _ZERO
-    for r in overlay(f, g):
+    for r in regions:
         if r.f_value == 0:
             raise InvalidCatalogFunction("division by a zero-valued f region")
         total += r.g_value * r.g_value / r.f_value * r.volume

@@ -89,7 +89,7 @@ from .geodesics import (
     simplex_trajectory,  # noqa: F401  (perfbench/spans.py wraps it by name)
 )
 from .moments import MomentCurve, moments
-from .oracle import IntegratorConfig, integrate_coupled
+from .kernels import IntegratorConfig, integrate_coupled
 from .pixelation import (
     LADDER_FIELDS,
     PixelationLadder,

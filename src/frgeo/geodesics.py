@@ -43,7 +43,9 @@ from .errors import (
     SpaceMismatch,
     ZeroDirection,
 )
-from .spaces import FiniteDensity, FiniteMeasureSpace, SignedFunction, exact_dot, integrate
+from .spaces import (
+    FiniteDensity, FiniteMeasureSpace, SignedFunction, exact_dot, frozen_floats, integrate,
+)
 
 ALPHA_MASS_TOL = 1e-12
 CENTERING_TOL = 1e-10
@@ -90,8 +92,7 @@ class GeodesicState:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "f0", "g0"):
-            arr = np.atleast_1d(np.array(getattr(self, name), dtype=float))
-            arr.flags.writeable = False
+            arr = frozen_floats(getattr(self, name))
             object.__setattr__(self, name, arr)
             if arr.shape != (self.space.n_points,):
                 raise ValueError(f"{name} does not match the space")
@@ -114,6 +115,11 @@ def solve_scalar_ivp(y0: float, z0: float) -> tuple[float, float]:
     alpha = (y0 * y0 + z0 * z0) / y0
     beta = math.atan(z0 / y0)
     return alpha, beta
+
+
+def amplitude_phase(y0: np.ndarray, z0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes alpha = (y0^2 + z0^2) / y0 and phases beta = arctan(z0 / y0)."""
+    return (y0 * y0 + z0 * z0) / y0, np.arctan(z0 / y0)
 
 
 def evaluate_scalar(alpha, beta, t):
@@ -179,11 +185,8 @@ def geodesic_flow(f0: FiniteDensity, g0: UnitVelocity) -> GeodesicState:
         raise SpaceMismatch("density and velocity live on different spaces")
     if not np.array_equal(g0.f0.values, f0.values):
         raise SpaceMismatch("velocity was normalized against a different density")
-    y0 = f0.values
-    z0 = g0.g.values
-    alpha = (y0 * y0 + z0 * z0) / y0
-    beta = np.arctan(z0 / y0)
-    return GeodesicState(f0.space, alpha, beta, y0.copy(), z0.copy())
+    y0, z0 = f0.values, g0.g.values
+    return GeodesicState(f0.space, *amplitude_phase(y0, z0), y0, z0)
 
 
 def density_at(state: GeodesicState, t: float) -> FiniteDensity:
@@ -278,11 +281,8 @@ def boundary_touch_time(p0: sx.SimplexPoint, v0: sx.TangentVector) -> float:
     time from the open simplex.  Always < pi for unit-speed data, because
     the velocity components sum to zero so some beta_k is negative.
     """
-    th = p0.full
-    v = v0.full
-    beta = np.arctan(v / th)
-    touches = np.pi + 2.0 * beta
-    return float(np.min(touches))
+    _, beta = amplitude_phase(p0.full, v0.full)
+    return float(np.min(np.pi + 2.0 * beta))
 
 
 def ellipsoid_tangent(p: sx.SimplexPoint, w_raw: np.ndarray) -> sx.TangentVector:

@@ -14,8 +14,8 @@ so the level restores it with the renormalizer
 
 By the per-cell Cauchy-Schwarz inequality alpha_j <= 1, with equality iff
 g0/f0 is constant on every cell; alpha_j increases to 1 under refinement.
-Levels where alpha_j vanishes numerically are recorded as degenerate and
-carry no geodesic state.
+A level is degenerate, and carries no geodesic state, exactly where
+``normalize_velocity`` refuses g0_j (alpha_j vanishes numerically).
 
 Weak errors compare the discrete flow with the exact continuum flow, which
 is constant on each region of the overlay of the two catalogs.  A test
@@ -39,12 +39,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boxes import BoxFunction, OverlayRegion, grid_classes, overlay, project_regions
-from .errors import HypothesisViolation
-from .geodesics import GeodesicState, geodesic_flow, normalize_velocity, velocity_energy
+from .boxes import (
+    BoxFunction, OverlayRegion, grid_classes, overlay, project_regions, regions_energy,
+)
+from .errors import DegenerateVelocity, HypothesisViolation
+from .geodesics import (
+    GeodesicState, amplitude_phase, evaluate_scalar, geodesic_flow, normalize_velocity,
+    velocity_energy,
+)
 from .spaces import CellClasses, DyadicGrid, FiniteDensity, SignedFunction, outer
 
-DEGENERATE_ALPHA = 1e-14
 HYPOTHESIS_TOL = 1e-12
 J_REF_OFFSET = 4
 # columns of a ladder summary row, in CSV and JSON order
@@ -121,8 +125,12 @@ class LadderLevel:
     level: int
     density: FiniteDensity
     alpha: float
-    degenerate: bool
-    state: GeodesicState | None  # None iff degenerate
+    state: GeodesicState | None  # None iff the level is degenerate
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether ``normalize_velocity`` refused the projected velocity."""
+        return self.state is None
 
 
 @dataclass(frozen=True)
@@ -155,10 +163,7 @@ def _check_hypotheses(f0: BoxFunction, g0: BoxFunction, delta) -> tuple:
     if abs(mean) > HYPOTHESIS_TOL:
         raise HypothesisViolation("zero-mean", f"integral g0 = {float(mean)}")
     regions = overlay(f0, g0)
-    energy = sum(
-        (r.g_value * r.g_value / r.f_value * r.volume for r in regions),
-        Fraction(0),
-    )
+    energy = regions_energy(regions)
     if abs(energy - 1) > HYPOTHESIS_TOL:
         raise HypothesisViolation(
             "unit-energy", f"integral g0^2/f0 = {float(energy)}"
@@ -184,8 +189,8 @@ def build_ladder(
 
     The continuum hypotheses are verified exactly (box arithmetic) before
     any projection; violations raise HypothesisViolation naming the failed
-    condition.  Levels whose projected velocity is numerically zero are
-    recorded as degenerate.
+    condition.  Levels whose projected velocity ``normalize_velocity``
+    refuses (DegenerateVelocity) are recorded as degenerate.
     """
     if f0.dimension != g0.dimension:
         raise HypothesisViolation("dimension", "catalogs of different dimension")
@@ -193,10 +198,11 @@ def build_ladder(
     out = {}
     for j in sorted(set(int(j) for j in levels)):
         fd, g_raw = project_pair(f0, g0, j)
-        alpha = velocity_energy(fd, g_raw.values)
-        degenerate = alpha <= DEGENERATE_ALPHA
-        state = None if degenerate else geodesic_flow(fd, normalize_velocity(fd, g_raw))
-        out[j] = LadderLevel(j, fd, alpha, degenerate, state)
+        try:
+            state = geodesic_flow(fd, normalize_velocity(fd, g_raw))
+        except DegenerateVelocity:
+            state = None
+        out[j] = LadderLevel(j, fd, velocity_energy(fd, g_raw.values), state)
     return PixelationLadder(f0.dimension, f0, g0, tuple(regions), out)
 
 
@@ -247,10 +253,7 @@ def _axis_integrals(phi: TentFunction, axis: int, j_ref: int, points) -> list[fl
 def region_flow_values(regions, t: float) -> np.ndarray:
     """Exact continuum flow value on each overlay region at time t."""
     f, g, _ = _block_values(regions)
-    alpha = (f * f + g * g) / f
-    beta = np.arctan(g / f)
-    c = np.cos(t / 2.0 - beta)
-    return alpha * c * c
+    return evaluate_scalar(*amplitude_phase(f, g), t)[0]
 
 
 def continuum_cell_averages(

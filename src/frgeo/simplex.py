@@ -26,18 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidAtom
+from .spaces import frozen_floats
 
 BOUNDARY_FLOOR = 1e-12
 DENSE_CHRISTOFFEL_LIMIT = 64
 
 # numpy renamed trapz -> trapezoid in 2.0
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
-
-def _freeze(a) -> np.ndarray:
-    out = np.atleast_1d(np.array(a, dtype=float))
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -47,7 +42,7 @@ class SimplexPoint:
     theta: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", _freeze(self.theta))
+        object.__setattr__(self, "theta", frozen_floats(self.theta))
         if self.theta.ndim != 1 or self.theta.size < 1:
             raise ValueError("theta must be a nonempty vector")
         last = 1.0 - float(np.sum(self.theta))
@@ -77,7 +72,7 @@ class TangentVector:
     v: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "v", _freeze(self.v))
+        object.__setattr__(self, "v", frozen_floats(self.v))
         if self.v.ndim != 1 or self.v.size < 1:
             raise ValueError("v must be a nonempty vector")
 

@@ -29,8 +29,9 @@ import numpy as np
 NORMALIZATION_TOL = 1e-12
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
+def frozen_floats(a) -> np.ndarray:
+    """A read-only float copy of ``a``, at least 1-D."""
+    out = np.atleast_1d(np.array(a, dtype=float))
     out.flags.writeable = False
     return out
 
@@ -42,7 +43,7 @@ class FiniteMeasureSpace:
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _freeze(np.atleast_1d(self.weights)))
+        object.__setattr__(self, "weights", frozen_floats(self.weights))
         if self.weights.ndim != 1 or self.weights.size < 2:
             raise ValueError("a measure space needs at least two atoms")
         if not np.all(self.weights > 0):
@@ -101,7 +102,7 @@ class DyadicGrid(FiniteMeasureSpace):
 
     @cached_property
     def weights(self) -> np.ndarray:
-        return _freeze(np.full(self.cell_count, self.cell_weight))
+        return frozen_floats(np.full(self.cell_count, self.cell_weight))
 
     @property
     def n_points(self) -> int:
@@ -204,7 +205,7 @@ class SignedFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(np.atleast_1d(self.values)))
+        object.__setattr__(self, "values", frozen_floats(self.values))
         if self.values.shape != (self.space.n_points,):
             raise ValueError("value vector does not match the space")
 

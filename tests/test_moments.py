@@ -31,7 +31,6 @@ from frgeo import (
     moments,
     normalize_velocity,
     simplex_trajectory,
-    write_moments_csv,
 )
 from frgeo.catalogs import (
     g01_1d,
@@ -44,7 +43,7 @@ from frgeo.catalogs import (
     uniform1d,
     uniform2d,
 )
-from frgeo.cli import _catalog_state
+from frgeo.cli import _catalog_state, write_moments_csv
 from frgeo.geodesics import evaluate_scalar
 from frgeo.simplex import TangentVector
 

@@ -20,7 +20,6 @@ from frgeo import (
     integrate,
     three_term_errors,
     weak_error,
-    write_ladder_csv,
 )
 from frgeo.catalogs import (
     g01_1d,
@@ -35,7 +34,7 @@ from frgeo.catalogs import (
     uniform2d,
 )
 from frgeo.boxes import overlay
-from frgeo.cli import _catalog_state
+from frgeo.cli import _catalog_state, write_ladder_csv
 from frgeo.pixelation import (
     LADDER_FIELDS,
     _axis_integrals,
