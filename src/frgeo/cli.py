@@ -88,8 +88,8 @@ from .geodesics import (
     simplex_state,
     simplex_trajectory,  # noqa: F401  (perfbench/spans.py wraps it by name)
 )
-from .moments import MomentCurve, moments
 from .kernels import IntegratorConfig, integrate_coupled
+from .moments import MomentCurve, moments
 from .pixelation import (
     LADDER_FIELDS,
     PixelationLadder,
@@ -158,6 +158,7 @@ def _parse_levels(token: str) -> list[int]:
         lo, hi = int(m.group(1)), int(m.group(2))
         if hi < lo:
             raise ValueError(f"empty level range {token!r}")
+        _check_cell_bits("levels", hi)  # before expanding: level hi has >= 2^hi cells
         return list(range(lo, hi + 1))
     return sorted({_parse_int(p) for p in token.split(",") if p.strip()})
 
@@ -309,7 +310,7 @@ def validate_config(
         if token is not None:
             try:
                 value = spec.parse(token)
-            except (ValueError, ZeroDivisionError, InvalidCatalogFunction) as exc:
+            except (ValueError, ZeroDivisionError, InvalidCatalogFunction, OSError) as exc:
                 raise ConfigError(key, f"cannot parse {token!r}: {exc}")
         else:
             value = spec.default
@@ -355,12 +356,8 @@ def _check_preconditions(kind: str, params: dict) -> None:
             raise ConfigError("levels", "grid levels must be >= 1")
     for key in ("level", "levels"):
         if key in p and "f0" in p:
-            # 2^bits cells exceed the largest numpy index, 2^(index bits) - 1
-            bits = p["f0"].dimension * (max(p[key]) if key == "levels" else p[key])
-            if bits >= np.iinfo(np.intp).max.bit_length():
-                raise ConfigError(
-                    key, f"2^{bits} grid cells are more than numpy can index"
-                )
+            level = max(p[key]) if key == "levels" else p[key]
+            _check_cell_bits(key, p["f0"].dimension * level)
     if "delta" in p and not p["delta"] > 0:
         raise ConfigError("delta", "density floor must be positive")
     if "j_ref" in p and p["j_ref"] is not None and "levels" in p:
@@ -375,6 +372,23 @@ def _check_preconditions(kind: str, params: dict) -> None:
     if "f0" in p and "g0" in p:
         if p["f0"].dimension != p["g0"].dimension:
             raise ConfigError("g0", "catalog dimensions of f0 and g0 differ")
+
+
+def _check_cell_bits(key: str, bits: int) -> None:
+    """ConfigError on ``key`` if 2^bits grid cells exceed the largest numpy
+    index, 2^(index bits) - 1."""
+    if bits >= np.iinfo(np.intp).max.bit_length():
+        raise ConfigError(key, f"2^{bits} grid cells are more than numpy can index")
+
+
+@contextmanager
+def _sized_by(key: str) -> Iterator[None]:
+    """A MemoryError from the time grid (or RK4 table) that ``key`` sizes,
+    as a ConfigError on ``key``; every kind allocates it before writing."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise ConfigError(key, f"the time grid does not fit in memory: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +602,8 @@ def _run_simplex_geodesic(cfg: ExperimentConfig) -> list[Path]:
     p = cfg.params
     p0 = SimplexPoint(p["theta0"])
     pairs = _resolve_velocities(p, allow_sweep=True)
-    times = np.linspace(0.0, p["t_end"], p["n_times"])
+    with _sized_by("n_times"):
+        times = np.linspace(0.0, p["t_end"], p["n_times"])
     # full-coordinate closed form, archived exactly as evaluated so that a
     # JSON re-import reproduces every frame bit for bit; every trajectory is
     # checked for a boundary touch before any file is written
@@ -699,7 +714,8 @@ def _run_density_geodesic(cfg: ExperimentConfig) -> list[Path]:
     p = cfg.params
     state = _catalog_state(p["f0"], p["g0"], p["level"])
     grid: DyadicGrid = state.space.grid
-    times = np.linspace(0.0, p["t_end"], p["n_frames"])
+    with _sized_by("n_frames"):
+        times = np.linspace(0.0, p["t_end"], p["n_frames"])
     runs = _class_runs(state.space)
 
     written: list[Path] = []
@@ -780,7 +796,8 @@ def _run_pixelation_convergence(cfg: ExperimentConfig) -> list[Path]:
 def _run_moments(cfg: ExperimentConfig) -> list[Path]:
     p = cfg.params
     state = _catalog_state(p["f0"], p["g0"], p["level"])
-    times = np.linspace(0.0, p["t_end"], p["n_times"])
+    with _sized_by("n_times"):
+        times = np.linspace(0.0, p["t_end"], p["n_times"])
     curve = moments(state, times)
     if cfg.fmt == "csv":
         path = cfg.out_dir / "moments.csv"
@@ -805,10 +822,8 @@ def _oracle_compare_arrays(cfg: ExperimentConfig):
     p = cfg.params
     p0 = SimplexPoint(p["theta0"])
     ((tau, v),) = _resolve_velocities(p, allow_sweep=False)
-    try:  # the RK4 table is allocated before the first step
+    with _sized_by("step"):  # the RK4 table is allocated before the first step
         traj = integrate_coupled(p0, v, IntegratorConfig(p["step"], p["t_end"]))
-    except MemoryError as exc:
-        raise ConfigError("step", f"the RK4 table does not fit in memory: {exc}")
     closed = simplex_positions(p0, v, traj.times)[:, : p0.n]
     diff = np.abs(closed - traj.positions).max(axis=1)
     return tau, traj.times, closed, traj.positions, diff
@@ -856,7 +871,10 @@ _RUNNERS = {
 
 def run_experiment(cfg: ExperimentConfig) -> list[Path]:
     """Execute a validated configuration; returns the written files."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("out", f"cannot create {cfg.out_dir}: {exc}")
     return _RUNNERS[cfg.kind](cfg)
 
 

@@ -143,9 +143,11 @@ def normalize_velocity(f0: FiniteDensity, g_raw: SignedFunction) -> UnitVelocity
     """Scale a centered velocity candidate to unit energy against f0.
 
     Where the energy of g overflows, it is taken again with g scaled exactly
-    by the power of two 2^-e that brings max |g| into [1/2, 1), as in
-    ``ellipsoid_tangent``.  DegenerateVelocity is raised if that overflows
-    too, or if the energy (times 2^2e when scaled) is at most DEGENERATE_ENERGY.
+    by the power of two 2^-e that brings max |g| / sqrt(f0) into [1/2, 1), so
+    no term g^2 / f0 exceeds one.  That ratio is formed from g scaled first by
+    2^-m, as in ``ellipsoid_tangent``, so it cannot overflow either.
+    DegenerateVelocity is raised if the energy still overflows, or if it
+    (times 2^2e when scaled) is at most DEGENERATE_ENERGY.
     """
     if g_raw.space != f0.space:
         raise SpaceMismatch("velocity candidate and density spaces differ")
@@ -158,7 +160,9 @@ def normalize_velocity(f0: FiniteDensity, g_raw: SignedFunction) -> UnitVelocity
     with np.errstate(over="ignore", invalid="ignore"):
         energy = velocity_energy(f0, g)
         if not math.isfinite(energy):
-            e = math.frexp(float(np.max(np.abs(g))))[1]
+            m = math.frexp(float(np.max(np.abs(g))))[1]
+            ratio = np.max(np.abs(np.ldexp(g, -m)) / np.sqrt(f0.values))
+            e = m + math.frexp(float(ratio))[1]
             g = np.ldexp(g, -e)
             energy = velocity_energy(f0, g)
         unscaled = float(np.ldexp(energy, 2 * e))

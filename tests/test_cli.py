@@ -406,22 +406,15 @@ def test_huge_velocity_values_normalize_without_warnings(tmp_path, kind):
 @pytest.mark.parametrize(
     "f0, g0, message",
     [
-        # f0 = 1e-320 beside g0 = +-1: the energy overflows even scaled
-        ("tiny", ("1", "1/4"), "overflows"),
+        # a zero velocity has no direction to normalize
+        ("uniform1d", ("0", "1/2"), "too small"),
         # the energy is 1e-600 or 1e-320: degenerate, as it always was
         ("uniform1d", ("1e-300", "1/2"), "too small"),
         ("uniform1d", ("1e-160", "1/2"), "too small"),
     ],
 )
 def test_unnormalizable_velocity_energies_exit_3(tmp_path, kind, f0, g0, message):
-    if f0 == "tiny":
-        rest = Fraction(2) - Fraction("1e-320")
-        f0 = tmp_path / "tiny.txt"
-        f0.write_text(f"1e-320 0 1/2\n{rest} 1/2 1\n")
-        g0_path = tmp_path / "g0.txt"
-        g0_path.write_text(f"{g0[0]} 0 1/4\n-{g0[0]} 1/4 1/2\n0 1/2 1\n")
-    else:
-        g0_path = two_box_catalog(tmp_path / "g0.txt", *g0)
+    g0_path = two_box_catalog(tmp_path / "g0.txt", *g0)
     out = tmp_path / "out"
     proc = run_cli_warnings_as_errors(
         kind, f"f0={f0}", f"g0={g0_path}", "level=2", "--out", str(out)
@@ -431,6 +424,22 @@ def test_unnormalizable_velocity_energies_exit_3(tmp_path, kind, f0, g0, message
     assert len(err) == 1
     payload = json.loads(err[0])
     assert payload["error"] == "DegenerateVelocity" and message in payload["message"]
+
+
+@pytest.mark.parametrize("kind", ["density-geodesic", "moments"])
+@pytest.mark.parametrize("g0", ["1", "1e308"])
+def test_tiny_density_velocity_normalizes(tmp_path, kind, g0):
+    # f0 = 1e-320 beside g0 = +-g0 on the first two quarters: the energy
+    # overflows, and g scaled to max |g| / sqrt(f0) near one normalizes
+    rest = Fraction(2) - Fraction("1e-320")
+    f0 = tmp_path / "tiny.txt"
+    f0.write_text(f"1e-320 0 1/2\n{rest} 1/2 1\n")
+    g0_path = tmp_path / "g0.txt"
+    g0_path.write_text(f"{g0} 0 1/4\n-{g0} 1/4 1/2\n0 1/2 1\n")
+    proc = run_cli_warnings_as_errors(
+        kind, f"f0={f0}", f"g0={g0_path}", "level=2", "--out", str(tmp_path / "out")
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
 
 
 def test_conflicting_velocity_keys_rejected(tmp_path, capsys):
@@ -560,6 +569,60 @@ def test_rk4_table_beyond_memory_exits_2(tmp_path, capsys):
     assert payload["field"] == "step"
     assert "does not fit in memory" in payload["message"]
     assert not any(tmp_path.iterdir())
+
+
+def single_config_error(capsys):
+    """The one JSON line on stderr, a ConfigError."""
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "ConfigError"
+    return payload
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("simplex-geodesic", "n_times=1000000000000000"), "n_times"),
+        (("moments", "n_times=1000000000000000"), "n_times"),
+        (("density-geodesic", "n_frames=1000000000000000"), "n_frames"),
+        (("pixelation-convergence", "levels=3-100000000000000"), "levels"),
+    ],
+    ids=["simplex_times", "moments_times", "density_frames", "ladder_levels"],
+)
+def test_oversized_requests_exit_2(tmp_path, capsys, argv, field):
+    # a time grid of 10^15 samples (7 PiB) fails to allocate, and a level
+    # range is checked before it is expanded: each is a bad value of its key
+    assert within_a_second(run_cli, *argv, "--out", str(tmp_path)) == 2
+    assert single_config_error(capsys)["field"] == field
+    assert not any(tmp_path.iterdir())
+
+
+def test_long_level_range_is_rejected_unexpanded(tmp_path, capsys):
+    # a list of a million levels alone would take about 38 MiB
+    tracemalloc.start()
+    try:
+        code = run_cli("pixelation-convergence", "levels=3-1000000", "--out", str(tmp_path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and single_config_error(capsys)["field"] == "levels"
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("key", ["out", "f0", "g0"])
+def test_unusable_paths_exit_2(tmp_path, capsys, key):
+    # an output directory below a file, or a catalog that is a directory
+    out = tmp_path / "out"
+    argv = ["moments", "level=2", "--out", str(out)]
+    if key == "out":
+        (tmp_path / "file").write_text("")
+        argv[-1] = str(tmp_path / "file" / "out")
+    else:
+        argv.append(f"{key}={tmp_path}")
+    assert run_cli(*argv) == 2
+    assert single_config_error(capsys)["field"] == key
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["file"] if key == "out" else [])
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -150,6 +150,18 @@ def test_normalize_velocity_keeps_unscaled_energy_that_is_finite():
     assert g.g.values[0] > 0 > g.g.values[1]
 
 
+@pytest.mark.parametrize("value", [1.0, 1e308])
+def test_normalize_velocity_scales_an_overflow_by_its_energy_ratio(value):
+    # g^2 / f0 overflows beside f0 = 1e-320 even for g = +-1: g is scaled by
+    # the power of two of max |g| / sqrt(f0), not of max |g|
+    grid = DyadicGrid(1, 2)
+    f0 = FiniteDensity(grid, [1e-320, 1e-320, 2.0, 2.0])
+    g = normalize_velocity(f0, SignedFunction(grid, [value, -value, 0.0, 0.0]))
+    state = geodesic_flow(f0, g)
+    assert np.array_equal(state.alpha, [2.0, 2.0, 2.0, 2.0])
+    assert np.array_equal(state.beta, [math.pi / 2, -math.pi / 2, 0.0, 0.0])
+
+
 def test_unit_velocity_validation():
     grid = DyadicGrid(1, 3)
     f0 = FiniteDensity(grid, np.ones(8))
