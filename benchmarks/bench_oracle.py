@@ -16,14 +16,18 @@ the arrays of one run (``frgeo.cli._oracle_compare_arrays``):
 * ``%.17g floor`` and ``%r floor``: one bare ``%`` fill of the same floats
   (the CSV table's, and the JSON arrays'), ``tolist`` included: what
   formatting alone costs.  ``x floor`` is the median over the rounds of
-  each writer's time over its floor's.
+  each writer's time over its floor's;
+* ``stage peak``: the tracemalloc peak, in MiB, of one ``oracle-compare``
+  run (``frgeo.cli.run_experiment``) given the RK4 table already
+  integrated, as CSV and as JSON: the closed form, the row differences and
+  the writer, the working memory above the RK4 table.
 
 The stages run round-robin, as in ``bench_kernels.py``: each of
 ``--repeats`` rounds runs every stage once, starting one stage further on
 each round, and each figure is the median over the rounds.  Before timing,
 ``frgeo.cli.main`` runs the same configuration as CSV and as JSON, and the
 files the timed writers produce must be the same bytes; a mismatch exits
-non-zero.
+non-zero, and so do the files of the stage-peak runs.
 
     python3 benchmarks/bench_oracle.py              # n = 2 and 5, step 1e-4
     python3 benchmarks/bench_oracle.py --n 3 --step 1e-3 --repeats 3
@@ -37,7 +41,10 @@ import io
 import statistics
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
@@ -70,6 +77,19 @@ def config_pairs(n: int, step: float) -> dict[str, str]:
     }
 
 
+def stage_peak_mib(cfg, times: np.ndarray, rk4: np.ndarray) -> float:
+    """tracemalloc peak of one ``cfg`` run whose RK4 table is given: the
+    integration, and the table it allocates, stay outside the traced region."""
+    table = SimpleNamespace(times=times, positions=rk4)
+    with mock.patch.object(cli, "integrate_coupled", lambda *_: table):
+        tracemalloc.start()
+        try:
+            cli.run_experiment(cfg)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+
 def run_dimension(n: int, args, tmp: Path) -> None:
     pairs = config_pairs(n, args.step)
     tokens = [f"{key}={value}" for key, value in pairs.items()]
@@ -92,9 +112,10 @@ def run_dimension(n: int, args, tmp: Path) -> None:
     theta0, v0 = np.ascontiguousarray(p0.theta), np.ascontiguousarray(v.v)
     step, t_end = float(p["step"]), float(p["t_end"])
 
-    def closed_form():
+    def closed_form():  # as cli._oracle_compare_arrays
         closed = simplex_positions(p0, v, times)[:, :n]
-        return closed, np.abs(closed - rk4).max(axis=1)
+        diff = np.subtract(closed, rk4)
+        return closed, np.abs(diff, out=diff).max(axis=1)
 
     # the floats of the CSV table and of the JSON arrays, in any order
     json_floats = np.concatenate([times, closed.ravel(), rk4.ravel()])
@@ -117,6 +138,7 @@ def run_dimension(n: int, args, tmp: Path) -> None:
          json_floats.size, "ns/float", None),
     ]
     seconds, _ = round_robin([(name, fn, ()) for name, fn, *_ in cases], args.repeats)
+    peaks = {cfg.fmt: stage_peak_mib(cfg, times, rk4) for cfg in (csv_cfg, json_cfg)}
     for name in ("oracle_compare.csv", "oracle_compare.json"):
         if (ours / name).read_bytes() != (by_cli / name).read_bytes():
             raise SystemExit(f"n = {n}: {name} differs from what frgeo.cli.main writes")
@@ -134,6 +156,8 @@ def run_dimension(n: int, args, tmp: Path) -> None:
             ratio = f"{statistics.median(per_round):7.2f}"
         print(f"{name:<13} {1e3 * median:8.2f} {scale[unit] * median / count:9.2f} "
               f"{unit:<8} {ratio}")
+    print(f"stage peak: {peaks['csv']:.2f} MiB as CSV, {peaks['json']:.2f} MiB as JSON "
+          "(tracemalloc, RK4 table given)")
 
 
 def main() -> None:

@@ -11,46 +11,16 @@ Five experiment kinds are exposed as subcommands of ``frgeo``:
 
 Configuration is a flat ``key = value`` text file (``--config PATH``) plus
 ``key=value`` command-line overrides; every key must belong to the chosen
-subcommand (unknown or duplicate keys are rejected, exit code 2).  Numeric
-values accept plain floats, exact fractions (``1/3``), and multiples of pi
+subcommand, and unknown or duplicate keys are rejected.  Numeric values
+accept plain floats, exact fractions (``1/3``), and multiples of pi
 (``pi``, ``pi/2``, ``3pi/4``); NaN, infinities and overflowing values are
-rejected with exit code 2.  Domain failures of a valid configuration
-(hitting the simplex boundary, degenerate projected velocities, the ODE
-leaving its domain, ...) exit with code 3; both error classes print a single
-JSON object to stderr.
+rejected.
 
-Outputs are deterministic: the same configuration produces byte-identical
-files.  Floats are written with 17 significant digits in CSV and with
-``repr`` round-trip formatting in JSON, so re-importing loses nothing.
-Time and memory follow the output size.  Every CSV file is opened, and its
-header written, in one place (``_csv_files``), every JSON file goes through
-one encoder (``_json_chunks``), and no other module writes a file.  Every
-file is opened in binary mode and written as ASCII bytes, each piece
-encoded once.  CSV is written in blocks of rows; trajectory, moment and
-oracle lines are ``%`` fills of line templates.  JSON is written piece by
-piece, each float array a block at a time, each block one ``%r`` fill of
-a per-row template, so no array is held as Python floats in full.  Density
-frames, in both formats, are written from one decomposition of the cells
-into runs of one class (``_class_runs``): a CSV run is the bytes of its
-cells' index and center columns with a NUL for the value, one ``%d`` fill
-of the cell indices into center texts formatted once per grid, built a
-block at a time; every frame of a group fills it with one ``bytes.replace``
-by its class's text.  A JSON run of n cells is its class's text and
-separator repeated n - 1 times, then the text.
-``frgeo.pixelation.project_pair`` projects a catalog pair onto the grid's
-cell classes (products of per-axis runs on which both catalogs' averages
-are constant), as for a ladder level, and the flow is one scalar geodesic per
-class: projection, normalisation, the state's checks and ``moments`` cost
-O(per-axis cell types), whatever the level.  Cells appear only at write
-time: each density frame (and the density archive's ``alpha``/``beta``) is
-evaluated and formatted once per class, and a class's text is written for
-each cell of its runs, so the bytes are those of evaluating and formatting
-cell by cell.  CSV frames are evaluated a group at a time and written in
-lockstep, a block of cells at a time (``_run_density_geodesic``); JSON
-frames are evaluated one at a time, as they are written.
-``moments`` values are evaluated through the three-term identity and may
-differ from the dense evaluation of version 0.1.0 in the last ulp; every
-other output keeps the 0.1.0 bytes.
+Exit codes: 0 on success; 2 for a configuration error (a rejected key or
+value, or a request too large to allocate); 3 for a domain failure of a
+valid configuration (hitting the simplex boundary, degenerate projected
+velocities, the ODE leaving its domain, ...).  Both errors print a single
+JSON object to stderr and write no file.
 """
 
 from __future__ import annotations
@@ -103,6 +73,8 @@ from .pixelation import (
 from .simplex import BOUNDARY_FLOOR, SimplexPoint, TangentVector
 from .spaces import CellClasses, DyadicGrid
 
+# CSV floats carry 17 significant digits and JSON floats are their repr, so
+# re-importing loses nothing; the same configuration gives the same bytes
 FLOAT_FMT = "%.17g"
 
 # ---------------------------------------------------------------------------
@@ -448,7 +420,8 @@ _FRAMES_PER_GROUP = 32
 
 @contextmanager
 def _csv_files(paths: list[Path], header: list[str]) -> Iterator[list[BinaryIO]]:
-    """CSV files opened in binary mode, each holding the header line.
+    """CSV files opened in binary mode, each holding the header line: every
+    CSV file is opened, and its header written, here.
 
     What is written after it is ASCII bytes of CRLF-terminated lines: the
     bytes ``csv.writer`` writes, as no number or column name needs quoting.
@@ -461,30 +434,37 @@ def _csv_files(paths: list[Path], header: list[str]) -> Iterator[list[BinaryIO]]
         yield files
 
 
-def _write_rows(
-    path: Path, header: list[str], blocks: list[str], table: np.ndarray
+def _block_rows(width: int) -> int:
+    """Rows per write of a table ``width`` values wide, as CSV or as a 2-D
+    JSON array: about ``_ITEMS_PER_WRITE`` values, and at least one row."""
+    return max(1, _ITEMS_PER_WRITE // width)
+
+
+def _write_table(
+    path: Path,
+    header: list[str],
+    columns: list[np.ndarray],
+    blocks: list[str] | None = None,
 ) -> None:
-    """CSV file: the header line, then ``blocks[k] % tuple(rows of block k)``.
+    """All-float CSV table of ``columns`` side by side, one column per
+    header name: 1-D arrays are one column, 2-D arrays one per array column.
 
-    Block k is the text of table rows ``k * _ITEMS_PER_WRITE`` onward, one
-    ``%.17g`` slot per value (a 1-D table has one value per row).
+    Rows are written ``_block_rows(len(header))`` at a time: the block's
+    slices of the columns are stacked into one array and filled, one
+    ``%.17g`` slot per value, into the block's line template, so no copy of
+    the whole table is made.  ``blocks[k]``, if given, is block k's
+    template with some columns' texts already filled in (a sweep's shared
+    time column), and ``columns`` holds the others.
     """
-    m = _ITEMS_PER_WRITE
+    m, n = _block_rows(len(header)), len(columns[0])
+    if blocks is None:
+        line = ",".join([FLOAT_FMT] * len(header)) + "\r\n"
+        full = line * m
+        blocks = (full if s + m <= n else line * (n - s) for s in range(0, n, m))
     with _csv_files([path], header) as (fh,):
-        fh.writelines(
-            (block % tuple(table[k * m : (k + 1) * m].ravel().tolist())).encode()
-            for k, block in enumerate(blocks)
-        )
-
-
-def _write_table(path: Path, header: list[str], table: np.ndarray) -> None:
-    """All-float (rows, columns) table as CSV."""
-    line = ",".join([FLOAT_FMT] * table.shape[1]) + "\r\n"
-    n = table.shape[0]
-    blocks = [
-        line * min(_ITEMS_PER_WRITE, n - s) for s in range(0, n, _ITEMS_PER_WRITE)
-    ]
-    _write_rows(path, header, blocks, table)
+        for s, block in zip(range(0, n, m), blocks):
+            values = np.column_stack([c[s : s + m] for c in columns])
+            fh.write((block % tuple(values.ravel().tolist())).encode())
 
 
 def write_moments_csv(path: str | Path, curve: MomentCurve) -> None:
@@ -495,7 +475,7 @@ def write_moments_csv(path: str | Path, curve: MomentCurve) -> None:
         + [f"mean_{i + 1}" for i in range(d)]
         + [f"var_{i + 1}" for i in range(d)]
     )
-    _write_table(path, header, np.column_stack([curve.times, curve.mean, curve.variance]))
+    _write_table(path, header, [curve.times, curve.mean, curve.variance])
 
 
 def write_ladder_csv(
@@ -565,7 +545,7 @@ def _json_chunks(obj, indent: str):
             row = inner + "  "
             cells = (",\n" + row).join(["%r"] * obj.shape[1])
             item = "[\n" + row + cells + "\n" + inner + "]"
-            per_block = max(1, _ITEMS_PER_WRITE // obj.shape[1])
+            per_block = _block_rows(obj.shape[1])
         lead = "[\n" + inner
         for s in range(0, len(obj), per_block):
             rows = obj[s : s + per_block]
@@ -583,7 +563,9 @@ def _json_chunks(obj, indent: str):
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    """The bytes of ``json.dump(obj, fh, indent=2)`` plus a final newline."""
+    """The bytes of ``json.dump(obj, fh, indent=2)`` plus a final newline:
+    every JSON file is written here, piece by piece (``_json_chunks``), each
+    piece encoded once."""
     with open(path, "wb") as fh:
         fh.writelines(chunk.encode() for chunk in _json_chunks(obj, ""))
         fh.write(b"\n")
@@ -610,17 +592,17 @@ def _run_simplex_geodesic(cfg: ExperimentConfig) -> list[Path]:
     results = [(tau, v, simplex_positions(p0, v, times)) for tau, v in pairs]
     if cfg.fmt == "csv":
         # every file shares the t column: its text is filled into the
-        # _write_rows blocks once, and their theta slots stay %.17g
+        # _write_table blocks once, and their theta slots stay %.17g
         line = FLOAT_FMT + ("," + FLOAT_FMT.replace("%", "%%")) * p0.n + "\r\n"
-        m = _ITEMS_PER_WRITE
-        chunks = [times[s : s + m].tolist() for s in range(0, times.size, m)]
+        m = _block_rows(p0.n + 1)
+        chunks = (times[s : s + m].tolist() for s in range(0, times.size, m))
         blocks = [(line * len(ts)) % tuple(ts) for ts in chunks]
     written: list[Path] = []
     for k, (tau, v, y) in enumerate(results):
         if cfg.fmt == "csv":
             path = cfg.out_dir / _indexed_name("trajectory", k, len(results), "csv")
             header = ["t"] + [f"theta_{i + 1}" for i in range(p0.n)]
-            _write_rows(path, header, blocks, y[:, : p0.n])
+            _write_table(path, header, [y[:, : p0.n]], blocks)
         else:
             path = cfg.out_dir / _indexed_name("trajectory", k, len(results), "json")
             state = simplex_state(p0, v)
@@ -638,7 +620,13 @@ def _run_simplex_geodesic(cfg: ExperimentConfig) -> list[Path]:
 
 def _catalog_state(f0_cat: BoxFunction, g0_cat: BoxFunction, level: int) -> GeodesicState:
     """Project a catalog pair onto a grid's cell classes (``project_pair``)
-    and normalize it into a geodesic state on them."""
+    and normalize it into a geodesic state on them.
+
+    The classes are products of per-axis runs on which both catalogs'
+    averages are constant, and the flow is one scalar geodesic per class, so
+    projection, normalization, the state's checks and ``moments`` cost
+    O(per-axis cell types), whatever the level.
+    """
     try:
         f0, g_raw = project_pair(f0_cat, g0_cat, level)
     except ValueError as exc:
@@ -709,7 +697,12 @@ def _run_density_geodesic(cfg: ExperimentConfig) -> list[Path]:
     (frames in a group) x classes class texts and one block's run texts,
     where it held every cell's index and center text: the classes are at
     most (2B + 1)^d for catalogs of B bounds per axis, the cells 2^(d level).
-    JSON frames are evaluated one at a time, as they are written.
+    JSON frames are evaluated one at a time, as they are written, and a run
+    of n cells is its class's text and separator repeated n - 1 times, then
+    the text.  Cells appear only here: each frame (and the archive's
+    ``alpha``/``beta``) is evaluated and formatted once per class, and a
+    class's text written for each cell of its runs, so the bytes are those
+    of evaluating and formatting cell by cell.
     """
     p = cfg.params
     state = _catalog_state(p["f0"], p["g0"], p["level"])
@@ -794,6 +787,9 @@ def _run_pixelation_convergence(cfg: ExperimentConfig) -> list[Path]:
 
 
 def _run_moments(cfg: ExperimentConfig) -> list[Path]:
+    """Moment curves, evaluated through the three-term identity: they may
+    differ in the last ulp from the dense (times x cells) evaluation that
+    version 0.1.0 made."""
     p = cfg.params
     state = _catalog_state(p["f0"], p["g0"], p["level"])
     with _sized_by("n_times"):
@@ -818,15 +814,21 @@ def _run_moments(cfg: ExperimentConfig) -> list[Path]:
 
 def _oracle_compare_arrays(cfg: ExperimentConfig):
     """tau, the RK4 times, the closed form and RK4 positions at them, and
-    each row's largest absolute difference between the two."""
+    each row's largest absolute difference between the two.
+
+    The closed form's arrays and the differences' one (T, n) temporary are
+    sized by ``step``, like the RK4 table.
+    """
     p = cfg.params
     p0 = SimplexPoint(p["theta0"])
     ((tau, v),) = _resolve_velocities(p, allow_sweep=False)
     with _sized_by("step"):  # the RK4 table is allocated before the first step
         traj = integrate_coupled(p0, v, IntegratorConfig(p["step"], p["t_end"]))
-    closed = simplex_positions(p0, v, traj.times)[:, : p0.n]
-    diff = np.abs(closed - traj.positions).max(axis=1)
-    return tau, traj.times, closed, traj.positions, diff
+        # one evaluation, checked against the boundary floor before any write
+        closed = simplex_positions(p0, v, traj.times)[:, : p0.n]
+        diff = np.subtract(closed, traj.positions)
+    np.abs(diff, out=diff)
+    return tau, traj.times, closed, traj.positions, diff.max(axis=1)
 
 
 def _write_oracle_compare(cfg: ExperimentConfig, tau, times, closed, rk4, diff) -> Path:
@@ -840,7 +842,7 @@ def _write_oracle_compare(cfg: ExperimentConfig, tau, times, closed, rk4, diff) 
             + [f"rk4_theta_{i + 1}" for i in range(n)]
             + ["abs_diff"]
         )
-        _write_table(path, header, np.column_stack([times, closed, rk4, diff]))
+        _write_table(path, header, [times, closed, rk4, diff])
     else:
         path = cfg.out_dir / "oracle_compare.json"
         _write_json(
@@ -870,7 +872,8 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[Path]:
-    """Execute a validated configuration; returns the written files."""
+    """Execute a validated configuration; returns the written files.  No
+    other module writes a file."""
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

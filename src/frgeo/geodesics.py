@@ -53,6 +53,10 @@ UNIT_SPEED_TOL = 1e-10
 UNIT_VELOCITY_MEAN_TOL = 1e-12
 DEGENERATE_ENERGY = 1e-14
 
+# values per evaluate_scalar call in simplex_flow_samples: bounds its
+# temporaries whatever the number of sample times
+_VALUES_PER_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class UnitVelocity:
@@ -238,13 +242,20 @@ def simplex_flow_samples(
     """Full-coordinate positions and velocities of a simplex geodesic.
 
     Returns arrays of shape (T, n+1); no boundary policing is applied, the
-    closed form is global in time.
+    closed form is global in time.  The arrays are filled a block of about
+    ``_VALUES_PER_BLOCK`` values at a time, one ``evaluate_scalar`` call per
+    block, so its temporaries take one block, not T rows; every operation is
+    elementwise, so the bits are those of one call on the whole grid.
     """
     state = simplex_state(p0, v0)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    y, ydot, _ = evaluate_scalar(
-        state.alpha[None, :], state.beta[None, :], times[:, None]
-    )
+    y = np.empty((times.size, state.alpha.size))
+    ydot = np.empty_like(y)
+    m = max(1, _VALUES_PER_BLOCK // state.alpha.size)
+    for s in range(0, times.size, m):
+        y[s : s + m], ydot[s : s + m], _ = evaluate_scalar(
+            state.alpha, state.beta, times[s : s + m, None]
+        )
     return y, ydot
 
 
@@ -262,7 +273,7 @@ def simplex_positions(
     root-finding between samples.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    y, _ = simplex_flow_samples(p0, v0, times)
+    y = simplex_flow_samples(p0, v0, times)[0]  # not unpacked: frees the velocities
     bad = y < sx.BOUNDARY_FLOOR
     if np.any(bad):
         t_idx, k_idx = np.argwhere(bad)[0]

@@ -50,6 +50,7 @@ from frgeo.cli import (
     main,
     parse_number,
     read_config_file,
+    run_experiment,
     validate_config,
 )
 from frgeo.errors import ConfigError
@@ -569,6 +570,20 @@ def test_rk4_table_beyond_memory_exits_2(tmp_path, capsys):
     assert payload["field"] == "step"
     assert "does not fit in memory" in payload["message"]
     assert not any(tmp_path.iterdir())
+
+
+def test_closed_form_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # the closed form's (T, n + 1) arrays are sized by step, as the RK4 table
+    def no_memory(*_):
+        raise MemoryError("closed form")
+
+    monkeypatch.setattr("frgeo.geodesics.simplex_flow_samples", no_memory)
+    for fmt in ("csv", "json"):
+        argv = ("oracle-compare", "step=1e-3", "--format", fmt, "--out", str(tmp_path))
+        assert run_cli(*argv) == 2
+        payload = single_config_error(capsys)
+        assert payload["field"] == "step" and "does not fit in memory" in payload["message"]
+        assert not any(tmp_path.iterdir())
 
 
 def single_config_error(capsys):
@@ -1363,6 +1378,34 @@ def test_oracle_compare_json_uses_w_raw(tmp_path):
     obj = json.loads((tmp_path / "oracle_compare.json").read_text())
     assert obj["config"]["tau"] is None
     assert obj["max_abs_diff"] < 1e-8
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_oracle_closed_form_and_writer_stay_block_bounded(tmp_path, monkeypatch, fmt):
+    # 10^4 steps at n = 5: the closed form's positions and velocities take
+    # 0.92 MiB, and everything else one block.  Whole-grid temporaries and a
+    # stacked copy of the CSV table peaked at about 2.8 MiB.  The RK4 table is
+    # integrated before tracing starts (tracing its floats takes tens of
+    # seconds)
+    pairs = {"theta0": "0.1,0.15,0.2,0.25,0.1", "w_raw": "1,-0.5,0.25,-0.75,0.5",
+             "step": "5e-5", "t_end": "0.5"}
+    cfg = validate_config("oracle-compare", pairs, tmp_path, fmt)
+    p0 = SimplexPoint(cfg.params["theta0"])
+    v = frgeo.ellipsoid_tangent(p0, cfg.params["w_raw"])
+    traj = integrate_coupled(p0, v, IntegratorConfig(5e-5, 0.5))
+    assert traj.times.size == 10_001
+    monkeypatch.setattr("frgeo.cli.integrate_coupled", lambda *_: traj)
+    tracemalloc.start()
+    try:
+        (path,) = run_experiment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
+    if fmt == "csv":
+        assert len(read_rows(path)) == 10_002
+    else:
+        assert len(json.loads(path.read_text())["closed"]) == 10_001
 
 
 def test_oracle_compare_time_grid_ends_on_t_end(tmp_path):

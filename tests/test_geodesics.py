@@ -41,7 +41,7 @@ from frgeo import (
     speed_density_at,
 )
 from frgeo.catalogs import g01_1d, uniform1d
-from frgeo.geodesics import velocity_values_at
+from frgeo.geodesics import _VALUES_PER_BLOCK, velocity_values_at
 from conftest import random_interior_point, random_unit_tangent
 
 BARY = SimplexPoint(np.array([1 / 3, 1 / 3]))
@@ -360,6 +360,25 @@ def test_flow_samples_shapes_and_velocity():
     assert np.allclose(ydot[0], v.full, atol=1e-14)
     # velocities stay tangent to the mass constraint
     assert np.max(np.abs(ydot.sum(axis=1))) < 1e-13
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_flow_samples_blocks_match_one_whole_grid_evaluation(n):
+    # simplex_flow_samples evaluates a block of rows at a time; JSON
+    # re-evaluation checks rely on the bits of one whole-grid call
+    rng = np.random.default_rng(100 + n)
+    p0 = random_interior_point(rng, n)
+    v0 = random_unit_tangent(rng, p0)
+    state = simplex_state(p0, v0)
+    rows = _VALUES_PER_BLOCK // (n + 1)
+    for count in (1, rows - 1, rows, rows + 1, 10_001):
+        times = np.linspace(0.0, 7.0, count)  # past the touch and the period
+        y, ydot = simplex_flow_samples(p0, v0, times)
+        y_ref, ydot_ref, _ = evaluate_scalar(
+            state.alpha[None, :], state.beta[None, :], times[:, None]
+        )
+        assert y.shape == ydot.shape == (count, n + 1)
+        assert y.tobytes() == y_ref.tobytes() and ydot.tobytes() == ydot_ref.tobytes()
 
 
 def test_ellipsoid_tangent():
