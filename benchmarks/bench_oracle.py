@@ -8,11 +8,15 @@ capped at 0.9 of the closed form's boundary touch.  The stages are timed on
 the arrays of one run (``frgeo.cli._oracle_compare_arrays``):
 
 * ``rk4 kernel``: ``kernels.rk4_coupled``, in µs per step;
-* ``closed form``: the closed form at the RK4 times and each row's largest
-  deviation from RK4, in µs per row;
+* ``closed form``: the runner's check pass
+  (``frgeo.cli._row_deviations``), which evaluates the closed form at the
+  RK4 times a block at a time, checks it against the boundary floor and
+  keeps each row's largest deviation from RK4, in µs per row;
 * ``csv writer`` and ``json writer``: the runner's writer
   (``frgeo.cli._write_oracle_compare``) for ``oracle_compare.csv`` and
-  ``oracle_compare.json``, in ns per float written;
+  ``oracle_compare.json``, in ns per float written.  The closed form is a
+  block source, so each writer evaluates it again, a block of rows at a
+  time;
 * ``%.17g floor`` and ``%r floor``: one bare ``%`` fill of the same floats
   (the CSV table's, and the JSON arrays'), ``tolist`` included: what
   formatting alone costs.  ``x floor`` is the median over the rounds of
@@ -53,7 +57,6 @@ import numpy as np  # noqa: E402
 
 from bench_kernels import dimensions, round_robin  # noqa: E402
 from frgeo import SimplexPoint, boundary_touch_time, cli, ellipsoid_tangent, kernels  # noqa: E402
-from frgeo.geodesics import simplex_positions  # noqa: E402
 from frgeo.kernels import DOMAIN_EPS  # noqa: E402
 
 
@@ -103,7 +106,8 @@ def run_dimension(n: int, args, tmp: Path) -> None:
         cli.validate_config("oracle-compare", pairs, ours, fmt) for fmt in ("csv", "json")
     )
     ours.mkdir(parents=True)
-    # the arrays of one run, which both writers write
+    # the arrays of one run, and its closed form's block source, which both
+    # writers write
     arrays = cli._oracle_compare_arrays(csv_cfg)
     _, times, closed, rk4, diff = arrays
     p = csv_cfg.params
@@ -112,13 +116,8 @@ def run_dimension(n: int, args, tmp: Path) -> None:
     theta0, v0 = np.ascontiguousarray(p0.theta), np.ascontiguousarray(v.v)
     step, t_end = float(p["step"]), float(p["t_end"])
 
-    def closed_form():  # as cli._oracle_compare_arrays
-        closed = simplex_positions(p0, v, times)[:, :n]
-        diff = np.subtract(closed, rk4)
-        return closed, np.abs(diff, out=diff).max(axis=1)
-
     # the floats of the CSV table and of the JSON arrays, in any order
-    json_floats = np.concatenate([times, closed.ravel(), rk4.ravel()])
+    json_floats = np.concatenate([times, closed[:].ravel(), rk4.ravel()])
     csv_floats = np.concatenate([json_floats, diff])
     g_fill = "\n".join(["%.17g"] * csv_floats.size)
     r_fill = "\n".join(["%r"] * json_floats.size)
@@ -127,7 +126,7 @@ def run_dimension(n: int, args, tmp: Path) -> None:
     cases = [
         ("rk4 kernel", lambda: kernels.rk4_coupled(theta0, v0, step, t_end, DOMAIN_EPS),
          times.size - 1, "us/step", None),
-        ("closed form", closed_form, times.size, "us/row", None),
+        ("closed form", lambda: cli._row_deviations(closed, rk4), times.size, "us/row", None),
         ("csv writer", lambda: cli._write_oracle_compare(csv_cfg, *arrays),
          csv_floats.size, "ns/float", "%.17g floor"),
         ("json writer", lambda: cli._write_oracle_compare(json_cfg, *arrays),

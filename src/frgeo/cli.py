@@ -53,8 +53,9 @@ from .geodesics import (
     ellipsoid_tangent,
     geodesic_flow,
     normalize_velocity,
+    positions_at,
     simplex_flow_samples,  # noqa: F401  (perfbench/spans.py wraps it by name)
-    simplex_positions,
+    simplex_position_blocks,
     simplex_state,
     simplex_trajectory,  # noqa: F401  (perfbench/spans.py wraps it by name)
 )
@@ -440,6 +441,33 @@ def _block_rows(width: int) -> int:
     return max(1, _ITEMS_PER_WRITE // width)
 
 
+@dataclass(frozen=True)
+class _ClosedForm:
+    """The first ``width`` coordinates of ``state``'s closed form at
+    ``times``: a (T, width) float table whose rows are evaluated
+    (``positions_at``) each time a slice of them is taken, so no table is
+    held.  The writers take a block of rows at a time: ``_write_table`` as
+    columns, ``_json_chunks`` as a 2-D array or, ``keyed``, as an object of
+    the rows keyed by their times' ``repr``.
+    """
+
+    state: GeodesicState
+    times: np.ndarray
+    width: int
+    keyed: bool = False
+    ndim = 2
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.times.size, self.width)
+
+    def __len__(self) -> int:
+        return self.times.size
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return positions_at(self.state, self.times[rows])[:, : self.width]
+
+
 def _write_table(
     path: Path,
     header: list[str],
@@ -511,10 +539,12 @@ def _json_chunks(obj, indent: str):
     for a value nested at ``indent``.
 
     A non-empty dict is written key by key.  A non-empty 1-D or 2-D array
-    of float16, float32 or float64 is written a block of whole rows at a
-    time, as one ``%r`` fill of the rows' indented layout: json writes a
-    finite float as its ``repr``, and ``nan``/``inf`` as ``NaN``/``Infinity``
-    (finite reprs hold no ``n``).  A generator of lists of (item
+    of float16, float32 or float64, or a ``_ClosedForm``, is written a block
+    of whole rows at a time, as one ``%r`` fill of the rows' indented layout:
+    json writes a finite float as its ``repr``, and ``nan``/``inf`` as
+    ``NaN``/``Infinity`` (finite reprs hold no ``n``).  A keyed
+    ``_ClosedForm`` fills each row's time into its key, ``"%r": ``, as json
+    writes the key ``repr(t)``.  A generator of lists of (item
     text, count), the first list non-empty, is the array of those items,
     each repeated count times.  Anything else is one ``json.dumps``,
     re-indented (exact, as JSON strings hold no raw newline).
@@ -535,7 +565,7 @@ def _json_chunks(obj, indent: str):
             yield from _json_chunks(v, inner)
             lead = sep
         yield "\n" + indent + "}"
-    elif (
+    elif isinstance(obj, _ClosedForm) or (
         isinstance(obj, np.ndarray) and obj.ndim in (1, 2)
         and obj.dtype.kind == "f" and obj.itemsize <= 8 and obj.size
     ):
@@ -546,17 +576,23 @@ def _json_chunks(obj, indent: str):
             cells = (",\n" + row).join(["%r"] * obj.shape[1])
             item = "[\n" + row + cells + "\n" + inner + "]"
             per_block = _block_rows(obj.shape[1])
-        lead = "[\n" + inner
+        keys = obj.times if getattr(obj, "keyed", False) else None
+        if keys is not None:
+            item = '"%r": ' + item
+        lead, close = ("[", "]") if keys is None else ("{", "}")
+        lead += "\n" + inner
         for s in range(0, len(obj), per_block):
             rows = obj[s : s + per_block]
             if s == 0 or len(rows) < per_block:  # first block, short last block
                 block = sep.join([item] * len(rows))
+            if keys is not None:
+                rows = np.column_stack([keys[s : s + per_block], rows])
             text = block % tuple(rows.ravel().tolist())
             if "n" in text:  # nan, inf: finite reprs hold no n
                 text = text.replace("nan", "NaN").replace("inf", "Infinity")
             yield lead + text
             lead = sep
-        yield "\n" + indent + "]"
+        yield "\n" + indent + close
     else:
         text = json.dumps(obj, indent=2, default=np.ndarray.tolist)
         yield text.replace("\n", "\n" + indent)
@@ -581,15 +617,20 @@ def _indexed_name(stem: str, k: int, count: int, suffix: str) -> str:
 
 
 def _run_simplex_geodesic(cfg: ExperimentConfig) -> list[Path]:
+    """One file per trajectory.  Every trajectory is checked for a boundary
+    touch before any file is written, keeping no positions; each is then
+    evaluated again, a block at a time, as it is written.  The evaluations
+    are sized by ``n_times``."""
     p = cfg.params
     p0 = SimplexPoint(p["theta0"])
     pairs = _resolve_velocities(p, allow_sweep=True)
+    states = []
     with _sized_by("n_times"):
         times = np.linspace(0.0, p["t_end"], p["n_times"])
-    # full-coordinate closed form, archived exactly as evaluated so that a
-    # JSON re-import reproduces every frame bit for bit; every trajectory is
-    # checked for a boundary touch before any file is written
-    results = [(tau, v, simplex_positions(p0, v, times)) for tau, v in pairs]
+        for _, v in pairs:
+            states.append(simplex_state(p0, v))
+            for _ in simplex_position_blocks(states[-1], times):
+                pass
     if cfg.fmt == "csv":
         # every file shares the t column: its text is filled into the
         # _write_table blocks once, and their theta slots stay %.17g
@@ -597,23 +638,30 @@ def _run_simplex_geodesic(cfg: ExperimentConfig) -> list[Path]:
         m = _block_rows(p0.n + 1)
         chunks = (times[s : s + m].tolist() for s in range(0, times.size, m))
         blocks = [(line * len(ts)) % tuple(ts) for ts in chunks]
+    else:
+        # the full-coordinate closed form, archived exactly as evaluated so
+        # that a JSON re-import reproduces every frame bit for bit.  Equal
+        # times (a subnormal t_end) share one frame, as dict keys would
+        if np.any(times[1:] == times[:-1]):
+            times = np.unique(times)
     written: list[Path] = []
-    for k, (tau, v, y) in enumerate(results):
+    for k, ((tau, _), state) in enumerate(zip(pairs, states)):
         if cfg.fmt == "csv":
-            path = cfg.out_dir / _indexed_name("trajectory", k, len(results), "csv")
+            path = cfg.out_dir / _indexed_name("trajectory", k, len(pairs), "csv")
             header = ["t"] + [f"theta_{i + 1}" for i in range(p0.n)]
-            _write_table(path, header, [y[:, : p0.n]], blocks)
+            with _sized_by("n_times"):
+                _write_table(path, header, [_ClosedForm(state, times, p0.n)], blocks)
         else:
-            path = cfg.out_dir / _indexed_name("trajectory", k, len(results), "json")
-            state = simplex_state(p0, v)
+            path = cfg.out_dir / _indexed_name("trajectory", k, len(pairs), "json")
             obj = {
                 "config": {**cfg.echo, "trajectory_index": k, "tau": tau},
                 "space": {"kind": "counting", "n_points": p0.n + 1},
                 "alpha": state.alpha,
                 "beta": state.beta,
-                "frames": {repr(float(t)): y[s] for s, t in enumerate(times)},
+                "frames": _ClosedForm(state, times, p0.n + 1, keyed=True),
             }
-            _write_json(path, obj)
+            with _sized_by("n_times"):
+                _write_json(path, obj)
         written.append(path)
     return written
 
@@ -813,22 +861,30 @@ def _run_moments(cfg: ExperimentConfig) -> list[Path]:
 
 
 def _oracle_compare_arrays(cfg: ExperimentConfig):
-    """tau, the RK4 times, the closed form and RK4 positions at them, and
-    each row's largest absolute difference between the two.
+    """tau, the RK4 times, the closed form (a ``_ClosedForm``) and RK4
+    positions at them, and each row's largest absolute difference between
+    the two.
 
-    The closed form's arrays and the differences' one (T, n) temporary are
-    sized by ``step``, like the RK4 table.
+    The RK4 table, and the (T,) differences, are sized by ``step``.
     """
     p = cfg.params
     p0 = SimplexPoint(p["theta0"])
     ((tau, v),) = _resolve_velocities(p, allow_sweep=False)
     with _sized_by("step"):  # the RK4 table is allocated before the first step
         traj = integrate_coupled(p0, v, IntegratorConfig(p["step"], p["t_end"]))
-        # one evaluation, checked against the boundary floor before any write
-        closed = simplex_positions(p0, v, traj.times)[:, : p0.n]
-        diff = np.subtract(closed, traj.positions)
-    np.abs(diff, out=diff)
-    return tau, traj.times, closed, traj.positions, diff.max(axis=1)
+        closed = _ClosedForm(simplex_state(p0, v), traj.times, p0.n)
+        diff = _row_deviations(closed, traj.positions)
+    return tau, traj.times, closed, traj.positions, diff
+
+
+def _row_deviations(closed: _ClosedForm, rk4: np.ndarray) -> np.ndarray:
+    """Each row's largest |closed - rk4|, the closed form evaluated and
+    checked against the boundary floor a block at a time, before any write."""
+    diff = np.empty(len(closed))
+    for s, y in simplex_position_blocks(closed.state, closed.times):
+        d = np.subtract(y[:, : closed.width], rk4[s : s + len(y)])
+        diff[s : s + len(y)] = np.abs(d, out=d).max(axis=1)
+    return diff
 
 
 def _write_oracle_compare(cfg: ExperimentConfig, tau, times, closed, rk4, diff) -> Path:

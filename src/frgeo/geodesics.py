@@ -29,6 +29,7 @@ in free coordinates.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,8 @@ UNIT_SPEED_TOL = 1e-10
 UNIT_VELOCITY_MEAN_TOL = 1e-12
 DEGENERATE_ENERGY = 1e-14
 
-# values per evaluate_scalar call in simplex_flow_samples: bounds its
-# temporaries whatever the number of sample times
+# values per evaluation of the simplex closed form: bounds its temporaries
+# whatever the number of sample times
 _VALUES_PER_BLOCK = 1024
 
 
@@ -259,6 +260,40 @@ def simplex_flow_samples(
     return y, ydot
 
 
+def positions_at(state: GeodesicState, times: np.ndarray) -> np.ndarray:
+    """alpha cos^2(t/2 - beta) at each of the 1-D ``times``, one row per time.
+
+    The operations of ``evaluate_scalar``'s y, in its order, so the bits are
+    its first result's; the derivative and kinetic terms are not formed.
+    """
+    c = np.cos(times[:, None] / 2.0 - state.beta)
+    y = state.alpha * c
+    y *= c
+    return y
+
+
+def simplex_position_blocks(
+    state: GeodesicState, times: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(first row, ``positions_at`` rows) of the 1-D ``times``, a block of
+    about ``_VALUES_PER_BLOCK`` values at a time, each checked against the
+    boundary floor.
+
+    The first sample where any coordinate falls below the floor raises
+    BoundaryTouch naming the coordinate; blocks are checked in order, so it
+    is the sample and coordinate a check of the whole (T, n+1) grid names.
+    Detection happens at the given times only, no root-finding between them.
+    """
+    m = max(1, _VALUES_PER_BLOCK // state.alpha.size)
+    for s in range(0, times.size, m):
+        y = positions_at(state, times[s : s + m])
+        bad = y < sx.BOUNDARY_FLOOR
+        if np.any(bad):
+            t_idx, k_idx = np.argwhere(bad)[0]
+            raise BoundaryTouch(int(k_idx) + 1, float(times[s + t_idx]))
+        yield s, y
+
+
 def simplex_positions(
     p0: sx.SimplexPoint, v0: sx.TangentVector, times: np.ndarray
 ) -> np.ndarray:
@@ -267,17 +302,14 @@ def simplex_positions(
     theta_i(t) = theta_i cos^2(t/2) + (v_i^2 / theta_i) sin^2(t/2)
                  + v_i sin(t)   for i = 1..n+1,
 
-    evaluated in the non-negative amplitude/phase form.  A sample where any
-    coordinate falls below the boundary floor raises BoundaryTouch naming the
-    coordinate; detection happens at the requested times only, no
-    root-finding between samples.
+    evaluated in the non-negative amplitude/phase form and checked against
+    the boundary floor a block at a time (``simplex_position_blocks``).
     """
+    state = simplex_state(p0, v0)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    y = simplex_flow_samples(p0, v0, times)[0]  # not unpacked: frees the velocities
-    bad = y < sx.BOUNDARY_FLOOR
-    if np.any(bad):
-        t_idx, k_idx = np.argwhere(bad)[0]
-        raise BoundaryTouch(int(k_idx) + 1, float(times[t_idx]))
+    y = np.empty((times.size, state.alpha.size))
+    for s, rows in simplex_position_blocks(state, times):
+        y[s : s + len(rows)] = rows
     return y
 
 

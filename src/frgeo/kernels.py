@@ -179,11 +179,17 @@ def _make_coupled(accel, low):
 rk4_decoupled = _make_coupled(_decoupled_accel, _first_low)
 
 
-# rows the float loop holds as Python floats between writes into its arrays
-_ROWS_PER_FLUSH = 1024
+# Python floats the float loop holds at most between writes into its arrays
+_VALUES_PER_FLUSH = 1024
 
 # the float loop of each coordinate count, compiled on first use
 _COUPLED_LOOPS: dict = {}
+
+
+def _flush_rows(n):
+    """Rows the float loop for n coordinates buffers between writes: a row
+    is its time, n positions and n velocities."""
+    return max(1, _VALUES_PER_FLUSH // (2 * n + 1))
 
 
 def _flush(times, pos, vel, row, tb, pb, vb):
@@ -261,9 +267,9 @@ def _coupled_source(n):
         f"    if {low('p')}:",
         "        return 0, 0.0",
         "    t = 0.0",
-        f"    for i0 in range(0, n_steps, {_ROWS_PER_FLUSH}):",
+        f"    for i0 in range(0, n_steps, {_flush_rows(n)}):",
         "        tb, pb, vb = [], [], []",
-        f"        for i in range(i0, min(i0 + {_ROWS_PER_FLUSH}, n_steps)):",
+        f"        for i in range(i0, min(i0 + {_flush_rows(n)}, n_steps)):",
         *("            " + line for line in step),
         "        _flush(times, pos, vel, i0 + 1, tb, pb, vb)",
         "    return n_steps + 1, t_end",
@@ -291,12 +297,14 @@ def rk4_coupled(theta0, v0, step, t_end, eps):
     ``last``) compares false, and the other coordinates are still checked.
     Only there does it differ from ``min(p_0, ...) <= eps``, which keeps a
     first NaN and skips later ones (the reference never exits on a NaN).
-    Rows are written into the preallocated arrays every ``_ROWS_PER_FLUSH``
-    steps and on exit.
+    The loop is compiled before the arrays are allocated.  Rows are written
+    into them every ``_flush_rows(n)`` steps (about ``_VALUES_PER_FLUSH``
+    buffered floats) and on exit.
     """
+    loop = _coupled_loop(theta0.size)
     n_steps = step_count(step, t_end)
     times, pos, vel = _tables(theta0, v0, n_steps)
-    n_valid, exit_time = _coupled_loop(theta0.size)(
+    n_valid, exit_time = loop(
         theta0.tolist(), v0.tolist(), step, t_end, eps, n_steps, times, pos, vel
     )
     return times, pos, vel, n_valid, -1, exit_time

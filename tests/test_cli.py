@@ -45,7 +45,9 @@ from frgeo.cli import (
     _csv_run_texts,
     _json_chunks,
     _json_floats,
+    _indexed_name,
     _parse_levels,
+    _resolve_velocities,
     _write_json,
     main,
     parse_number,
@@ -572,18 +574,36 @@ def test_rk4_table_beyond_memory_exits_2(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
-def test_closed_form_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
-    # the closed form's (T, n + 1) arrays are sized by step, as the RK4 table
-    def no_memory(*_):
-        raise MemoryError("closed form")
+def no_memory(*_):
+    raise MemoryError("closed form")
 
-    monkeypatch.setattr("frgeo.geodesics.simplex_flow_samples", no_memory)
+
+def test_closed_form_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # the closed form's check pass is sized by step, as the RK4 table
+    monkeypatch.setattr("frgeo.geodesics.positions_at", no_memory)
     for fmt in ("csv", "json"):
         argv = ("oracle-compare", "step=1e-3", "--format", fmt, "--out", str(tmp_path))
         assert run_cli(*argv) == 2
         payload = single_config_error(capsys)
         assert payload["field"] == "step" and "does not fit in memory" in payload["message"]
         assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_closed_form_beyond_memory_exits_2(tmp_path, capsys, monkeypatch, fmt):
+    # the sweep's check pass runs before any file is opened; its write-time
+    # evaluations are sized by n_times too
+    argv = ("simplex-geodesic", "tau_count=3", "n_times=50", "--format", fmt,
+            "--out", str(tmp_path))
+    with monkeypatch.context() as m:
+        m.setattr("frgeo.geodesics.positions_at", no_memory)
+        assert run_cli(*argv) == 2
+        payload = single_config_error(capsys)
+        assert payload["field"] == "n_times" and "does not fit in memory" in payload["message"]
+        assert not any(tmp_path.iterdir())
+    monkeypatch.setattr("frgeo.cli.positions_at", no_memory)
+    assert run_cli(*argv) == 2
+    assert single_config_error(capsys)["field"] == "n_times"
 
 
 def single_config_error(capsys):
@@ -1045,6 +1065,72 @@ def test_simplex_and_oracle_csv_match_csv_writer(tmp_path):
     assert (tmp_path / "oracle_compare.csv").read_bytes() == expected
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tau=1", "n_times=7"),
+        ("tau_count=2", "n_times=341"),  # one JSON block of rows
+        ("tau_count=2", "n_times=342"),  # and one row more
+        ("theta0=0.1,0.15,0.2,0.25,0.1", "w_raw=1,-0.5,0.25,-0.75,0.5",
+         "t_end=0.5", "n_times=205"),
+        ("tau=1", "t_end=5e-324", "n_times=5"),  # equal times share a frame
+        ("tau=1", "t_end=1e-321", "n_times=500"),
+    ],
+    ids=["tau", "one_block", "block_plus_one", "n5", "subnormal", "subnormal_500"],
+)
+def test_sweep_json_matches_json_dump(tmp_path, argv):
+    # the frames object, formerly {repr(t): row} dumped by json, is now
+    # formatted a block of rows at a time from the closed form
+    assert run_cli("simplex-geodesic", *argv, "--format", "json",
+                   "--out", str(tmp_path)) == 0
+    cfg = validate_config(
+        "simplex-geodesic", dict(a.split("=") for a in argv), tmp_path, "json"
+    )
+    p0 = SimplexPoint(cfg.params["theta0"])
+    times = np.linspace(0.0, cfg.params["t_end"], cfg.params["n_times"])
+    for k, (tau, v) in enumerate(_resolve_velocities(cfg.params, allow_sweep=True)):
+        y, _ = simplex_flow_samples(p0, v, times)
+        state = frgeo.simplex_state(p0, v)
+        obj = {
+            "config": {**cfg.echo, "trajectory_index": k, "tau": tau},
+            "space": {"kind": "counting", "n_points": p0.n + 1},
+            "alpha": state.alpha,
+            "beta": state.beta,
+            "frames": {repr(float(t)): y[s] for s, t in enumerate(times)},
+        }
+        expected = json.dumps(obj, indent=2, default=np.ndarray.tolist) + "\n"
+        path = tmp_path / _indexed_name("trajectory", k, cfg.params["tau_count"] or 1, "json")
+        assert path.read_bytes() == expected.encode()
+
+
+def test_sweep_json_frames_stay_block_bounded(tmp_path):
+    # 10^5 frames: a dict of repr(t) keys and row views peaked at 23.8 MiB
+    # for a 10.8 MiB file; formatted a block of rows at a time, about 1 MiB
+    args = ("simplex-geodesic", "tau=1", "n_times=100000", "--format", "json",
+            "--out", str(tmp_path))
+    tracemalloc.start()
+    try:
+        assert run_cli(*args) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
+def test_sweep_csv_holds_one_block_per_trajectory(tmp_path):
+    # 12 trajectories of 5,000 samples: held at once, their positions
+    # peaked at 1.64 MiB; checked, then evaluated as written, about 0.3 MiB
+    args = ("simplex-geodesic", "tau_count=12", "n_times=5000", "--out", str(tmp_path))
+    tracemalloc.start()
+    try:
+        assert run_cli(*args) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.0 * 2**20
+    assert len(list(tmp_path.glob("trajectory_*.csv"))) == 12
+
+
 def test_sweep_csv_files_share_the_time_column(tmp_path):
     # the t column's text is formatted once and filled into every file
     assert run_cli("simplex-geodesic", "tau_count=3", "n_times=1500", "t_end=0.8",
@@ -1380,13 +1466,10 @@ def test_oracle_compare_json_uses_w_raw(tmp_path):
     assert obj["max_abs_diff"] < 1e-8
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_oracle_closed_form_and_writer_stay_block_bounded(tmp_path, monkeypatch, fmt):
-    # 10^4 steps at n = 5: the closed form's positions and velocities take
-    # 0.92 MiB, and everything else one block.  Whole-grid temporaries and a
-    # stacked copy of the CSV table peaked at about 2.8 MiB.  The RK4 table is
-    # integrated before tracing starts (tracing its floats takes tens of
-    # seconds)
+def oracle_stage_peak(tmp_path, monkeypatch, fmt):
+    """The written file and the tracemalloc peak of one oracle-compare run
+    (10^4 steps, n = 5) whose RK4 table is integrated before tracing starts
+    (tracing its floats takes tens of seconds)."""
     pairs = {"theta0": "0.1,0.15,0.2,0.25,0.1", "w_raw": "1,-0.5,0.25,-0.75,0.5",
              "step": "5e-5", "t_end": "0.5"}
     cfg = validate_config("oracle-compare", pairs, tmp_path, fmt)
@@ -1401,11 +1484,28 @@ def test_oracle_closed_form_and_writer_stay_block_bounded(tmp_path, monkeypatch,
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return path, peak
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_oracle_closed_form_and_writer_stay_block_bounded(tmp_path, monkeypatch, fmt):
+    # whole-grid temporaries and a stacked copy of the CSV table peaked at
+    # about 2.8 MiB
+    path, peak = oracle_stage_peak(tmp_path, monkeypatch, fmt)
     assert peak < 1.5 * 2**20
     if fmt == "csv":
         assert len(read_rows(path)) == 10_002
     else:
         assert len(json.loads(path.read_text())["closed"]) == 10_001
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_oracle_compare_holds_no_closed_form_table(tmp_path, monkeypatch, fmt):
+    # the closed form's (T, n + 1) positions and velocities took 0.92 of a
+    # 0.98 MiB peak; evaluated a block at a time, for the check pass and
+    # again for the writer, the peak is about 0.15 (CSV) and 0.23 MiB (JSON)
+    _, peak = oracle_stage_peak(tmp_path, monkeypatch, fmt)
+    assert peak < 0.4 * 2**20
 
 
 def test_oracle_compare_time_grid_ends_on_t_end(tmp_path):

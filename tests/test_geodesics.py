@@ -41,7 +41,11 @@ from frgeo import (
     speed_density_at,
 )
 from frgeo.catalogs import g01_1d, uniform1d
-from frgeo.geodesics import _VALUES_PER_BLOCK, velocity_values_at
+from frgeo.geodesics import (
+    _VALUES_PER_BLOCK, positions_at, simplex_position_blocks, simplex_positions,
+    velocity_values_at,
+)
+from frgeo.simplex import BOUNDARY_FLOOR
 from conftest import random_interior_point, random_unit_tangent
 
 BARY = SimplexPoint(np.array([1 / 3, 1 / 3]))
@@ -379,6 +383,71 @@ def test_flow_samples_blocks_match_one_whole_grid_evaluation(n):
         )
         assert y.shape == ydot.shape == (count, n + 1)
         assert y.tobytes() == y_ref.tobytes() and ydot.tobytes() == ydot_ref.tobytes()
+
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_positions_equal_evaluate_scalar_bit_for_bit(n):
+    # the positions-only closed form skips sin, y' and the kinetic term;
+    # JSON re-evaluation checks (perfbench's included) rely on the bits of
+    # evaluate_scalar's y
+    rng = np.random.default_rng(200 + n)
+    p0 = random_interior_point(rng, n)
+    v0 = random_unit_tangent(rng, p0)
+    state = simplex_state(p0, v0)
+    rows = _VALUES_PER_BLOCK // (n + 1)
+    touch = boundary_touch_time(p0, v0)
+    for count in (1, rows - 1, rows, rows + 1, 10_001):
+        times = np.linspace(0.0, 7.0, count)  # past the touch and the period
+        y_ref = evaluate_scalar(state.alpha[None, :], state.beta[None, :], times[:, None])[0]
+        assert positions_at(state, times).tobytes() == y_ref.tobytes()
+        # blocks of samples before the touch, as simplex_positions fills them
+        inside = np.linspace(0.0, 0.9 * touch, count)
+        y_ref = evaluate_scalar(state.alpha[None, :], state.beta[None, :], inside[:, None])[0]
+        blocks = list(simplex_position_blocks(state, inside))
+        assert [s for s, _ in blocks] == list(range(0, count, rows))
+        assert np.concatenate([y for _, y in blocks]).tobytes() == y_ref.tobytes()
+        assert simplex_positions(p0, v0, inside).tobytes() == y_ref.tobytes()
+
+
+def whole_grid_touch(state, times):
+    """(coordinate, time) of the first floor touch of one whole-grid check."""
+    y = evaluate_scalar(state.alpha[None, :], state.beta[None, :], times[:, None])[0]
+    bad = np.argwhere(y < BOUNDARY_FLOOR)
+    return None if not bad.size else (int(bad[0][1]) + 1, float(times[bad[0][0]]))
+
+
+def block_touch(state, times):
+    """(coordinate, time) of the BoundaryTouch of the block-wise check."""
+    try:
+        for _ in simplex_position_blocks(state, times):
+            pass
+    except BoundaryTouch as exc:
+        return exc.coordinate, exc.time
+    return None
+
+
+def test_block_floor_check_names_the_whole_grid_touch():
+    v = ellipsoid_tangent(BARY, np.array([1.0, 1.0]))
+    state = simplex_state(BARY, v)
+    t_star = boundary_touch_time(BARY, v)
+    rows = _VALUES_PER_BLOCK // 3
+    # the only sample on the floor is the last of a block, the first of the
+    # next, or the first of the grid's last, short, block
+    for count, extra in ((rows, 5), (rows + 1, 5), (2 * rows + 1, 0)):
+        times = np.concatenate([np.linspace(0.0, t_star, count), t_star + np.arange(1, extra + 1)])
+        expected = whole_grid_touch(state, times)
+        assert expected == (3, t_star)
+        assert block_touch(state, times) == expected
+    # the perfbench sweep_touch configuration: 64 directions, 1,000 samples
+    times = np.linspace(0.0, math.pi / 2.0, 1000)
+    touches = 0
+    for k in range(64):
+        state = simplex_state(BARY, TangentVector(ellipse_param_n2(2.0 * math.pi * k / 64)))
+        expected = whole_grid_touch(state, times)
+        assert block_touch(state, times) == expected
+        touches += expected is not None
+    assert touches > 0
 
 
 def test_ellipsoid_tangent():

@@ -224,15 +224,17 @@ def test_float_loop_keeps_full_length_arrays_on_every_exit_branch(n):
 
 def test_float_loop_equals_reference_across_flush_blocks():
     theta0, v0 = _interior_start(3, seed=3)
-    blocks = kernels._ROWS_PER_FLUSH
-    # 2,500 steps: two full blocks and a partial one
-    ref = _assert_same_run((theta0, v0, 1e-4, 0.25, 1e-9))
-    assert ref[3] == ref[0].size == 2501 > 2 * blocks + 1
+    blocks = kernels._flush_rows(3)
+    # two and a half blocks of steps: two full blocks and a partial one
+    steps = 5 * blocks // 2
+    ref = _assert_same_run((theta0, v0, 0.25 / steps, 0.25, 1e-9))
+    assert ref[3] == ref[0].size
+    assert 2 * blocks + 1 < ref[0].size < 3 * blocks + 1
     # leaving the domain at the exact touch, in the second block
     touch = frgeo.boundary_touch_time(
         frgeo.SimplexPoint(theta0), frgeo.TangentVector(v0)
     )
-    ref = _assert_same_run((theta0, v0, touch / 1500.5, 2.0 * touch, 1e-9))
+    ref = _assert_same_run((theta0, v0, touch / (1.5 * blocks + 0.5), 2.0 * touch, 1e-9))
     assert blocks < ref[3] < 2 * blocks
 
 
