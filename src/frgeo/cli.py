@@ -357,7 +357,8 @@ def _check_cell_bits(key: str, bits: int) -> None:
 @contextmanager
 def _sized_by(key: str) -> Iterator[None]:
     """A MemoryError from the time grid (or RK4 table) that ``key`` sizes,
-    as a ConfigError on ``key``; every kind allocates it before writing."""
+    or from an evaluation over it, as a ConfigError on ``key``; every kind
+    allocates the grid before writing."""
     try:
         yield
     except MemoryError as exc:
@@ -576,17 +577,16 @@ def _json_chunks(obj, indent: str):
             cells = (",\n" + row).join(["%r"] * obj.shape[1])
             item = "[\n" + row + cells + "\n" + inner + "]"
             per_block = _block_rows(obj.shape[1])
-        keys = obj.times if getattr(obj, "keyed", False) else None
-        if keys is not None:
+        keyed = getattr(obj, "keyed", False)
+        if keyed:
             item = '"%r": ' + item
-        lead, close = ("[", "]") if keys is None else ("{", "}")
-        lead += "\n" + inner
+        lead, close = ("{\n" + inner, "}") if keyed else ("[\n" + inner, "]")
         for s in range(0, len(obj), per_block):
             rows = obj[s : s + per_block]
             if s == 0 or len(rows) < per_block:  # first block, short last block
                 block = sep.join([item] * len(rows))
-            if keys is not None:
-                rows = np.column_stack([keys[s : s + per_block], rows])
+            if keyed:
+                rows = np.column_stack([obj.times[s : s + per_block], rows])
             text = block % tuple(rows.ravel().tolist())
             if "n" in text:  # nan, inf: finite reprs hold no n
                 text = text.replace("nan", "NaN").replace("inf", "Infinity")

@@ -24,7 +24,10 @@ same loop over numpy arrays (``_make_coupled``) makes about 120 calls per
 step.  ``rk4_coupled`` instead runs straight-line code over local variables,
 one per coordinate, that ``_coupled_source`` unrolls for each coordinate
 count n.  It is compiled the first time n is seen, at about 0.4 ms per
-coordinate, and cached in ``_COUPLED_LOOPS``.  A step calls no builtin:
+coordinate, before the output arrays are allocated, and cached in
+``_COUPLED_LOOPS``.  It buffers its rows as Python floats, about
+``_VALUES_PER_FLUSH`` = 1,024 of them (93 rows at n = 5), between slice
+writes into the preallocated arrays.  A step calls no builtin:
 each domain check is one chain of comparisons and the step's end one
 clamp.  It takes about 2.5 us at n = 2 and 5.5 us at n = 5 (2-vCPU VM,
 Python 3.11; 1.5-9.2 us for n = 1..7).  Every operation runs in

@@ -43,9 +43,9 @@ from frgeo.cli import (
     _class_runs,
     _csv_floats,
     _csv_run_texts,
+    _indexed_name,
     _json_chunks,
     _json_floats,
-    _indexed_name,
     _parse_levels,
     _resolve_velocities,
     _write_json,
