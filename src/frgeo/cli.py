@@ -413,9 +413,10 @@ def _resolve_velocities(params: dict, allow_sweep: bool) -> list[tuple[float | N
 _ITEMS_PER_WRITE = 1024
 
 
-# density CSV frame files open at once.  A group of frames is written in
-# lockstep, each block's run texts built once for all of them, so the
-# default 12 frames make one group; the class texts held grow with the
+# CSV files open at once: density frames, or simplex sweep trajectories.  A
+# group of files is written in lockstep, each block's shared text (run
+# texts, or the t column) built once for all of them, so the default 12
+# frames or trajectories make one group; the texts held grow with the
 # group, and the open files stay far below the usual limit of 1,024
 _FRAMES_PER_GROUP = 32
 
@@ -469,30 +470,22 @@ class _ClosedForm:
         return positions_at(self.state, self.times[rows])[:, : self.width]
 
 
-def _write_table(
-    path: Path,
-    header: list[str],
-    columns: list[np.ndarray],
-    blocks: list[str] | None = None,
-) -> None:
+def _write_table(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """All-float CSV table of ``columns`` side by side, one column per
     header name: 1-D arrays are one column, 2-D arrays one per array column.
 
     Rows are written ``_block_rows(len(header))`` at a time: the block's
     slices of the columns are stacked into one array and filled, one
     ``%.17g`` slot per value, into the block's line template, so no copy of
-    the whole table is made.  ``blocks[k]``, if given, is block k's
-    template with some columns' texts already filled in (a sweep's shared
-    time column), and ``columns`` holds the others.
+    the whole table is made.
     """
     m, n = _block_rows(len(header)), len(columns[0])
-    if blocks is None:
-        line = ",".join([FLOAT_FMT] * len(header)) + "\r\n"
-        full = line * m
-        blocks = (full if s + m <= n else line * (n - s) for s in range(0, n, m))
+    line = ",".join([FLOAT_FMT] * len(header)) + "\r\n"
+    full = line * m
     with _csv_files([path], header) as (fh,):
-        for s, block in zip(range(0, n, m), blocks):
+        for s in range(0, n, m):
             values = np.column_stack([c[s : s + m] for c in columns])
+            block = full if s + m <= n else line * (n - s)
             fh.write((block % tuple(values.ravel().tolist())).encode())
 
 
@@ -620,7 +613,10 @@ def _run_simplex_geodesic(cfg: ExperimentConfig) -> list[Path]:
     """One file per trajectory.  Every trajectory is checked for a boundary
     touch before any file is written, keeping no positions; each is then
     evaluated again, a block at a time, as it is written.  The evaluations
-    are sized by ``n_times``."""
+    are sized by ``n_times``.  CSV files share the t column, so they are
+    written in lockstep groups of up to ``_FRAMES_PER_GROUP``: a block's t
+    texts are filled into its template once per group, its theta slots
+    (left ``%.17g``) once per file, and no other block's text is held."""
     p = cfg.params
     p0 = SimplexPoint(p["theta0"])
     pairs = _resolve_velocities(p, allow_sweep=True)
@@ -632,36 +628,40 @@ def _run_simplex_geodesic(cfg: ExperimentConfig) -> list[Path]:
             for _ in simplex_position_blocks(states[-1], times):
                 pass
     if cfg.fmt == "csv":
-        # every file shares the t column: its text is filled into the
-        # _write_table blocks once, and their theta slots stay %.17g
+        header = ["t"] + [f"theta_{i + 1}" for i in range(p0.n)]
         line = FLOAT_FMT + ("," + FLOAT_FMT.replace("%", "%%")) * p0.n + "\r\n"
         m = _block_rows(p0.n + 1)
-        chunks = (times[s : s + m].tolist() for s in range(0, times.size, m))
-        blocks = [(line * len(ts)) % tuple(ts) for ts in chunks]
-    else:
-        # the full-coordinate closed form, archived exactly as evaluated so
-        # that a JSON re-import reproduces every frame bit for bit.  Equal
-        # times (a subnormal t_end) share one frame, as dict keys would
-        if np.any(times[1:] == times[:-1]):
-            times = np.unique(times)
-    written: list[Path] = []
+        written = [
+            cfg.out_dir / _indexed_name("trajectory", k, len(pairs), "csv")
+            for k in range(len(pairs))
+        ]
+        for g in range(0, len(pairs), _FRAMES_PER_GROUP):
+            group = slice(g, g + _FRAMES_PER_GROUP)
+            closed = [_ClosedForm(state, times, p0.n) for state in states[group]]
+            with _sized_by("n_times"), _csv_files(written[group], header) as files:
+                for s in range(0, times.size, m):
+                    ts = times[s : s + m].tolist()
+                    block = (line * len(ts)) % tuple(ts)
+                    for fh, c in zip(files, closed):
+                        fh.write((block % tuple(c[s : s + m].ravel().tolist())).encode())
+        return written
+    # the full-coordinate closed form, archived exactly as evaluated so that
+    # a JSON re-import reproduces every frame bit for bit.  Equal times (a
+    # subnormal t_end) share one frame, as dict keys would
+    if np.any(times[1:] == times[:-1]):
+        times = np.unique(times)
+    written = []
     for k, ((tau, _), state) in enumerate(zip(pairs, states)):
-        if cfg.fmt == "csv":
-            path = cfg.out_dir / _indexed_name("trajectory", k, len(pairs), "csv")
-            header = ["t"] + [f"theta_{i + 1}" for i in range(p0.n)]
-            with _sized_by("n_times"):
-                _write_table(path, header, [_ClosedForm(state, times, p0.n)], blocks)
-        else:
-            path = cfg.out_dir / _indexed_name("trajectory", k, len(pairs), "json")
-            obj = {
-                "config": {**cfg.echo, "trajectory_index": k, "tau": tau},
-                "space": {"kind": "counting", "n_points": p0.n + 1},
-                "alpha": state.alpha,
-                "beta": state.beta,
-                "frames": _ClosedForm(state, times, p0.n + 1, keyed=True),
-            }
-            with _sized_by("n_times"):
-                _write_json(path, obj)
+        path = cfg.out_dir / _indexed_name("trajectory", k, len(pairs), "json")
+        obj = {
+            "config": {**cfg.echo, "trajectory_index": k, "tau": tau},
+            "space": {"kind": "counting", "n_points": p0.n + 1},
+            "alpha": state.alpha,
+            "beta": state.beta,
+            "frames": _ClosedForm(state, times, p0.n + 1, keyed=True),
+        }
+        with _sized_by("n_times"):
+            _write_json(path, obj)
         written.append(path)
     return written
 
@@ -984,10 +984,17 @@ def _emit_error(exc: FrgeoError) -> None:
     sys.stderr.write("\n")
 
 
+# built once per process: parse_known_args leaves a parser as it found it
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run the experiment ``argv`` (default ``sys.argv[1:]``) names and
+    return its exit code, parsing with the parser built once per process,
+    when the module is imported."""
     try:
         # key=value tokens after an option are left over by argparse
-        args, leftovers = build_parser().parse_known_args(argv)
+        args, leftovers = _PARSER.parse_known_args(argv)
         pairs = read_config_file(args.config) if args.config else {}
         pairs = _merge_overrides(pairs, args.overrides + leftovers)
         cfg = validate_config(args.kind, pairs, args.out, args.fmt)

@@ -247,6 +247,118 @@ def test_overlay_energy_rejects_zero_density_region():
         overlay_energy(f, uniform1d())
 
 
+# ---------------------------------------------------------------------------
+# overlay: a sweep, in the nested loop's region order
+
+
+def _nested_overlay(f, g):
+    """Overlay regions as (f value, g value, lo, hi): every f box against
+    every g box, in that loop order."""
+    out = []
+    for bf in f.boxes:
+        for bg in g.boxes:
+            lo = tuple(max(a, b) for a, b in zip(bf.lo, bg.lo))
+            hi = tuple(min(a, b) for a, b in zip(bf.hi, bg.hi))
+            if all(a < b for a, b in zip(lo, hi)):
+                out.append((bf.value, bg.value, lo, hi))
+    return out
+
+
+def _assert_overlay_is_nested_loop(f, g):
+    got = [(r.f_value, r.g_value, r.lo, r.hi) for r in overlay(f, g)]
+    assert got == _nested_overlay(f, g)
+    assert all(type(x) is F for r in got for x in (r[0], r[1], *r[2], *r[3]))
+
+
+def _random_tiling(rng, dimension, count, den, bounds=None):
+    """``count`` boxes tiling the unit cube by random guillotine cuts at
+    multiples of 1/den, listed in random order, with random rational values.
+    Tilings on one den share faces, edges and corners.  ``bounds``, if
+    given, are the boxes' (lo, hi) instead."""
+    if bounds is None:
+        bounds = [((F(0),) * dimension, (F(1),) * dimension)]
+        while len(bounds) < count:
+            k, d = int(rng.integers(len(bounds))), int(rng.integers(dimension))
+            lo, hi = bounds[k]
+            a, b = int(lo[d] * den), int(hi[d] * den)
+            if b - a < 2:
+                continue
+            c = F(int(rng.integers(a + 1, b)), den)
+            bounds[k] = (lo, hi[:d] + (c,) + hi[d + 1 :])
+            bounds.append((lo[:d] + (c,) + lo[d + 1 :], hi))
+        bounds = [bounds[k] for k in rng.permutation(len(bounds))]
+    rows = [
+        (F(int(rng.integers(1, 50)), int(rng.integers(1, 9))), *sum(zip(lo, hi), ()))
+        for lo, hi in bounds
+    ]
+    return BoxFunction.from_rows(dimension, rows)
+
+
+def _touching_kinds(f, g):
+    """How many (f box, g box) pairs meet only along a face (an interval in
+    2-D) and only at a corner."""
+    face = corner = 0
+    for bf in f.boxes:
+        for bg in g.boxes:
+            gaps = [min(b1, b2) - max(a1, a2)
+                    for a1, b1, a2, b2 in zip(bf.lo, bf.hi, bg.lo, bg.hi)]
+            if min(gaps) == 0:
+                zeros = sum(x == 0 for x in gaps)
+                face += zeros == 1 and max(gaps) > 0
+                corner += zeros == len(gaps)
+    return face, corner
+
+
+def _grid_tiling(rng, xs, ys):
+    """The product tiling of cuts ``xs`` by ``ys``, in random order."""
+    cells = [((a, c), (b, d)) for a, b in zip(xs, xs[1:]) for c, d in zip(ys, ys[1:])]
+    return _random_tiling(rng, 2, 0, 1, [cells[k] for k in rng.permutation(len(cells))])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_overlay_equals_nested_loop(seed):
+    rng = np.random.default_rng(seed)
+    one = {d: BoxFunction.from_rows(d, [(F(3, 2), *[0, 1] * d)]) for d in (1, 2)}
+    quarters = [F(k, 4) for k in range(5)]
+    # grids whose boxes meet along faces and at corners, e.g. at (1/2, 1/2)
+    grids = (
+        _grid_tiling(rng, quarters, quarters),
+        _grid_tiling(rng, [F(0), F(1, 2), F(1)], [F(0), F(1, 3), F(1, 2), F(1)]),
+    )
+    assert min(_touching_kinds(*grids)) > 0
+    for dimension, den in ((1, 48), (2, 12)):
+        f = _random_tiling(rng, dimension, int(rng.integers(2, 40)), den)
+        g = _random_tiling(rng, dimension, int(rng.integers(2, 40)), den)
+        same = _random_tiling(rng, dimension, 0, den, [(b.lo, b.hi) for b in f.boxes])
+        cases = [(f, g), (g, f), (f, same), (one[dimension], g), (f, one[dimension]),
+                 (one[dimension], one[dimension])]
+        if dimension == 2:
+            cases += [grids, grids[::-1], (grids[0], f), (g, grids[1])]
+        for a, b in cases:
+            _assert_overlay_is_nested_loop(a, b)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_overlay_of_256_box_catalogs_tests_few_pairs(monkeypatch, dimension):
+    # the nested loop tested all 65,536 pairs.  The sweep tests the pairs
+    # that meet along its axis: in 1-D only the regions, fewer than 512, and
+    # about a tenth of all pairs for these 2-D guillotine tilings
+    rng = np.random.default_rng(256 + dimension)
+    den = 4099 if dimension == 1 else 64
+    f, g = (_random_tiling(rng, dimension, 256, den) for _ in range(2))
+    calls = []
+    bounds = Box.intersection_bounds
+    monkeypatch.setattr(
+        Box, "intersection_bounds", lambda a, b: calls.append(1) or bounds(a, b)
+    )
+    regions = overlay(f, g)
+    monkeypatch.undo()
+    _assert_overlay_is_nested_loop(f, g)
+    assert len(calls) < (512 if dimension == 1 else 2**16 // 4)
+    if dimension == 1:
+        assert len(calls) == len(regions)
+
+
 def test_load_catalog_round_trip(tmp_path):
     path = tmp_path / "cat.txt"
     path.write_text(

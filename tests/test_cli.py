@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -37,6 +38,7 @@ from frgeo import (
 from frgeo.boxes import load_catalog
 from frgeo.catalogs import BUILTIN_CATALOGS
 from frgeo.cli import (
+    KIND_KEYS,
     _FRAMES_PER_GROUP,
     _ITEMS_PER_WRITE,
     _catalog_state,
@@ -49,6 +51,7 @@ from frgeo.cli import (
     _parse_levels,
     _resolve_velocities,
     _write_json,
+    build_parser,
     main,
     parse_number,
     read_config_file,
@@ -358,6 +361,45 @@ def test_module_run_writes_one_error_line(tmp_path):
     payload = json.loads(err[0])
     assert payload["error"] == "ConfigError" and payload["field"] == "format"
     assert not out.exists()
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    # main() parses with the parser built when frgeo.cli was imported.  In
+    # one process, rejected options, an unknown key and then a default run
+    # of each kind give what a freshly built parser gives
+    calls = [
+        ("moments", "--config"),  # argparse: expected one argument
+        ("moments", "--bogus"),
+        ("simplex-geodesic", "steps=4"),
+        *((kind,) for kind in KIND_KEYS),
+    ]
+
+    def run(k, argv, side):
+        out = tmp_path / side / str(k)
+        code = main([argv[0], "--out", str(out), *argv[1:]])
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+        return code, captured.err, captured.out.replace(str(out), "OUT"), files
+
+    constructed = []
+    init = argparse.ArgumentParser.__init__
+    shared = []
+    for k, argv in enumerate(calls):
+        if k == 1:  # from the second call on, count parser constructions
+            monkeypatch.setattr(
+                argparse.ArgumentParser, "__init__",
+                lambda self, *a, **kw: constructed.append(1) or init(self, *a, **kw),
+            )
+        shared.append(run(k, argv, "shared"))
+    assert constructed == []
+    monkeypatch.undo()
+    assert [r[0] for r in shared] == [2, 2, 2] + [0] * len(KIND_KEYS)
+    for code, err, _, files in shared[:3]:
+        assert json.loads(err)["error"] == "ConfigError" and not files
+    assert all(files for *_, files in shared[3:])
+    for k, argv in enumerate(calls):
+        monkeypatch.setattr("frgeo.cli._PARSER", build_parser())
+        assert run(k, argv, "fresh") == shared[k], calls[k]
 
 
 def run_cli_warnings_as_errors(*argv):
@@ -1128,6 +1170,21 @@ def test_sweep_csv_holds_one_block_per_trajectory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1.0 * 2**20
+    assert len(list(tmp_path.glob("trajectory_*.csv"))) == 12
+
+
+def test_sweep_csv_holds_one_block_of_times(tmp_path):
+    # 12 trajectories of 10^5 samples: the t column's text, held for every
+    # block, peaked at 3.96 MiB; written in lockstep, a block's text at a
+    # time, the 0.76 MiB time grid is most of the peak
+    args = ("simplex-geodesic", "tau_count=12", "n_times=100000", "--out", str(tmp_path))
+    tracemalloc.start()
+    try:
+        assert run_cli(*args) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
     assert len(list(tmp_path.glob("trajectory_*.csv"))) == 12
 
 
