@@ -21,18 +21,28 @@ finds overlapping there (``_sweep``, shared with the tiling check): a sort
 of the B_f + B_g boxes plus those pairs, near-linear for 1-D catalogs,
 where the loop cost B_f * B_g pair tests.
 
+The tiling check and the overlay's closing check sum box volumes in
+integers, each axis's lengths over the lcm of its bound denominators
+(``_volume_ratio``), so the sums build no Fraction.
+
 On a dyadic grid, ``grid_classes`` groups cells that meet the same bounds
 or gap between bounds on every axis (at most 2 B_d + 1 runs for B_d bounds
 on axis d, at any level); ``project_classes`` averages once per class, bit
-for bit each cell's average, and ``cell_averages`` scatters to cells.
+for bit each cell's average, and ``cell_averages`` scatters to cells.  A
+level's projection does no rational arithmetic: a catalog's bounds become
+integer (numerator, denominator) pairs and its values floats once, on first
+use (``BoxFunction.projection``), class edges are integer cell indices,
+and class sums are plain floats (see ``project_classes``).
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +52,9 @@ from .spaces import CellClasses, DyadicGrid
 
 FractionLike = Fraction | int | float | str
 Bounds = list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]
+# a rational as its (numerator, denominator) pair, denominator positive
+Ratio = tuple[int, int]
+RatioBounds = list[tuple[tuple[Ratio, ...], tuple[Ratio, ...]]]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -49,6 +62,14 @@ _ONE = Fraction(1)
 
 def _frac(x: FractionLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def ratio_bounds(bounds: Bounds) -> RatioBounds:
+    """``bounds`` with every bound as its (numerator, denominator) pair."""
+    return [
+        (tuple(a.as_integer_ratio() for a in lo), tuple(b.as_integer_ratio() for b in hi))
+        for lo, hi in bounds
+    ]
 
 
 @dataclass(frozen=True)
@@ -120,8 +141,24 @@ def _sweep(boxes: list[Box], dimension: int) -> Iterator[tuple[int, list[int]]]:
         active.append(j)
 
 
+def _volume_ratio(boxes, dimension: int) -> tuple[int, int]:
+    """The summed volume of ``boxes`` (anything with Fraction ``lo`` and
+    ``hi``) as integers (n, d), n / d exact: each axis's lengths are
+    integers over the lcm of that axis's bound denominators."""
+    dens = [
+        math.lcm(*(x.denominator for b in boxes for x in (b.lo[d], b.hi[d])))
+        for d in range(dimension)
+    ]
+    total = 0
+    for b in boxes:
+        v = 1
+        for a, c, den in zip(b.lo, b.hi, dens):
+            v *= c.numerator * (den // c.denominator) - a.numerator * (den // a.denominator)
+        total += v
+    return total, math.prod(dens)
+
+
 def _validate_tiling(boxes: list[Box], dimension: int) -> None:
-    total = _ZERO
     for b in boxes:
         if b.dimension != dimension:
             raise InvalidCatalogFunction("boxes of mixed dimension")
@@ -136,7 +173,6 @@ def _validate_tiling(boxes: list[Box], dimension: int) -> None:
                 raise InvalidCatalogFunction(
                     f"box bounds [{a}, {c}) do not sit inside [0, 1)"
                 )
-        total += b.volume
     for j, earlier in _sweep(boxes, dimension):
         b = boxes[j]
         for i in earlier:
@@ -145,9 +181,10 @@ def _validate_tiling(boxes: list[Box], dimension: int) -> None:
                 raise InvalidCatalogFunction(
                     f"overlapping boxes {b1.lo}-{b1.hi} and {b2.lo}-{b2.hi}"
                 )
-    if total != _ONE:
+    total, cube = _volume_ratio(boxes, dimension)
+    if total != cube:
         raise InvalidCatalogFunction(
-            f"boxes tile volume {total}, not the whole unit cube"
+            f"boxes tile volume {Fraction(total, cube)}, not the whole unit cube"
         )
 
 
@@ -203,27 +240,33 @@ class BoxFunction:
         """Each box's (lo, hi) bounds, in box order."""
         return [(b.lo, b.hi) for b in self.boxes]
 
+    @cached_property
+    def projection(self) -> tuple[RatioBounds, list[float]]:
+        """The box bounds as integer ratios and the box values as floats, in
+        box order: what ``grid_classes`` and ``project_classes`` read, built
+        once per catalog."""
+        return ratio_bounds(self.bounds), [float(b.value) for b in self.boxes]
+
     def class_averages(self, classes: CellClasses) -> np.ndarray:
         """Exact averages on classes cut at every box bound (see grid_classes)."""
         if classes.grid.dimension != self.dimension:
             raise InvalidCatalogFunction("grid dimension does not match the catalog")
-        values = np.array([float(b.value) for b in self.boxes])
-        return project_classes(classes, self.bounds, values)
+        return project_classes(classes, self.projection)[0]
 
     def cell_averages(self, grid: DyadicGrid) -> np.ndarray:
         """Exact per-cell averages on a dyadic grid, flattened in cell order."""
         if grid.dimension != self.dimension:
             raise InvalidCatalogFunction("grid dimension does not match the catalog")
-        classes = grid_classes(grid, self.bounds)
+        classes = grid_classes(grid, self.projection[0])
         return self.class_averages(classes)[classes.cell_classes()]
 
 
-def _axis_ends(lo: Fraction, hi: Fraction, level: int) -> tuple[int, int, float, float]:
+def _axis_ends(lo: Ratio, hi: Ratio, level: int) -> tuple[int, int, float, float]:
     """The first and last level-j cell [lo, hi) meets, and its exact overlap
     with each, as integer ratios rounded once (int division is correctly
     rounded, like ``float(Fraction)``)."""
     side = 1 << level
-    (p, q), (r, s) = (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
+    (p, q), (r, s) = lo, hi
     first, last = p * side // q, -(-r * side // s) - 1
     # min(hi, (first + 1) / side) - lo and hi - max(lo, last / side)
     lo_n, hi_n, den = p * s * side, r * q * side, s * q * side
@@ -231,66 +274,83 @@ def _axis_ends(lo: Fraction, hi: Fraction, level: int) -> tuple[int, int, float,
     return first, last, head, (hi_n - max(lo_n, last * s * q)) / den
 
 
-def grid_classes(grid: DyadicGrid, *bounds: Bounds) -> CellClasses:
+def grid_classes(grid: DyadicGrid, *bounds: RatioBounds) -> CellClasses:
     """Classes of ``grid`` whose cells each region of ``bounds`` meets alike.
 
-    Each axis is cut at the floor and ceiling of every bound times 2^level,
-    so a cell a bound falls inside is a run of its own, and the cells
-    between lie in one gap between bounds.  The first axis is also cut at
-    its middle, so there are two classes at least, as a measure space needs.
+    Each axis is cut at the floor and ceiling of every distinct bound times
+    2^level, so a cell a bound falls inside is a run of its own, and the
+    cells between lie in one gap between bounds.  The first axis is also
+    cut at its middle, so there are two classes at least, as a measure
+    space needs.
     """
     side = grid.side_count
     edges = []
     for d in range(grid.dimension):
         cuts = {0, side // 2, side} if d == 0 else {0, side}
-        for x in (b[d] for regions in bounds for region in regions for b in region):
-            k, rest = divmod(x.numerator * side, x.denominator)
+        for p, q in {x[d] for regions in bounds for region in regions for x in region}:
+            k, rest = divmod(p * side, q)
             cuts.update((k, k + (rest > 0)))
         edges.append(sorted(cuts))
     return CellClasses(grid, edges)
 
 
-def project_classes(classes: CellClasses, bounds: Bounds, values: np.ndarray) -> np.ndarray:
-    """Averages of sum_r values[r] * indicator(region r) on each class.
+def project_classes(
+    classes: CellClasses, *catalogs: tuple[RatioBounds, list[float]]
+) -> list[np.ndarray]:
+    """Per (bounds, values) catalog, the averages of sum_r values[r] *
+    indicator(region r) on each class.
 
     ``classes`` must be cut at every region bound (``grid_classes``).  Each
-    region adds the outer product of its exact per-axis overlaps (once per
-    distinct interval and axis; every cell of a run has its first cell's,
-    and only end cells are partial) into the classes it covers, in region
-    order: bit for bit the cell-by-cell sum, exact for aligned regions, and
-    no per-cell array at any level.
+    region adds val * (o_1 * ... * o_m) to the sum of every class it
+    covers, o_d its exact overlap with that class's first cell along axis d
+    (every cell of a run has its first cell's, and only end cells are
+    partial), in region order, and the sums are then times 2^(m j).  These
+    are the IEEE operations of a cell-by-cell sum, in its order, so each
+    class value is bit for bit its cells' average, and exact for aligned
+    regions.  The sums are plain Python floats, one per class and no array
+    per region: one multiply-add per (region, covered class) pair, which
+    sums to O(classes) over a tiling.  Bounds are integer ratios and the
+    overlaps integer ratios rounded once, computed once per distinct
+    interval and axis for all the catalogs.
     """
     grid = classes.grid
-    acc = np.zeros(tuple(len(e) - 1 for e in classes.edges))
-    caches: list[dict] = [{} for _ in classes.edges]  # interval -> runs, overlaps
-    for (lo, hi), val in zip(bounds, np.asarray(values).tolist()):
-        if val == 0.0:
-            continue
-        runs, block = [], None
-        for a, b, cuts, cache in zip(lo, hi, classes.edges, caches):
-            key = (a.numerator, a.denominator, b.numerator, b.denominator)
-            if key not in cache:
-                first, last, head, tail = _axis_ends(a, b, grid.level)
-                i, k = (bisect.bisect_left(cuts, c) for c in (first, last + 1))
-                if cuts[i] != first or cuts[k] != last + 1:
-                    raise ValueError("classes are not cut at a region bound")
-                whole = 1.0 / grid.side_count
-                cache[key] = slice(i, k), np.array(
-                    [tail if c == last else head if c == first else whole for c in cuts[i:k]]
-                )
-            runs.append(cache[key][0])
-            o = cache[key][1]
-            block = o if block is None else np.multiply.outer(block, o)
-        acc[tuple(runs)] += val * block
-    # divide by the cell volume (a power of two, exact)
-    return acc.reshape(-1) * float(grid.side_count**grid.dimension)
+    whole = 1.0 / grid.side_count
+    scale = float(grid.side_count**grid.dimension)  # 1 / the cell volume, exact
+    runs = [len(e) - 1 for e in classes.edges]
+    caches: list[dict] = [{} for _ in classes.edges]  # interval -> (run, overlap) pairs
+    out = []
+    for bounds, values in catalogs:
+        acc = [0.0] * math.prod(runs)
+        for (lo, hi), val in zip(bounds, np.asarray(values).tolist()):
+            if val == 0.0:
+                continue
+            covered = None  # (flat class index, product of overlaps) pairs
+            for a, b, cuts, n, cache in zip(lo, hi, classes.edges, runs, caches):
+                axis = cache.get((a, b))
+                if axis is None:
+                    first, last, head, tail = _axis_ends(a, b, grid.level)
+                    i, k = (bisect.bisect_left(cuts, c) for c in (first, last + 1))
+                    if cuts[i] != first or cuts[k] != last + 1:
+                        raise ValueError("classes are not cut at a region bound")
+                    axis = cache[a, b] = [
+                        (r, tail if c == last else head if c == first else whole)
+                        for r, c in zip(range(i, k), cuts[i:k])
+                    ]
+                covered = axis if covered is None else [
+                    (c * n + r, p * o) for c, p in covered for r, o in axis
+                ]
+            for c, p in covered:
+                acc[c] += val * p
+        out.append(np.array(acc) * scale)
+    return out
 
 
 def project_regions(grid: DyadicGrid, bounds: Bounds, values: np.ndarray) -> np.ndarray:
     """Cell averages of sum_r values[r] * indicator(region r) on ``grid``:
     ``project_classes`` on the classes of ``bounds``, scattered to cells."""
-    classes = grid_classes(grid, bounds)
-    return project_classes(classes, bounds, values)[classes.cell_classes()]
+    ratios = ratio_bounds(bounds)
+    classes = grid_classes(grid, ratios)
+    return project_classes(classes, (ratios, values))[0][classes.cell_classes()]
 
 
 @dataclass(frozen=True)
@@ -331,8 +391,8 @@ def overlay(f: BoxFunction, g: BoxFunction) -> tuple[OverlayRegion, ...]:
         inter = bf.intersection_bounds(bg)
         if inter is not None:
             regions.append(OverlayRegion(bf.value, bg.value, *inter))
-    total = sum((r.volume for r in regions), _ZERO)
-    if total != _ONE:
+    total, cube = _volume_ratio(regions, f.dimension)
+    if total != cube:
         raise InvalidCatalogFunction("overlay does not tile the unit cube")
     return tuple(regions)
 

@@ -40,7 +40,8 @@ from fractions import Fraction
 import numpy as np
 
 from .boxes import (
-    BoxFunction, OverlayRegion, grid_classes, overlay, project_regions, regions_energy,
+    BoxFunction, OverlayRegion, grid_classes, overlay, project_classes, project_regions,
+    regions_energy,
 )
 from .errors import DegenerateVelocity, HypothesisViolation
 from .geodesics import (
@@ -174,9 +175,9 @@ def _check_hypotheses(f0: BoxFunction, g0: BoxFunction, delta) -> tuple:
 def project_pair(f0: BoxFunction, g0: BoxFunction, j: int) -> tuple[FiniteDensity, SignedFunction]:
     """A catalog pair averaged over the level-j cell classes: the density
     (ValueError if it is not one) and the velocity before renormalization."""
-    classes = grid_classes(DyadicGrid(f0.dimension, j), f0.bounds, g0.bounds)
-    fd = FiniteDensity(classes, f0.class_averages(classes))
-    return fd, SignedFunction(classes, g0.class_averages(classes))
+    classes = grid_classes(DyadicGrid(f0.dimension, j), f0.projection[0], g0.projection[0])
+    f, g = project_classes(classes, f0.projection, g0.projection)
+    return FiniteDensity(classes, f), SignedFunction(classes, g)
 
 
 def build_ladder(
@@ -220,31 +221,37 @@ def phi_staircase(phi: TentFunction, dimension: int, j_ref: int) -> np.ndarray:
 
 
 def _axis_integrals(phi: TentFunction, axis: int, j_ref: int, points) -> list[float]:
+    """``_stair_integrals`` between rational ``points`` (Fractions)."""
+    return _stair_integrals(phi, axis, j_ref, [x.as_integer_ratio() for x in points])
+
+
+def _stair_integrals(phi: TentFunction, axis: int, j_ref: int, points) -> list[float]:
     """Integrals over [points[i], points[i + 1]) of phi's level-j_ref
-    midpoint staircase on axis ``axis``, exact for rational points and
-    rounded once (int division is correctly rounded, like ``float(Fraction)``).
+    midpoint staircase on axis ``axis``, for points given as integer
+    (numerator, denominator) pairs: exact, then rounded once (int division
+    is correctly rounded, like ``float(Fraction)``).
 
     Times 2^shift, the tent's center and radius (floats, so dyadic) are
     integers C and R and cell k's midpoint is (2k + 1) g, so the cell's value
     is u_k / R, u_k = max(0, R - |(2k + 1) g - C|); the sum of u_k over k < K
     is two arithmetic series, split where the midpoints reach c - r, c, c + r.
     """
-    c, r, side = Fraction(phi.centers[axis]), Fraction(phi.radii[axis]), 1 << j_ref
-    shift = max(j_ref + 1, c.denominator.bit_length() - 1, r.denominator.bit_length() - 1)
-    C, R = ((v.numerator << shift) // v.denominator for v in (c, r))
+    (cn, cd), (rn, rd) = (v[axis].as_integer_ratio() for v in (phi.centers, phi.radii))
+    side = 1 << j_ref
+    shift = max(j_ref + 1, cd.bit_length() - 1, rd.bit_length() - 1)
+    C, R = ((n << shift) // d for n, d in ((cn, cd), (rn, rd)))
     g = 1 << (shift - j_ref - 1)
     k_lo, k_mid, k_hi = (-((g - x) // (2 * g)) for x in (C - R, C, C + R))
 
-    def upto(x: Fraction) -> tuple[int, int]:  # q * R * side * integral over [0, x), q
-        p, q = x.numerator, x.denominator
+    def upto(p: int, q: int) -> int:  # q * R * side * the integral over [0, p / q)
         k = p * side // q
         # the sum of u_i over i < k: rising on [k_lo, a), falling on [k_mid, b)
         a, b = min(max(k, k_lo), k_mid), min(max(k, k_mid), k_hi)
         below = g * (a * a - k_lo * k_lo) + (R - C) * (a - k_lo)
         below += (R + C) * (b - k_mid) - g * (b * b - k_mid * k_mid)
-        return q * below + (p * side - k * q) * max(0, R - abs((2 * k + 1) * g - C)), q
+        return q * below + (p * side - k * q) * max(0, R - abs((2 * k + 1) * g - C))
 
-    ends = [upto(x) for x in points]
+    ends = [(upto(p, q), q) for p, q in points]
     return [
         (n1 * q0 - n0 * q1) / (q0 * q1 * R * side) for (n0, q0), (n1, q1) in zip(ends, ends[1:])
     ]
@@ -288,7 +295,7 @@ def _phi_coarse(phi: TentFunction, j_ref: int, classes: CellClasses) -> np.ndarr
     each class, the outer product of the per-axis integrals over the runs."""
     side = classes.grid.side_count
     return outer([
-        np.array(_axis_integrals(phi, d, j_ref, [Fraction(k, side) for k in e]))
+        np.array(_stair_integrals(phi, d, j_ref, [(k, side) for k in e]))
         for d, e in enumerate(classes.edges)
     ])
 

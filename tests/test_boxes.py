@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -19,15 +20,19 @@ from frgeo import (
     overlay_energy,
 )
 from frgeo import boxes
-from frgeo.boxes import _axis_ends, grid_classes
+from frgeo.boxes import _axis_ends, grid_classes, ratio_bounds
 from frgeo.catalogs import (
     g01_1d,
     g02_1d,
     misaligned_f0_1d,
     misaligned_f0_2d,
     misaligned_g0_1d,
+    misaligned_g0_2d,
     uniform1d,
 )
+from frgeo.pixelation import _phi_coarse, project_pair
+from frgeo.pixelation import test_functions_1d as tents_1d
+from frgeo.pixelation import test_functions_2d as tents_2d
 
 F = Fraction
 
@@ -95,6 +100,15 @@ def test_tiling_validation():
             named = f"overlapping boxes {b1.lo}-{b1.hi} and {b2.lo}-{b2.hi}"
             with pytest.raises(InvalidCatalogFunction, match=re.escape(named)):
                 BoxFunction.from_rows(2, listed)
+
+
+def test_tiling_volume_is_summed_exactly():
+    # the gap [1/3, 2/5) is 1/15 wide; every length is exact over the lcm of
+    # the denominators, 105, where over 7 both gap ends would floor to 2
+    rows = [(1, 0, F(1, 3)), (1, F(2, 5), F(4, 7)), (1, F(4, 7), 1)]
+    with pytest.raises(InvalidCatalogFunction, match="^boxes tile volume 14/15, not the whole"):
+        BoxFunction.from_rows(1, rows)
+    assert BoxFunction.from_rows(1, [*rows, (1, F(1, 3), F(2, 5))]).integral() == 1
 
 
 def _strip(axis, lo, hi):
@@ -210,7 +224,7 @@ def test_cell_averages_misaligned_exact():
 def test_projection_preserves_integrals():
     for catalog, target in ((misaligned_f0_1d(), 1.0), (misaligned_g0_1d(), 0.0)):
         for level in (1, 3, 6):
-            classes = grid_classes(DyadicGrid(1, level), catalog.bounds)
+            classes = grid_classes(DyadicGrid(1, level), catalog.projection[0])
             proj = catalog.class_averages(classes)
             assert abs(np.dot(proj, classes.weights) - target) < 1e-14
 
@@ -359,6 +373,25 @@ def test_overlay_of_256_box_catalogs_tests_few_pairs(monkeypatch, dimension):
         assert len(calls) == len(regions)
 
 
+def test_overlay_missing_a_pair_fails_its_volume_check(monkeypatch):
+    # every 1-D sweep candidate is a real region, so a sweep that loses one
+    # leaves a hole the closing volume check must see
+    f, g = misaligned_f0_1d(), misaligned_g0_1d()
+    sweep, dropped = boxes._sweep, []
+
+    def lossy(boxes_, dimension):
+        for j, earlier in sweep(boxes_, dimension):
+            if earlier and not dropped:
+                dropped.append((earlier[0], j))
+                earlier = earlier[1:]
+            yield j, earlier
+
+    monkeypatch.setattr(boxes, "_sweep", lossy)
+    with pytest.raises(InvalidCatalogFunction, match="overlay does not tile the unit cube"):
+        overlay(f, g)
+    assert dropped
+
+
 def test_load_catalog_round_trip(tmp_path):
     path = tmp_path / "cat.txt"
     path.write_text(
@@ -433,7 +466,7 @@ def _reference_axis_overlaps(lo, hi, level):
 def _assert_same_overlaps(lo, hi, level):
     # _axis_ends gives the end cells and their overlaps; every cell between
     # them is covered whole
-    first, last, head, tail = _axis_ends(lo, hi, level)
+    first, last, head, tail = _axis_ends(lo.as_integer_ratio(), hi.as_integer_ratio(), level)
     ref_first, ref_lengths = _reference_axis_overlaps(lo, hi, level)
     assert (first, last) == (ref_first, ref_first + ref_lengths.size - 1), (lo, hi, level)
     assert (head, tail) == (ref_lengths[0], ref_lengths[-1]), (lo, hi, level)
@@ -479,7 +512,7 @@ def test_axis_overlaps_match_reference_special_bounds(level):
 
 
 def test_axis_overlaps_single_cell_is_region_length():
-    first, last, head, tail = _axis_ends(F(5, 17), F(6, 17), 2)
+    first, last, head, tail = _axis_ends((5, 17), (6, 17), 2)
     assert first == last == 1
     assert head == tail == float(F(1, 17))
 
@@ -559,8 +592,8 @@ def test_class_projection_matches_dense_reference(dimension, level):
     for name, bounds in _region_sets(dimension).items():
         values = rng.normal(size=len(bounds))
         values[::5] = 0.0  # zero-valued regions add nothing
-        classes = grid_classes(grid, bounds)
-        got = boxes.project_classes(classes, bounds, values)
+        classes = grid_classes(grid, ratio_bounds(bounds))
+        [got] = boxes.project_classes(classes, (ratio_bounds(bounds), values))
         # runs are cut at 0, 2^level, the floor and ceiling of each of the
         # B_d distinct bounds on axis d, and the middle of the first axis
         for d, runs in enumerate(len(e) - 1 for e in classes.edges):
@@ -576,4 +609,106 @@ def test_class_projection_needs_cuts_at_every_bound():
     grid = DyadicGrid(1, 4)
     f = misaligned_f0_1d()
     with pytest.raises(ValueError, match="not cut"):
-        boxes.project_classes(grid_classes(grid), f.bounds, np.ones(3))
+        boxes.project_classes(grid_classes(grid), (f.projection[0], np.ones(3)))
+
+
+# ---------------------------------------------------------------------------
+# ladder levels: both catalogs at once, and no rational arithmetic per level
+
+
+def _seeded_pair_1d(seed, count=16):
+    """A 1-D (f0, g0) pair of ``count`` boxes: breakpoint i at i/count plus
+    an odd-denominator offset, so no dyadic grid aligns, and values with 30
+    digits, f0 of unit mass."""
+    rng = random.Random(seed)
+    edges = [F(0)]
+    for i in range(1, count):
+        q = rng.choice((3, 5, 7, 9, 11, 13))
+        k = rng.choice([k for k in range(-(q // 2), q // 2 + 1) if k])
+        edges.append(F(i, count) + F(k, 2 * count * q))
+    edges.append(F(1))
+    lengths = [b - a for a, b in zip(edges, edges[1:])]
+    f = [F(rng.randrange(10**29, 10**30), 10**30) for _ in lengths]
+    mass = sum(v * h for v, h in zip(f, lengths))
+    g = [F(rng.randrange(-(10**30), 10**30), 10**30) for _ in lengths]
+    return [(v / mass, a, b) for v, a, b in zip(f, edges, edges[1:])], [
+        (v, a, b) for v, a, b in zip(g, edges, edges[1:])
+    ]
+
+
+def _seeded_pair(dimension):
+    """The 1-D seeded pair, or in 2-D the product of two of them (f0 of
+    unit mass, 256 boxes each)."""
+    f, g = _seeded_pair_1d(7)
+    if dimension == 1:
+        return BoxFunction.from_rows(1, f), BoxFunction.from_rows(1, g)
+    fy, _ = _seeded_pair_1d(8)
+
+    def product(xs, ys):
+        return BoxFunction.from_rows(
+            2, [(u * v, a, b, c, d) for u, a, b in xs for v, c, d in ys]
+        )
+
+    return product(f, fy), product(g, fy)
+
+
+@pytest.mark.parametrize(
+    "dimension, levels", [(1, range(1, 15)), (2, range(1, 11))], ids=["1d", "2d"]
+)
+def test_project_pair_matches_dense_reference(dimension, levels):
+    # f and g share their bounds, so g's projection runs on f's cached
+    # overlaps; the dense reference is one array per cell, so 2-D stops at
+    # level 10 (2^20 cells)
+    f0, g0 = _seeded_pair(dimension)
+    for level in levels:
+        fd, g_raw = project_pair(f0, g0, level)
+        grid = DyadicGrid(dimension, level)
+        cells = fd.space.cell_classes()
+        for catalog, got in ((f0, fd.values), (g0, g_raw.values)):
+            values = np.array([float(b.value) for b in catalog.boxes])
+            want = _dense_reference(grid, catalog.bounds, values)
+            assert np.array_equal(got[cells].view(np.int64), want.view(np.int64)), level
+
+
+_LADDER_PAIRS = {
+    "misaligned_1d": lambda: (misaligned_f0_1d(), misaligned_g0_1d()),
+    "misaligned_2d": lambda: (misaligned_f0_2d(), misaligned_g0_2d()),
+    "seeded_1d": lambda: _seeded_pair(1),
+    "seeded_2d": lambda: _seeded_pair(2),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(_LADDER_PAIRS))
+def test_ladder_levels_use_no_fractions(monkeypatch, pair):
+    # a level reads each catalog's integer bounds and float values, built on
+    # first use: it builds no Fraction, and once they are built it reads,
+    # unpacks and hashes none
+    f0, g0 = _LADDER_PAIRS[pair]()
+    phi = (tents_1d() if f0.dimension == 1 else tents_2d())[0]
+    built, touched = [], []
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    def levels():
+        for level in range(3, 13):
+            fd, _ = project_pair(f0, g0, level)
+            _phi_coarse(phi, 16, fd.space)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting_new))
+    levels()
+    assert built == []
+    for name in ("numerator", "denominator"):
+        read = getattr(F, name)
+        monkeypatch.setattr(
+            F, name, property(lambda x, read=read, name=name: touched.append(name) or read.fget(x))
+        )
+    for name in ("__hash__", "as_integer_ratio", "__float__"):
+        method = getattr(F, name)
+        monkeypatch.setattr(
+            F, name, lambda x, method=method, name=name: touched.append(name) or method(x)
+        )
+    levels()
+    assert built == [] and touched == []
