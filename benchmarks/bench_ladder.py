@@ -21,7 +21,7 @@ here of the per-box numpy accumulation it replaced (a Fraction key and
 one ``np.multiply.outer`` and fancy-indexed ``+=`` per box), and check
 that both give every class value with the same bits.  Each line is the
 median over PROJECTION_REPEATS sweeps of the levels, in microseconds per
-level, with each catalog's integer bounds already built.
+level; each catalog's integer bounds are built with the catalog.
 
 Exits non-zero if any run fails, any overlay differs or any class value
 differs.
@@ -144,7 +144,7 @@ def numpy_class_averages(classes, catalog: BoxFunction) -> np.ndarray:
 
 def numpy_pair(f0: BoxFunction, g0: BoxFunction, j: int):
     """``project_pair`` with ``numpy_class_averages``."""
-    classes = grid_classes(DyadicGrid(f0.dimension, j), f0.projection[0], g0.projection[0])
+    classes = grid_classes(DyadicGrid(f0.dimension, j), f0.int_bounds, g0.int_bounds)
     fd = FiniteDensity(classes, numpy_class_averages(classes, f0))
     return fd, SignedFunction(classes, numpy_class_averages(classes, g0))
 
@@ -211,7 +211,6 @@ def main() -> int:
         "seeded16": seeded_pair(random.Random(2)),
     }
     for name, (f0, g0) in pairs.items():
-        project_pair(f0, g0, 1)  # build each catalog's integer bounds
         plain_us, plain = us_per_level(project_pair, f0, g0)
         numpy_us, reference = us_per_level(numpy_pair, f0, g0)
         same = all(

@@ -1,11 +1,15 @@
 """Piecewise-constant catalog functions on the unit cube, with exact arithmetic.
 
 A catalog function is a finite union of constant values on axis-aligned
-half-open boxes tiling [0,1)^m.  Box bounds and values are stored as
-`fractions.Fraction`, so integrals, overlays and cell averages are computed
-in exact rational arithmetic; floats entering a catalog are embedded exactly
-(every float is a rational).  This is what makes alignment statements like
-"the projection reproduces the function exactly at level j" hold to the last
+half-open boxes tiling [0,1)^m.  Bounds and values enter as
+`fractions.Fraction` (a float enters exactly, as every float is a
+rational).  A ``BoxFunction`` turns its bounds once into integers over each
+axis's lcm of bound denominators (``integer_bounds``), and every exact step
+runs on those: the tiling checks, the sweep, the integral, the overlay and
+its energy, and each level's projection.  Fractions remain at the edges:
+parsed boxes, values, overlay regions' ``lo``, ``hi`` and ``volume``, and
+error messages.  This is what makes alignment statements like "the
+projection reproduces the function exactly at level j" hold to the last
 bit instead of to quadrature error.
 
 The on-disk descriptor format is one box per line::
@@ -21,18 +25,13 @@ finds overlapping there (``_sweep``, shared with the tiling check): a sort
 of the B_f + B_g boxes plus those pairs, near-linear for 1-D catalogs,
 where the loop cost B_f * B_g pair tests.
 
-The tiling check and the overlay's closing check sum box volumes in
-integers, each axis's lengths over the lcm of its bound denominators
-(``_volume_ratio``), so the sums build no Fraction.
-
 On a dyadic grid, ``grid_classes`` groups cells that meet the same bounds
 or gap between bounds on every axis (at most 2 B_d + 1 runs for B_d bounds
 on axis d, at any level); ``project_classes`` averages once per class, bit
 for bit each cell's average, and ``cell_averages`` scatters to cells.  A
-level's projection does no rational arithmetic: a catalog's bounds become
-integer (numerator, denominator) pairs and its values floats once, on first
-use (``BoxFunction.projection``), class edges are integer cell indices,
-and class sums are plain floats (see ``project_classes``).
+level's projection does no rational arithmetic: class edges are integer
+cell indices, overlaps integer ratios rounded once, and class sums plain
+floats (see ``project_classes``).
 """
 
 from __future__ import annotations
@@ -40,9 +39,8 @@ from __future__ import annotations
 import bisect
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -52,9 +50,10 @@ from .spaces import CellClasses, DyadicGrid
 
 FractionLike = Fraction | int | float | str
 Bounds = list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]
-# a rational as its (numerator, denominator) pair, denominator positive
-Ratio = tuple[int, int]
-RatioBounds = list[tuple[tuple[Ratio, ...], tuple[Ratio, ...]]]
+# a box's (lo, hi) bounds as integers over its axes' common denominators
+Span = tuple[tuple[int, ...], tuple[int, ...]]
+# per axis the common denominator, and each box's span over them
+IntBounds = tuple[tuple[int, ...], list[Span]]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -64,12 +63,31 @@ def _frac(x: FractionLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def ratio_bounds(bounds: Bounds) -> RatioBounds:
-    """``bounds`` with every bound as its (numerator, denominator) pair."""
-    return [
-        (tuple(a.as_integer_ratio() for a in lo), tuple(b.as_integer_ratio() for b in hi))
-        for lo, hi in bounds
+def integer_bounds(bounds: Bounds, dimension: int) -> IntBounds:
+    """``bounds`` as integers: per axis d the lcm D_d of the bound
+    denominators, and every bound x on axis d as x * D_d."""
+    dens = tuple(
+        math.lcm(*(x.denominator for lo, hi in bounds for x in (lo[d], hi[d])))
+        for d in range(dimension)
+    )
+    return dens, [
+        tuple(tuple(x.numerator * (D // x.denominator) for x, D in zip(ends, dens)) for ends in box)
+        for box in bounds
     ]
+
+
+def _span_volume(span: Span) -> int:
+    """The volume of ``span``, times the product of its denominators."""
+    return math.prod(b - a for a, b in zip(*span))
+
+
+def _overlap(p: Span, q: Span) -> Span | None:
+    """The intersection of two spans over the same denominators, or None if
+    they do not overlap (spans that only touch do not)."""
+    lo, hi = tuple(map(max, p[0], q[0])), tuple(map(min, p[1], q[1]))
+    if any(a >= b for a, b in zip(lo, hi)):
+        return None
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -101,12 +119,6 @@ class Box:
             v *= b - a
         return v
 
-    def intersects(self, other: "Box") -> bool:
-        return all(
-            max(a1, a2) < min(b1, b2)
-            for a1, b1, a2, b2 in zip(self.lo, self.hi, other.lo, other.hi)
-        )
-
     def intersection_bounds(
         self, other: "Box"
     ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None:
@@ -126,77 +138,63 @@ class Box:
         return m
 
 
-def _sweep(boxes: list[Box], dimension: int) -> Iterator[tuple[int, list[int]]]:
-    """Each box's index, in lo[d] order, with the earlier boxes whose hi[d]
-    exceeds its lo[d]: the only earlier boxes it can overlap (boxes that
+def _sweep(spans: list[Span], dimension: int) -> Iterator[tuple[int, list[int]]]:
+    """Each span's index, in lo[d] order, with the earlier spans whose hi[d]
+    exceeds its lo[d]: the only earlier spans it can overlap (spans that
     only touch do not).  d is the first axis with the most distinct lower
-    bounds, so strips across any axis keep few boxes active.  The list of
+    bounds, so strips across any axis keep few spans active.  The list of
     indices is valid until the next step."""
-    d = max(range(dimension), key=lambda e: len({b.lo[e] for b in boxes}))
+    d = max(range(dimension), key=lambda e: len({lo[e] for lo, _ in spans}))
     active: list[int] = []
-    for j in sorted(range(len(boxes)), key=lambda k: boxes[k].lo[d]):
-        lo = boxes[j].lo[d]
-        active = [i for i in active if boxes[i].hi[d] > lo]
+    for j in sorted(range(len(spans)), key=lambda k: spans[k][0][d]):
+        lo = spans[j][0][d]
+        active = [i for i in active if spans[i][1][d] > lo]
         yield j, active
         active.append(j)
 
 
-def _volume_ratio(boxes, dimension: int) -> tuple[int, int]:
-    """The summed volume of ``boxes`` (anything with Fraction ``lo`` and
-    ``hi``) as integers (n, d), n / d exact: each axis's lengths are
-    integers over the lcm of that axis's bound denominators."""
-    dens = [
-        math.lcm(*(x.denominator for b in boxes for x in (b.lo[d], b.hi[d])))
-        for d in range(dimension)
-    ]
-    total = 0
-    for b in boxes:
-        v = 1
-        for a, c, den in zip(b.lo, b.hi, dens):
-            v *= c.numerator * (den // c.denominator) - a.numerator * (den // a.denominator)
-        total += v
-    return total, math.prod(dens)
-
-
-def _validate_tiling(boxes: list[Box], dimension: int) -> None:
-    for b in boxes:
-        if b.dimension != dimension:
-            raise InvalidCatalogFunction("boxes of mixed dimension")
-        try:
-            float(b.value)
-        except OverflowError:
-            raise InvalidCatalogFunction(
-                "box value outside the float range (|value| > 1.8e308)"
-            ) from None
-        for a, c in zip(b.lo, b.hi):
-            if not (_ZERO <= a < c <= _ONE):
-                raise InvalidCatalogFunction(
-                    f"box bounds [{a}, {c}) do not sit inside [0, 1)"
-                )
-    for j, earlier in _sweep(boxes, dimension):
-        b = boxes[j]
-        for i in earlier:
-            if boxes[i].intersects(b):
-                b1, b2 = (boxes[i], b) if i < j else (b, boxes[i])
-                raise InvalidCatalogFunction(
-                    f"overlapping boxes {b1.lo}-{b1.hi} and {b2.lo}-{b2.hi}"
-                )
-    total, cube = _volume_ratio(boxes, dimension)
-    if total != cube:
-        raise InvalidCatalogFunction(
-            f"boxes tile volume {Fraction(total, cube)}, not the whole unit cube"
-        )
-
-
 @dataclass(frozen=True)
 class BoxFunction:
-    """Exact piecewise-constant function given by a disjoint box tiling."""
+    """Exact piecewise-constant function given by a disjoint box tiling;
+    ``int_bounds`` (see ``integer_bounds``) and ``floats``, the box values
+    as floats, are built once, with the tiling checks."""
 
     dimension: int
     boxes: tuple[Box, ...]
+    int_bounds: IntBounds = field(init=False, repr=False, compare=False)
+    floats: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _validate_tiling(list(self.boxes), self.dimension)
+        if any(b.dimension != self.dimension for b in self.boxes):
+            raise InvalidCatalogFunction("boxes of mixed dimension")
+        dens, spans = integer_bounds(self.bounds, self.dimension)
+        floats = []
+        for b, (lo, hi) in zip(self.boxes, spans):
+            try:
+                floats.append(float(b.value))
+            except OverflowError:
+                raise InvalidCatalogFunction(
+                    "box value outside the float range (|value| > 1.8e308)"
+                ) from None
+            for a, c, m, n, den in zip(b.lo, b.hi, lo, hi, dens):
+                if not 0 <= m < n <= den:
+                    raise InvalidCatalogFunction(
+                        f"box bounds [{a}, {c}) do not sit inside [0, 1)"
+                    )
+        for j, earlier in _sweep(spans, self.dimension):
+            for i in earlier:
+                if _overlap(spans[i], spans[j]) is not None:
+                    b1, b2 = (self.boxes[k] for k in sorted((i, j)))
+                    raise InvalidCatalogFunction(
+                        f"overlapping boxes {b1.lo}-{b1.hi} and {b2.lo}-{b2.hi}"
+                    )
+        total, cube = sum(map(_span_volume, spans)), math.prod(dens)
+        if total != cube:
+            raise InvalidCatalogFunction(
+                f"boxes tile volume {Fraction(total, cube)}, not the whole unit cube"
+            )
+        object.__setattr__(self, "int_bounds", (dens, spans))
+        object.__setattr__(self, "floats", floats)
 
     @classmethod
     def from_rows(
@@ -205,7 +203,9 @@ class BoxFunction:
         return cls(dimension, tuple(Box.make(r[0], *r[1:]) for r in rows))
 
     def integral(self) -> Fraction:
-        return sum((b.value * b.volume for b in self.boxes), _ZERO)
+        dens, spans = self.int_bounds
+        total = sum((b.value * _span_volume(s) for b, s in zip(self.boxes, spans)), _ZERO)
+        return total / math.prod(dens)
 
     def square_integral(self) -> Fraction:
         return sum((b.value * b.value * b.volume for b in self.boxes), _ZERO)
@@ -240,41 +240,33 @@ class BoxFunction:
         """Each box's (lo, hi) bounds, in box order."""
         return [(b.lo, b.hi) for b in self.boxes]
 
-    @cached_property
-    def projection(self) -> tuple[RatioBounds, list[float]]:
-        """The box bounds as integer ratios and the box values as floats, in
-        box order: what ``grid_classes`` and ``project_classes`` read, built
-        once per catalog."""
-        return ratio_bounds(self.bounds), [float(b.value) for b in self.boxes]
-
     def class_averages(self, classes: CellClasses) -> np.ndarray:
         """Exact averages on classes cut at every box bound (see grid_classes)."""
         if classes.grid.dimension != self.dimension:
             raise InvalidCatalogFunction("grid dimension does not match the catalog")
-        return project_classes(classes, self.projection)[0]
+        return project_classes(classes, (self.int_bounds, self.floats))[0]
 
     def cell_averages(self, grid: DyadicGrid) -> np.ndarray:
         """Exact per-cell averages on a dyadic grid, flattened in cell order."""
         if grid.dimension != self.dimension:
             raise InvalidCatalogFunction("grid dimension does not match the catalog")
-        classes = grid_classes(grid, self.projection[0])
+        classes = grid_classes(grid, self.int_bounds)
         return self.class_averages(classes)[classes.cell_classes()]
 
 
-def _axis_ends(lo: Ratio, hi: Ratio, level: int) -> tuple[int, int, float, float]:
-    """The first and last level-j cell [lo, hi) meets, and its exact overlap
-    with each, as integer ratios rounded once (int division is correctly
-    rounded, like ``float(Fraction)``)."""
+def _axis_ends(a: int, b: int, den: int, level: int) -> tuple[int, int, float, float]:
+    """The first and last level-j cell [a / den, b / den) meets, and its
+    exact overlap with each, as integer ratios rounded once (int division
+    is correctly rounded, like ``float(Fraction)``)."""
     side = 1 << level
-    (p, q), (r, s) = lo, hi
-    first, last = p * side // q, -(-r * side // s) - 1
-    # min(hi, (first + 1) / side) - lo and hi - max(lo, last / side)
-    lo_n, hi_n, den = p * s * side, r * q * side, s * q * side
-    head = (min(hi_n, (first + 1) * s * q) - lo_n) / den
-    return first, last, head, (hi_n - max(lo_n, last * s * q)) / den
+    # in units of 1 / (den * side), where cell k starts at k * den
+    lo, hi, unit = a * side, b * side, den * side
+    first, last = lo // den, -(-hi // den) - 1
+    head = (min(hi, (first + 1) * den) - lo) / unit
+    return first, last, head, (hi - max(lo, last * den)) / unit
 
 
-def grid_classes(grid: DyadicGrid, *bounds: RatioBounds) -> CellClasses:
+def grid_classes(grid: DyadicGrid, *bounds: IntBounds) -> CellClasses:
     """Classes of ``grid`` whose cells each region of ``bounds`` meets alike.
 
     Each axis is cut at the floor and ceiling of every distinct bound times
@@ -287,15 +279,15 @@ def grid_classes(grid: DyadicGrid, *bounds: RatioBounds) -> CellClasses:
     edges = []
     for d in range(grid.dimension):
         cuts = {0, side // 2, side} if d == 0 else {0, side}
-        for p, q in {x[d] for regions in bounds for region in regions for x in region}:
-            k, rest = divmod(p * side, q)
+        for n, den in {(x[d], dens[d]) for dens, spans in bounds for span in spans for x in span}:
+            k, rest = divmod(n * side, den)
             cuts.update((k, k + (rest > 0)))
         edges.append(sorted(cuts))
     return CellClasses(grid, edges)
 
 
 def project_classes(
-    classes: CellClasses, *catalogs: tuple[RatioBounds, list[float]]
+    classes: CellClasses, *catalogs: tuple[IntBounds, list[float]]
 ) -> list[np.ndarray]:
     """Per (bounds, values) catalog, the averages of sum_r values[r] *
     indicator(region r) on each class.
@@ -309,30 +301,30 @@ def project_classes(
     class value is bit for bit its cells' average, and exact for aligned
     regions.  The sums are plain Python floats, one per class and no array
     per region: one multiply-add per (region, covered class) pair, which
-    sums to O(classes) over a tiling.  Bounds are integer ratios and the
-    overlaps integer ratios rounded once, computed once per distinct
-    interval and axis for all the catalogs.
+    sums to O(classes) over a tiling.  The overlaps are integer ratios
+    rounded once, computed once per distinct interval and axis for all
+    the catalogs.
     """
     grid = classes.grid
     whole = 1.0 / grid.side_count
     scale = float(grid.side_count**grid.dimension)  # 1 / the cell volume, exact
     runs = [len(e) - 1 for e in classes.edges]
-    caches: list[dict] = [{} for _ in classes.edges]  # interval -> (run, overlap) pairs
+    caches: list[dict] = [{} for _ in classes.edges]  # (a, b, den) -> (run, overlap) pairs
     out = []
-    for bounds, values in catalogs:
+    for (dens, spans), values in catalogs:
         acc = [0.0] * math.prod(runs)
-        for (lo, hi), val in zip(bounds, np.asarray(values).tolist()):
+        for (lo, hi), val in zip(spans, np.asarray(values).tolist()):
             if val == 0.0:
                 continue
             covered = None  # (flat class index, product of overlaps) pairs
-            for a, b, cuts, n, cache in zip(lo, hi, classes.edges, runs, caches):
-                axis = cache.get((a, b))
+            for a, b, den, cuts, n, cache in zip(lo, hi, dens, classes.edges, runs, caches):
+                axis = cache.get((a, b, den))
                 if axis is None:
-                    first, last, head, tail = _axis_ends(a, b, grid.level)
+                    first, last, head, tail = _axis_ends(a, b, den, grid.level)
                     i, k = (bisect.bisect_left(cuts, c) for c in (first, last + 1))
                     if cuts[i] != first or cuts[k] != last + 1:
                         raise ValueError("classes are not cut at a region bound")
-                    axis = cache[a, b] = [
+                    axis = cache[a, b, den] = [
                         (r, tail if c == last else head if c == first else whole)
                         for r, c in zip(range(i, k), cuts[i:k])
                     ]
@@ -348,51 +340,58 @@ def project_classes(
 def project_regions(grid: DyadicGrid, bounds: Bounds, values: np.ndarray) -> np.ndarray:
     """Cell averages of sum_r values[r] * indicator(region r) on ``grid``:
     ``project_classes`` on the classes of ``bounds``, scattered to cells."""
-    ratios = ratio_bounds(bounds)
-    classes = grid_classes(grid, ratios)
-    return project_classes(classes, (ratios, values))[0][classes.cell_classes()]
+    int_bounds = integer_bounds(bounds, grid.dimension)
+    classes = grid_classes(grid, int_bounds)
+    return project_classes(classes, (int_bounds, values))[0][classes.cell_classes()]
 
 
 @dataclass(frozen=True)
 class OverlayRegion:
-    """Common refinement cell of two catalogs: constant pair (f, g)."""
+    """Common refinement cell of two catalogs: constant pair (f, g) on
+    ``span``, integers over the overlay's common denominators ``dens``."""
 
     f_value: Fraction
     g_value: Fraction
-    lo: tuple[Fraction, ...]
-    hi: tuple[Fraction, ...]
+    dens: tuple[int, ...]
+    span: Span
+
+    @property
+    def lo(self) -> tuple[Fraction, ...]:
+        return tuple(map(Fraction, self.span[0], self.dens))
+
+    @property
+    def hi(self) -> tuple[Fraction, ...]:
+        return tuple(map(Fraction, self.span[1], self.dens))
 
     @property
     def volume(self) -> Fraction:
-        v = _ONE
-        for a, b in zip(self.lo, self.hi):
-            v *= b - a
-        return v
-
-    def axis_moment(self, axis: int, power: int = 1) -> Fraction:
-        return Box(_ONE, self.lo, self.hi).axis_moment(axis, power)
+        return Fraction(_span_volume(self.span), math.prod(self.dens))
 
 
 def overlay(f: BoxFunction, g: BoxFunction) -> tuple[OverlayRegion, ...]:
     """Common box refinement of two catalogs on the same cube: the non-empty
     intersections of an f box and a g box, in (f box, g box) index order,
-    from one sweep over both catalogs' boxes (see the module docstring)."""
+    from one sweep over both catalogs' boxes (see the module docstring), in
+    integers over the lcm of the two catalogs' denominators."""
     if f.dimension != g.dimension:
         raise InvalidCatalogFunction("catalogs of different dimension")
+    dens = tuple(map(math.lcm, f.int_bounds[0], g.int_bounds[0]))
+    spans = [  # f's spans, then g's, over the joint denominators
+        tuple(tuple(x * (den // d) for x, den, d in zip(ends, dens, own)) for ends in span)
+        for own, catalog_spans in (f.int_bounds, g.int_bounds) for span in catalog_spans
+    ]
     n = len(f.boxes)
     pairs = []
-    for j, earlier in _sweep([*f.boxes, *g.boxes], f.dimension):
+    for j, earlier in _sweep(spans, f.dimension):
         for i in earlier:
             if (i < n) != (j < n):
-                pairs.append((i, j - n) if i < n else (j, i - n))
+                pairs.append((i, j) if i < n else (j, i))
     regions = []
     for a, b in sorted(pairs):
-        bf, bg = f.boxes[a], g.boxes[b]
-        inter = bf.intersection_bounds(bg)
-        if inter is not None:
-            regions.append(OverlayRegion(bf.value, bg.value, *inter))
-    total, cube = _volume_ratio(regions, f.dimension)
-    if total != cube:
+        span = _overlap(spans[a], spans[b])
+        if span is not None:
+            regions.append(OverlayRegion(f.boxes[a].value, g.boxes[b - n].value, dens, span))
+    if sum(_span_volume(r.span) for r in regions) != math.prod(dens):
         raise InvalidCatalogFunction("overlay does not tile the unit cube")
     return tuple(regions)
 
@@ -402,14 +401,15 @@ def overlay_energy(f: BoxFunction, g: BoxFunction) -> Fraction:
     return regions_energy(overlay(f, g))
 
 
-def regions_energy(regions) -> Fraction:
-    """Exact integral of g^2 / f over overlay regions (f nonzero on each)."""
-    total = _ZERO
-    for r in regions:
-        if r.f_value == 0:
-            raise InvalidCatalogFunction("division by a zero-valued f region")
-        total += r.g_value * r.g_value / r.f_value * r.volume
-    return total
+def regions_energy(regions: tuple[OverlayRegion, ...]) -> Fraction:
+    """Exact integral of g^2 / f over the regions of an overlay (f nonzero
+    on each), summed over the integer volumes and divided once."""
+    if any(r.f_value == 0 for r in regions):
+        raise InvalidCatalogFunction("division by a zero-valued f region")
+    total = sum(
+        (r.g_value * r.g_value / r.f_value * _span_volume(r.span) for r in regions), _ZERO
+    )
+    return total / math.prod(regions[0].dens)
 
 
 def load_catalog(path: str | Path) -> BoxFunction:

@@ -25,10 +25,11 @@ against it.  Overlay regions and a level's cell classes (``CellClasses``)
 are boxes, so each side is sum_b v_b W_b over boxes b, with v constant per
 box and W_b the product over axes of the staircase's integral over the
 box's side.  A tent is linear between its kinks c - r, c and c + r, so that
-integral is two arithmetic series in integers, rounded once
-(``_axis_integrals``); the sums are math.fsum's, so each pairing is within
-a few ulp of its exact value.  ``_level_errors`` pairs the continuum side
-once per ladder, so a summary costs O(regions + classes), whatever J_ref is.
+integral is two arithmetic series in the boxes' integer bounds, rounded
+once (``_stair_integrals``); the sums are math.fsum's, so each pairing is
+within a few ulp of its exact value.  ``_level_errors`` pairs the continuum
+side once per ladder, so a summary costs O(regions + classes), whatever
+J_ref is.
 """
 
 from __future__ import annotations
@@ -175,8 +176,8 @@ def _check_hypotheses(f0: BoxFunction, g0: BoxFunction, delta) -> tuple:
 def project_pair(f0: BoxFunction, g0: BoxFunction, j: int) -> tuple[FiniteDensity, SignedFunction]:
     """A catalog pair averaged over the level-j cell classes: the density
     (ValueError if it is not one) and the velocity before renormalization."""
-    classes = grid_classes(DyadicGrid(f0.dimension, j), f0.projection[0], g0.projection[0])
-    f, g = project_classes(classes, f0.projection, g0.projection)
+    classes = grid_classes(DyadicGrid(f0.dimension, j), f0.int_bounds, g0.int_bounds)
+    f, g = project_classes(classes, (f0.int_bounds, f0.floats), (g0.int_bounds, g0.floats))
     return FiniteDensity(classes, f), SignedFunction(classes, g)
 
 
@@ -220,16 +221,11 @@ def phi_staircase(phi: TentFunction, dimension: int, j_ref: int) -> np.ndarray:
     return outer([phi.axis_tent(d, x) for d in range(dimension)])
 
 
-def _axis_integrals(phi: TentFunction, axis: int, j_ref: int, points) -> list[float]:
-    """``_stair_integrals`` between rational ``points`` (Fractions)."""
-    return _stair_integrals(phi, axis, j_ref, [x.as_integer_ratio() for x in points])
-
-
 def _stair_integrals(phi: TentFunction, axis: int, j_ref: int, points) -> list[float]:
     """Integrals over [points[i], points[i + 1]) of phi's level-j_ref
-    midpoint staircase on axis ``axis``, for points given as integer
-    (numerator, denominator) pairs: exact, then rounded once (int division
-    is correctly rounded, like ``float(Fraction)``).
+    midpoint staircase on axis ``axis``, for points given as integer pairs
+    (n, D), the point n / D: exact, then rounded once (int division is
+    correctly rounded, like ``float(Fraction)``).
 
     Times 2^shift, the tent's center and radius (floats, so dyadic) are
     integers C and R and cell k's midpoint is (2k + 1) g, so the cell's value
@@ -283,7 +279,8 @@ def _separable_phi(ladder: PixelationLadder, phi: TentFunction, j_ref):
         raise ValueError("test function dimension mismatch")
     weights = [
         math.prod(
-            _axis_integrals(phi, d, j_ref, bounds)[0] for d, bounds in enumerate(zip(r.lo, r.hi))
+            _stair_integrals(phi, d, j_ref, [(a, den), (b, den)])[0]
+            for d, (a, b, den) in enumerate(zip(*r.span, r.dens))
         )
         for r in ladder.regions
     ]

@@ -20,7 +20,7 @@ from frgeo import (
     overlay_energy,
 )
 from frgeo import boxes
-from frgeo.boxes import _axis_ends, grid_classes, ratio_bounds
+from frgeo.boxes import _axis_ends, grid_classes, integer_bounds
 from frgeo.catalogs import (
     g01_1d,
     g02_1d,
@@ -121,8 +121,8 @@ def test_strip_tilings_are_checked_in_near_linear_time(monkeypatch, axis):
     # 1,024 strips that only touch: a sweep across the strips keeps at most
     # one box active, a sweep along them keeps all (about 520,000 tests)
     calls = []
-    intersects = Box.intersects
-    monkeypatch.setattr(Box, "intersects", lambda a, b: calls.append(1) or intersects(a, b))
+    overlap = boxes._overlap
+    monkeypatch.setattr(boxes, "_overlap", lambda p, q: calls.append(1) or overlap(p, q))
     rows = [_strip(axis, F(k, 1024), F(k + 1, 1024)) for k in range(1024)]
     assert BoxFunction.from_rows(2, rows).integral() == 1
     assert len(calls) < 1024
@@ -136,7 +136,7 @@ def _overlap_verdict_matches(rows):
         (b1, b2)
         for i, b1 in enumerate(boxes_)
         for b2 in boxes_[i + 1 :]
-        if b1.intersects(b2)
+        if b1.intersection_bounds(b2) is not None
     ]
     try:
         BoxFunction.from_rows(2, rows)
@@ -224,7 +224,7 @@ def test_cell_averages_misaligned_exact():
 def test_projection_preserves_integrals():
     for catalog, target in ((misaligned_f0_1d(), 1.0), (misaligned_g0_1d(), 0.0)):
         for level in (1, 3, 6):
-            classes = grid_classes(DyadicGrid(1, level), catalog.projection[0])
+            classes = grid_classes(DyadicGrid(1, level), catalog.int_bounds)
             proj = catalog.class_averages(classes)
             assert abs(np.dot(proj, classes.weights) - target) < 1e-14
 
@@ -361,10 +361,8 @@ def test_overlay_of_256_box_catalogs_tests_few_pairs(monkeypatch, dimension):
     den = 4099 if dimension == 1 else 64
     f, g = (_random_tiling(rng, dimension, 256, den) for _ in range(2))
     calls = []
-    bounds = Box.intersection_bounds
-    monkeypatch.setattr(
-        Box, "intersection_bounds", lambda a, b: calls.append(1) or bounds(a, b)
-    )
+    overlap = boxes._overlap
+    monkeypatch.setattr(boxes, "_overlap", lambda p, q: calls.append(1) or overlap(p, q))
     regions = overlay(f, g)
     monkeypatch.undo()
     _assert_overlay_is_nested_loop(f, g)
@@ -466,7 +464,8 @@ def _reference_axis_overlaps(lo, hi, level):
 def _assert_same_overlaps(lo, hi, level):
     # _axis_ends gives the end cells and their overlaps; every cell between
     # them is covered whole
-    first, last, head, tail = _axis_ends(lo.as_integer_ratio(), hi.as_integer_ratio(), level)
+    den = math.lcm(lo.denominator, hi.denominator)
+    first, last, head, tail = _axis_ends(int(lo * den), int(hi * den), den, level)
     ref_first, ref_lengths = _reference_axis_overlaps(lo, hi, level)
     assert (first, last) == (ref_first, ref_first + ref_lengths.size - 1), (lo, hi, level)
     assert (head, tail) == (ref_lengths[0], ref_lengths[-1]), (lo, hi, level)
@@ -512,7 +511,7 @@ def test_axis_overlaps_match_reference_special_bounds(level):
 
 
 def test_axis_overlaps_single_cell_is_region_length():
-    first, last, head, tail = _axis_ends((5, 17), (6, 17), 2)
+    first, last, head, tail = _axis_ends(5, 6, 17, 2)
     assert first == last == 1
     assert head == tail == float(F(1, 17))
 
@@ -592,8 +591,8 @@ def test_class_projection_matches_dense_reference(dimension, level):
     for name, bounds in _region_sets(dimension).items():
         values = rng.normal(size=len(bounds))
         values[::5] = 0.0  # zero-valued regions add nothing
-        classes = grid_classes(grid, ratio_bounds(bounds))
-        [got] = boxes.project_classes(classes, (ratio_bounds(bounds), values))
+        classes = grid_classes(grid, integer_bounds(bounds, dimension))
+        [got] = boxes.project_classes(classes, (integer_bounds(bounds, dimension), values))
         # runs are cut at 0, 2^level, the floor and ceiling of each of the
         # B_d distinct bounds on axis d, and the middle of the first axis
         for d, runs in enumerate(len(e) - 1 for e in classes.edges):
@@ -609,7 +608,7 @@ def test_class_projection_needs_cuts_at_every_bound():
     grid = DyadicGrid(1, 4)
     f = misaligned_f0_1d()
     with pytest.raises(ValueError, match="not cut"):
-        boxes.project_classes(grid_classes(grid), (f.projection[0], np.ones(3)))
+        boxes.project_classes(grid_classes(grid), (f.int_bounds, np.ones(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -680,9 +679,9 @@ _LADDER_PAIRS = {
 
 @pytest.mark.parametrize("pair", sorted(_LADDER_PAIRS))
 def test_ladder_levels_use_no_fractions(monkeypatch, pair):
-    # a level reads each catalog's integer bounds and float values, built on
-    # first use: it builds no Fraction, and once they are built it reads,
-    # unpacks and hashes none
+    # a level reads each catalog's integer bounds and float values, built
+    # with the catalog: it builds no Fraction, and it reads, unpacks and
+    # hashes none
     f0, g0 = _LADDER_PAIRS[pair]()
     phi = (tents_1d() if f0.dimension == 1 else tents_2d())[0]
     built, touched = [], []
@@ -712,3 +711,38 @@ def test_ladder_levels_use_no_fractions(monkeypatch, pair):
         )
     levels()
     assert built == [] and touched == []
+
+
+@pytest.mark.parametrize("pair", sorted(_LADDER_PAIRS))
+def test_catalog_bounds_use_no_fractions(monkeypatch, tmp_path, pair):
+    # a catalog turns its bounds into integers once, when it is built:
+    # parsing builds one Fraction per token, from its string, and then
+    # validation, the overlay and the ladder levels build and compare none
+    f0, g0 = _LADDER_PAIRS[pair]()
+    rows = [
+        [(b.value, *sum(zip(b.lo, b.hi), ())) for b in catalog.boxes] for catalog in (f0, g0)
+    ]
+    paths = [tmp_path / "f0.txt", tmp_path / "g0.txt"]
+    for path, catalog_rows in zip(paths, rows):
+        path.write_text("".join(" ".join(map(str, row)) + "\n" for row in catalog_rows))
+    built, compared = [], []
+    new, richcmp = F.__new__, F._richcmp
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(F, "_richcmp", lambda x, y, op: compared.append(op) or richcmp(x, y, op))
+    loaded = [load_catalog(path) for path in paths]
+    assert len(built) == sum(len(row) for catalog_rows in rows for row in catalog_rows)
+    assert all(len(args) == 1 and isinstance(args[0], str) for args in built)
+    built.clear()
+    rebuilt = [BoxFunction.from_rows(f0.dimension, catalog_rows) for catalog_rows in rows]
+    regions = overlay(*loaded)
+    for level in range(3, 13):
+        project_pair(*loaded, level)
+    monkeypatch.undo()
+    assert built == [] and compared == []
+    assert rebuilt == loaded == [f0, g0]
+    assert regions == overlay(f0, g0)
