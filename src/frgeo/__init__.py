@@ -12,7 +12,6 @@ from .boxes import (
     BoxFunction,
     load_catalog,
     overlay,
-    overlay_energy,
 )
 from .catalogs import BUILTIN_CATALOGS
 from .errors import (
@@ -21,8 +20,6 @@ from .errors import (
     DegenerateVelocity,
     FrgeoError,
     HypothesisViolation,
-    InsufficientPoints,
-    InvalidAtom,
     InvalidCatalogFunction,
     LeftDomain,
     NonpositiveInitialDensity,
@@ -45,8 +42,6 @@ from .geodesics import (
     simplex_positions,
     simplex_state,
     simplex_trajectory,
-    solve_scalar_ivp,
-    speed_density_at,
 )
 from .kernels import (
     DOMAIN_EPS,
@@ -56,13 +51,7 @@ from .kernels import (
     integrate_decoupled,
 )
 from .moments import (
-    DEGENERATE,
-    ELLIPSE,
-    LINE,
-    ConicFit,
     MomentCurve,
-    classify_conic,
-    fit_mean_coefficients,
     mean_coefficients_direct,
     moments,
 )
@@ -70,7 +59,6 @@ from .pixelation import (
     LadderLevel,
     PixelationLadder,
     TentFunction,
-    alpha_sequence,
     build_ladder,
     test_functions_1d,
     test_functions_2d,
@@ -80,18 +68,7 @@ from .pixelation import (
 from .simplex import (
     SimplexPoint,
     TangentVector,
-    christoffel,
-    euclidean_length,
-    fisher_inverse,
-    fisher_length,
-    fisher_matrix,
-    geodesic_residual_coupled,
-    geodesic_residual_decoupled,
     metric_inner,
-    rank_one_diag_det,
-    rank_one_diag_inverse,
-    score,
-    score_covariance,
 )
 from .spaces import (
     CellClasses,

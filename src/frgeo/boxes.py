@@ -128,15 +128,6 @@ class Box:
             return None
         return lo, hi
 
-    def axis_moment(self, axis: int, power: int = 1) -> Fraction:
-        """Exact integral of x_axis^power over the box."""
-        a, b = self.lo[axis], self.hi[axis]
-        m = (b ** (power + 1) - a ** (power + 1)) / Fraction(power + 1)
-        for d, (lo, hi) in enumerate(zip(self.lo, self.hi)):
-            if d != axis:
-                m *= hi - lo
-        return m
-
 
 def _sweep(spans: list[Span], dimension: int) -> Iterator[tuple[int, list[int]]]:
     """Each span's index, in lo[d] order, with the earlier spans whose hi[d]
@@ -207,13 +198,6 @@ class BoxFunction:
         total = sum((b.value * _span_volume(s) for b, s in zip(self.boxes, spans)), _ZERO)
         return total / math.prod(dens)
 
-    def square_integral(self) -> Fraction:
-        return sum((b.value * b.value * b.volume for b in self.boxes), _ZERO)
-
-    def moment(self, axis: int, power: int = 1) -> Fraction:
-        """Exact integral of x_axis^power times the function."""
-        return sum((b.value * b.axis_moment(axis, power) for b in self.boxes), _ZERO)
-
     def scaled(self, factor: FractionLike) -> "BoxFunction":
         f = _frac(factor)
         return BoxFunction(
@@ -224,34 +208,18 @@ class BoxFunction:
     def min_value(self) -> Fraction:
         return min(b.value for b in self.boxes)
 
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Point values at an (N, m) float array (half-open box membership)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(pts.shape[0])
-        for b in self.boxes:
-            inside = np.ones(pts.shape[0], dtype=bool)
-            for d in range(self.dimension):
-                inside &= (pts[:, d] >= float(b.lo[d])) & (pts[:, d] < float(b.hi[d]))
-            out[inside] = float(b.value)
-        return out
-
     @property
     def bounds(self) -> Bounds:
         """Each box's (lo, hi) bounds, in box order."""
         return [(b.lo, b.hi) for b in self.boxes]
-
-    def class_averages(self, classes: CellClasses) -> np.ndarray:
-        """Exact averages on classes cut at every box bound (see grid_classes)."""
-        if classes.grid.dimension != self.dimension:
-            raise InvalidCatalogFunction("grid dimension does not match the catalog")
-        return project_classes(classes, (self.int_bounds, self.floats))[0]
 
     def cell_averages(self, grid: DyadicGrid) -> np.ndarray:
         """Exact per-cell averages on a dyadic grid, flattened in cell order."""
         if grid.dimension != self.dimension:
             raise InvalidCatalogFunction("grid dimension does not match the catalog")
         classes = grid_classes(grid, self.int_bounds)
-        return self.class_averages(classes)[classes.cell_classes()]
+        averages = project_classes(classes, (self.int_bounds, self.floats))[0]
+        return averages[classes.cell_classes()]
 
 
 def _axis_ends(a: int, b: int, den: int, level: int) -> tuple[int, int, float, float]:
@@ -394,11 +362,6 @@ def overlay(f: BoxFunction, g: BoxFunction) -> tuple[OverlayRegion, ...]:
     if sum(_span_volume(r.span) for r in regions) != math.prod(dens):
         raise InvalidCatalogFunction("overlay does not tile the unit cube")
     return tuple(regions)
-
-
-def overlay_energy(f: BoxFunction, g: BoxFunction) -> Fraction:
-    """Exact integral of g^2 / f (f must be nonzero on every region)."""
-    return regions_energy(overlay(f, g))
 
 
 def regions_energy(regions: tuple[OverlayRegion, ...]) -> Fraction:

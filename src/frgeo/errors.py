@@ -16,10 +16,6 @@ class InvalidCatalogFunction(FrgeoError):
     """Box catalog does not tile the unit cube (gap, overlap, or bad box)."""
 
 
-class InvalidAtom(FrgeoError):
-    """Atom index outside 1..n+1 passed to a score evaluation."""
-
-
 class NonpositiveInitialDensity(FrgeoError):
     """Scalar geodesic initial value y0 <= 0."""
 
@@ -70,10 +66,6 @@ class LeftDomain(FrgeoError):
         self.coordinate = coordinate
         where = f" (coordinate {coordinate})" if coordinate is not None else ""
         super().__init__(f"integration left the domain at t={time!r}{where}")
-
-
-class InsufficientPoints(FrgeoError):
-    """Too few sample points for a fit (conic or moment-curve)."""
 
 
 class HypothesisViolation(FrgeoError):

@@ -113,15 +113,6 @@ class GeodesicState:
             raise ValueError("(alpha, beta) do not reconstruct (f0, g0)")
 
 
-def solve_scalar_ivp(y0: float, z0: float) -> tuple[float, float]:
-    """Amplitude alpha and phase beta of the scalar geodesic through (y0, z0)."""
-    if y0 <= 0.0:
-        raise NonpositiveInitialDensity(f"initial density value {y0!r} <= 0")
-    alpha = (y0 * y0 + z0 * z0) / y0
-    beta = math.atan(z0 / y0)
-    return alpha, beta
-
-
 def amplitude_phase(y0: np.ndarray, z0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Amplitudes alpha = (y0^2 + z0^2) / y0 and phases beta = arctan(z0 / y0)."""
     return (y0 * y0 + z0 * z0) / y0, np.arctan(z0 / y0)
@@ -202,18 +193,6 @@ def density_at(state: GeodesicState, t: float) -> FiniteDensity:
     """The flowing density at time t (period 2 pi, mass conserved)."""
     y, _, _ = evaluate_scalar(state.alpha, state.beta, t)
     return FiniteDensity(state.space, y)
-
-
-def velocity_values_at(state: GeodesicState, t: float) -> np.ndarray:
-    """Pointwise time derivative of the flowing density at time t."""
-    _, ydot, _ = evaluate_scalar(state.alpha, state.beta, t)
-    return ydot
-
-
-def speed_density_at(state: GeodesicState, t: float) -> FiniteDensity:
-    """Kinetic density (f')^2 / f at time t; integrates to one for all t."""
-    _, _, kinetic = evaluate_scalar(state.alpha, state.beta, t)
-    return FiniteDensity(state.space, kinetic)
 
 
 # ---------------------------------------------------------------------------

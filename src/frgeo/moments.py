@@ -1,4 +1,4 @@
-"""Moment summaries and conic classification of geodesic trajectories.
+"""Moment summaries of geodesic trajectories.
 
 Mean and variance of a flowing grid density use cell-center quadrature:
 cell k contributes value * weight at its center x_k.  The density is
@@ -23,41 +23,19 @@ this: it contracts the per-class rows (f0, g0^2/f0, g0) times the cell
 weight with the class sums of x and x^2 once, giving two (3, d) matrices,
 and multiplies them by the (T, 3) matrix of time functions.  Cost and
 memory are O(N + T) for N classes and T times; no (T, N) array is built.
-The fit and the direct integrals are both provided so they can be checked
-against each other.
-
-``classify_conic`` sorts planar point sets into ellipse / line / degenerate.
-Collinearity is decided first on the centered, RMS-scaled scatter, because a
-straight line admits a whole family of degenerate conics and no stable fit;
-genuinely two-dimensional scatter gets a unit-norm least-squares conic whose
-discriminant B^2 - 4AC picks the label.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientPoints, SpaceMismatch
+from .errors import SpaceMismatch
 from .geodesics import GeodesicState
 # perfbench/spans.py wraps frgeo.moments.evaluate_scalar by name
 from .geodesics import evaluate_scalar  # noqa: F401
 from .spaces import CellClasses, DyadicGrid, outer
-
-ELLIPSE = "ellipse"
-LINE = "line"
-DEGENERATE = "degenerate"
-
-# |B^2 - 4AC| on the unit-norm coefficient vector below which the quadratic
-# part is considered parabolic (neither ellipse nor anything we report).
-DISCRIMINANT_CUTOFF = 1e-7
-# perpendicular RMS (on the normalized scatter) below which points are a line
-COLLINEARITY_CUTOFF = 1e-8
-# RMS radius (relative to the centroid magnitude) below which the scatter is
-# rounding noise with no usable direction
-NO_SCATTER_CUTOFF = 1e-13
 
 
 @dataclass(frozen=True)
@@ -142,80 +120,3 @@ def mean_coefficients_direct(state: GeodesicState) -> np.ndarray:
     cell centers standing in for x.
     """
     return _moment_matrices(state)[0]
-
-
-def fit_mean_coefficients(times, values) -> np.ndarray:
-    """Least-squares (A, B, C) for curves A cos^2(t/2) + B sin^2(t/2) + C sin t.
-
-    ``values`` is (T,) or (T, d); the result is (3,) or (3, d) accordingly.
-    Three coefficients need at least three samples (four or more distinct
-    times keep the design comfortably conditioned).
-    """
-    t = np.atleast_1d(np.asarray(times, dtype=float))
-    v = np.asarray(values, dtype=float)
-    squeeze = v.ndim == 1
-    if t.size < 3:
-        raise InsufficientPoints(
-            f"need at least 3 samples to fit 3 coefficients, got {t.size}"
-        )
-    v = v.reshape(t.size, -1)
-    coef, *_ = np.linalg.lstsq(_time_design(t), v, rcond=None)
-    return coef[:, 0] if squeeze else coef
-
-
-@dataclass(frozen=True)
-class ConicFit:
-    """Outcome of classify_conic.
-
-    ``label`` is one of ELLIPSE / LINE / DEGENERATE; ``residual`` is an RMS
-    in centered, RMS-scaled coordinates (perpendicular distance for lines,
-    algebraic conic value otherwise); ``coefficients`` is the unit-norm
-    (A, B, C, D, E, F) vector when a conic was actually fitted.
-    """
-
-    label: str
-    residual: float
-    coefficients: np.ndarray | None = None
-
-
-def classify_conic(points) -> ConicFit:
-    """Sort six or more planar points into ellipse / line / degenerate.
-
-    The scatter is centered and scaled to unit RMS radius first, which makes
-    the outcome invariant under rotation and translation of the input.  The
-    fitted conic A x^2 + B xy + C y^2 + D x + E y + F = 0 is the smallest
-    right singular vector of the monomial design; B^2 - 4AC below
-    -DISCRIMINANT_CUTOFF means ellipse, anything else (parabolic band,
-    hyperbola) is reported as degenerate.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("points must form an (n, 2) array")
-    n = pts.shape[0]
-    if n < 6:
-        raise InsufficientPoints(
-            f"conic classification needs >= 6 points, got {n}"
-        )
-    center = pts.mean(axis=0)
-    x = pts - center
-    scale = math.sqrt(float(np.mean(np.sum(x * x, axis=1))))
-    if scale <= NO_SCATTER_CUTOFF * max(1.0, float(np.max(np.abs(center)))):
-        # every point identical up to rounding: no direction, no conic
-        return ConicFit(DEGENERATE, 0.0)
-    x = x / scale
-
-    sv = np.linalg.svd(x, compute_uv=False)
-    line_residual = float(sv[1]) / math.sqrt(n)
-    if line_residual <= COLLINEARITY_CUTOFF:
-        return ConicFit(LINE, line_residual)
-
-    u, v = x[:, 0], x[:, 1]
-    design = np.stack([u * u, u * v, v * v, u, v, np.ones(n)], axis=1)
-    _, svals, vt = np.linalg.svd(design, full_matrices=False)
-    coef = vt[-1]
-    residual = float(svals[-1]) / math.sqrt(n)
-    disc = float(coef[1] * coef[1] - 4.0 * coef[0] * coef[2])
-    if disc < -DISCRIMINANT_CUTOFF:
-        return ConicFit(ELLIPSE, residual, coef)
-    return ConicFit(DEGENERATE, residual, coef)
-

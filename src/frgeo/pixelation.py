@@ -86,18 +86,6 @@ class TentFunction:
     def dimension(self) -> int:
         return len(self.centers)
 
-    def axis_tent(self, axis: int, x: np.ndarray) -> np.ndarray:
-        """The factor of axis ``axis`` at the coordinates ``x``."""
-        c, r = self.centers[axis], self.radii[axis]
-        return np.maximum(0.0, 1.0 - np.abs(x - c) / r)
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.ones(pts.shape[0])
-        for d in range(self.dimension):
-            out *= self.axis_tent(d, pts[:, d])
-        return out
-
 
 def test_functions_1d() -> list[TentFunction]:
     """The fixed 1D test set: twelve tents, six centers at two widths.
@@ -206,19 +194,6 @@ def build_ladder(
             state = None
         out[j] = LadderLevel(j, fd, velocity_energy(fd, g_raw.values), state)
     return PixelationLadder(f0.dimension, f0, g0, tuple(regions), out)
-
-
-def alpha_sequence(ladder: PixelationLadder) -> list[tuple[int, float]]:
-    """(level, alpha_j) pairs in increasing level order."""
-    return [(j, ladder.levels[j].alpha) for j in sorted(ladder.levels)]
-
-
-def phi_staircase(phi: TentFunction, dimension: int, j_ref: int) -> np.ndarray:
-    """phi sampled at the cell midpoints of the level-j_ref grid."""
-    if phi.dimension != dimension:
-        raise ValueError("test function dimension mismatch")
-    x = DyadicGrid(1, j_ref).axis_centers()
-    return outer([phi.axis_tent(d, x) for d in range(dimension)])
 
 
 def _stair_integrals(phi: TentFunction, axis: int, j_ref: int, points) -> list[float]:

@@ -19,20 +19,12 @@ from frgeo import (
     SimplexPoint,
     boundary_touch_time,
     build_ladder,
-    classify_conic,
     ellipse_param_n2,
     ellipsoid_tangent,
     evaluate_scalar,
-    fisher_inverse,
-    fisher_length,
-    fisher_matrix,
-    fit_mean_coefficients,
     geodesic_flow,
     integrate_coupled,
     moments,
-    rank_one_diag_det,
-    score,
-    score_covariance,
     simplex_flow_samples,
     simplex_state,
     simplex_trajectory,
@@ -49,8 +41,7 @@ from frgeo.catalogs import (
     uniform2d,
 )
 from frgeo.cli import main as cli_main
-from frgeo.moments import ELLIPSE, LINE
-from frgeo.pixelation import alpha_sequence, test_functions_1d as tents_1d
+from frgeo.pixelation import test_functions_1d as tents_1d
 from frgeo.simplex import TangentVector
 
 from conftest import (
@@ -58,6 +49,19 @@ from conftest import (
     random_grid_state_data,
     random_interior_point,
     random_unit_tangent,
+)
+from oracles import (
+    ELLIPSE,
+    LINE,
+    alpha_sequence,
+    classify_conic,
+    fisher_inverse,
+    fisher_length,
+    fisher_matrix,
+    fit_mean_coefficients,
+    rank_one_diag_det,
+    score,
+    score_covariance,
 )
 
 

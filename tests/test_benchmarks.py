@@ -17,6 +17,7 @@ SMALLEST = {
     "bench_kernels.py": ["--n", "2", "--step", "1e-2", "--repeats", "1"],
     "bench_ladder.py": ["--levels", "3-6"],
     "bench_oracle.py": ["--n", "2", "--step", "1e-2", "--repeats", "1"],
+    "src_lines.py": [],
 }
 
 

@@ -29,24 +29,20 @@ from frgeo import (
     ellipsoid_tangent,
     evaluate_scalar,
     geodesic_flow,
-    geodesic_residual_coupled,
-    geodesic_residual_decoupled,
     integrate,
     metric_inner,
     normalize_velocity,
     simplex_flow_samples,
     simplex_state,
     simplex_trajectory,
-    solve_scalar_ivp,
-    speed_density_at,
 )
 from frgeo.catalogs import g01_1d, uniform1d
 from frgeo.geodesics import (
     _VALUES_PER_BLOCK, positions_at, simplex_position_blocks, simplex_positions,
-    velocity_values_at,
 )
 from frgeo.simplex import BOUNDARY_FLOOR
 from conftest import random_interior_point, random_unit_tangent
+from oracles import geodesic_residual_coupled, geodesic_residual_decoupled, solve_scalar_ivp
 
 BARY = SimplexPoint(np.array([1 / 3, 1 / 3]))
 
@@ -236,13 +232,15 @@ def test_density_endpoints():
     assert np.max(np.abs(density_at(state, 0.0).values - f0)) < 1e-14
     assert np.max(np.abs(density_at(state, math.pi).values - q)) < 1e-15
     assert np.max(np.abs(density_at(state, 2 * math.pi).values - f0)) < 1e-13
-    assert np.max(np.abs(speed_density_at(state, 0.0).values - q)) < 1e-15
-    assert np.max(np.abs(speed_density_at(state, math.pi).values - f0)) < 1e-15
+    for t, kinetic in ((0.0, q), (math.pi, f0)):
+        s = FiniteDensity(state.space, evaluate_scalar(state.alpha, state.beta, t)[2])
+        assert np.max(np.abs(s.values - kinetic)) < 1e-15
 
 
 def test_velocity_values_at_start():
     state = g01_state()
-    assert np.max(np.abs(velocity_values_at(state, 0.0) - state.g0)) < 1e-15
+    ydot = evaluate_scalar(state.alpha, state.beta, 0.0)[1]
+    assert np.max(np.abs(ydot - state.g0)) < 1e-15
 
 
 def test_conservation_and_period_property_loop():
@@ -250,7 +248,7 @@ def test_conservation_and_period_property_loop():
     state = g01_state(level=4)
     for t in rng.uniform(-15.0, 15.0, size=100):
         f = density_at(state, float(t))
-        s = speed_density_at(state, float(t))
+        s = FiniteDensity(state.space, evaluate_scalar(state.alpha, state.beta, float(t))[2])
         assert abs(integrate(f) - 1.0) < 1e-12
         assert abs(integrate(s) - 1.0) < 1e-12
         # pointwise Pythagoras f + f_kinetic = alpha

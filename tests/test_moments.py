@@ -10,22 +10,16 @@ import numpy as np
 import pytest
 
 from frgeo import (
-    DEGENERATE,
-    ELLIPSE,
-    LINE,
     DyadicGrid,
     FiniteDensity,
     FiniteMeasureSpace,
-    InsufficientPoints,
     MomentCurve,
     SignedFunction,
     SimplexPoint,
     SpaceMismatch,
     build_ladder,
-    classify_conic,
     ellipse_param_n2,
     ellipsoid_tangent,
-    fit_mean_coefficients,
     geodesic_flow,
     mean_coefficients_direct,
     moments,
@@ -46,6 +40,14 @@ from frgeo.catalogs import (
 from frgeo.cli import _catalog_state, write_moments_csv
 from frgeo.geodesics import evaluate_scalar
 from frgeo.simplex import TangentVector
+from oracles import (
+    DEGENERATE,
+    ELLIPSE,
+    LINE,
+    InsufficientPoints,
+    classify_conic,
+    fit_mean_coefficients,
+)
 
 
 def g01_state(level=6):

@@ -9,24 +9,26 @@ import numpy as np
 import pytest
 
 from frgeo import (
-    InvalidAtom,
     SimplexPoint,
     TangentVector,
-    christoffel,
     ellipsoid_tangent,
+    metric_inner,
+)
+from conftest import random_interior_point, random_unit_tangent
+from oracles import (
+    InvalidAtom,
+    christoffel,
     euclidean_length,
     fisher_inverse,
     fisher_length,
     fisher_matrix,
     geodesic_residual_coupled,
     geodesic_residual_decoupled,
-    metric_inner,
     rank_one_diag_det,
     rank_one_diag_inverse,
     score,
     score_covariance,
 )
-from conftest import random_interior_point, random_unit_tangent
 
 BARY = SimplexPoint(np.array([1 / 3, 1 / 3]))
 
