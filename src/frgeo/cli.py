@@ -21,6 +21,14 @@ value, or a request too large to allocate); 3 for a domain failure of a
 valid configuration (hitting the simplex boundary, degenerate projected
 velocities, the ODE leaving its domain, ...).  Both errors print a single
 JSON object to stderr and write no file.
+
+``validate_config`` resolves a configuration into the library objects the
+runners take (the start point, the velocities, the ladder's test function,
+the RK4 configuration), so every error it finds comes before ``--out`` is
+created.  Errors found at run time may leave an empty output directory: a
+time grid or RK4 table too large to allocate, a projected f0 whose state
+fails its checks, a ``density-geodesic`` ``t_end`` at which a frame is no
+longer a density (its mass off by more than 1e-12), and domain failures.
 """
 
 from __future__ import annotations
@@ -71,8 +79,8 @@ from .pixelation import (
     test_functions_1d,
     test_functions_2d,
 )
-from .simplex import BOUNDARY_FLOOR, SimplexPoint, TangentVector
-from .spaces import CellClasses, DyadicGrid
+from .simplex import SimplexPoint, TangentVector
+from .spaces import VALUES_PER_BLOCK, CellClasses, DyadicGrid, FiniteDensity, block_rows
 
 # CSV floats carry 17 significant digits and JSON floats are their repr, so
 # re-importing loses nothing; the same configuration gives the same bytes
@@ -112,10 +120,6 @@ def parse_number(token: str) -> float:
     return value
 
 
-def _parse_int(token: str) -> int:
-    return int(token.strip(), 10)
-
-
 def _parse_vector(token: str) -> np.ndarray:
     parts = [p for p in token.split(",") if p.strip()]
     if not parts:
@@ -133,11 +137,7 @@ def _parse_levels(token: str) -> list[int]:
             raise ValueError(f"empty level range {token!r}")
         _check_cell_bits("levels", hi)  # before expanding: level hi has >= 2^hi cells
         return list(range(lo, hi + 1))
-    return sorted({_parse_int(p) for p in token.split(",") if p.strip()})
-
-
-def _parse_fraction(token: str) -> Fraction:
-    return Fraction(token.strip())
+    return sorted({int(p) for p in token.split(",") if p.strip()})
 
 
 def _parse_catalog(token: str) -> BoxFunction:
@@ -173,31 +173,31 @@ _COMMON_SIMPLEX_KEYS = {
 KIND_KEYS: dict[str, dict[str, _Key]] = {
     "simplex-geodesic": {
         **_COMMON_SIMPLEX_KEYS,
-        "tau_count": _Key(_parse_int, None, "tau sweep size (barycenter n=2)"),
+        "tau_count": _Key(int, None, "tau sweep size (barycenter n=2)"),
         "t_end": _Key(parse_number, math.pi / 2, "last sample time"),
-        "n_times": _Key(_parse_int, 100, "number of samples on [0, t_end]"),
+        "n_times": _Key(int, 100, "number of samples on [0, t_end]"),
     },
     "density-geodesic": {
         "f0": _Key(_parse_catalog, "uniform1d", "initial density catalog"),
         "g0": _Key(_parse_catalog, "g01_1d", "initial velocity catalog"),
-        "level": _Key(_parse_int, 6, "dyadic grid level"),
+        "level": _Key(int, 6, "dyadic grid level"),
         "t_end": _Key(parse_number, math.pi, "last frame time"),
-        "n_frames": _Key(_parse_int, 12, "number of frames on [0, t_end]"),
+        "n_frames": _Key(int, 12, "number of frames on [0, t_end]"),
     },
     "pixelation-convergence": {
         "f0": _Key(_parse_catalog, "misaligned_f0_1d", "density catalog"),
         "g0": _Key(_parse_catalog, "misaligned_g0_1d", "velocity catalog"),
         "levels": _Key(_parse_levels, "3-8", "ladder levels, e.g. 3-8 or 3,5,7"),
-        "delta": _Key(_parse_fraction, Fraction(1, 1000), "density floor"),
-        "phi_index": _Key(_parse_int, 0, "index into the fixed test-function set"),
-        "j_ref": _Key(_parse_int, None, "reference level (default: max + 4, at most 1074)"),
+        "delta": _Key(Fraction, Fraction(1, 1000), "density floor"),
+        "phi_index": _Key(int, 0, "index into the fixed test-function set"),
+        "j_ref": _Key(int, None, "reference level (default: max + 4, at most 1074)"),
     },
     "moments": {
         "f0": _Key(_parse_catalog, "uniform1d", "initial density catalog"),
         "g0": _Key(_parse_catalog, "g01_1d", "initial velocity catalog"),
-        "level": _Key(_parse_int, 6, "dyadic grid level"),
+        "level": _Key(int, 6, "dyadic grid level"),
         "t_end": _Key(parse_number, math.pi, "last sample time"),
-        "n_times": _Key(_parse_int, 100, "number of samples on [0, t_end]"),
+        "n_times": _Key(int, 100, "number of samples on [0, t_end]"),
     },
     "oracle-compare": {
         **_COMMON_SIMPLEX_KEYS,
@@ -209,7 +209,8 @@ KIND_KEYS: dict[str, dict[str, _Key]] = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A fully validated experiment: kind, typed parameters, output plan."""
+    """A fully validated experiment: kind, typed parameters (with the
+    library objects resolved from them), output plan."""
 
     kind: str
     params: dict
@@ -267,7 +268,9 @@ def _jsonable(value):
 def validate_config(
     kind: str, pairs: dict[str, str], out_dir: str | Path, fmt: str
 ) -> ExperimentConfig:
-    """Parse and type-check raw key/value pairs against the kind's schema."""
+    """Parse and type-check raw key/value pairs against the kind's schema,
+    and resolve them into the library objects the runners take
+    (``_check_preconditions``)."""
     schema = KIND_KEYS[kind]
     for key in pairs:
         if key not in schema:
@@ -291,20 +294,25 @@ def validate_config(
         echo[key] = token if isinstance(value, BoxFunction) else _jsonable(value)
     if fmt not in ("csv", "json"):
         raise ConfigError("format", f"must be csv or json, not {fmt!r}")
-    _check_preconditions(kind, params)
+    _check_preconditions(params)
     return ExperimentConfig(kind, params, echo, Path(out_dir), fmt)
 
 
-def _check_preconditions(kind: str, params: dict) -> None:
-    """Reject out-of-domain numbers before any computation starts."""
-    p = params
+def _check_preconditions(p: dict) -> None:
+    """Reject out-of-domain numbers before any computation starts, and add
+    to ``p`` the library objects the runners take, each built once by
+    its own constructor: the start point ``p0``, the RK4 ``integrator``
+    and, once every other check has passed, the simplex kinds'
+    ``velocities`` (``_resolve_velocities``) and the ladder's test function
+    ``phi``."""
     if "theta0" in p:
-        theta = p["theta0"]
-        if np.min(theta) < BOUNDARY_FLOOR or float(np.sum(theta)) > 1.0 - BOUNDARY_FLOOR:
+        try:
+            p["p0"] = SimplexPoint(p["theta0"])
+        except ValueError:
             raise ConfigError("theta0", "coordinates must be interior to the simplex")
-        if p.get("w_raw") is not None and p["w_raw"].size != theta.size:
+        if p["w_raw"] is not None and p["w_raw"].size != p["p0"].n:
             raise ConfigError(
-                "w_raw", f"has {p['w_raw'].size} entries, theta0 has {theta.size}"
+                "w_raw", f"has {p['w_raw'].size} entries, theta0 has {p['p0'].n}"
             )
     if "t_end" in p and not p["t_end"] > 0.0:
         raise ConfigError("t_end", "must be positive")
@@ -315,22 +323,22 @@ def _check_preconditions(kind: str, params: dict) -> None:
     if "step" in p and not p["step"] > 0.0:
         raise ConfigError("step", "must be positive")
     if "step" in p and "t_end" in p:
+        p["integrator"] = IntegratorConfig(p["step"], p["t_end"])
         try:  # counting the steps checks that their time grid can exist
-            IntegratorConfig(p["step"], p["t_end"]).n_steps
+            p["integrator"].n_steps
         except ValueError as exc:
             ratio = p["t_end"] / p["step"]
             raise ConfigError("step", f"{exc} (t_end / step = {ratio:.3g})")
-    if "level" in p and p["level"] < 1:
-        raise ConfigError("level", "grid level must be >= 1")
+    if "level" in p:
+        if p["level"] < 1:
+            raise ConfigError("level", "grid level must be >= 1")
+        _check_cell_bits("level", p["f0"].dimension * p["level"])
     if "levels" in p:
         if not p["levels"]:
             raise ConfigError("levels", "need at least one level")
         if min(p["levels"]) < 1:
             raise ConfigError("levels", "grid levels must be >= 1")
-    for key in ("level", "levels"):
-        if key in p and "f0" in p:
-            level = max(p[key]) if key == "levels" else p[key]
-            _check_cell_bits(key, p["f0"].dimension * level)
+        _check_cell_bits("levels", p["f0"].dimension * max(p["levels"]))
     if "delta" in p and not p["delta"] > 0:
         raise ConfigError("delta", "density floor must be positive")
     if "j_ref" in p and p["j_ref"] is not None and "levels" in p:
@@ -345,6 +353,17 @@ def _check_preconditions(kind: str, params: dict) -> None:
     if "f0" in p and "g0" in p:
         if p["f0"].dimension != p["g0"].dimension:
             raise ConfigError("g0", "catalog dimensions of f0 and g0 differ")
+    if "p0" in p:
+        p["velocities"] = _resolve_velocities(p)
+    if "phi_index" in p:
+        # catalogs are 1-D or 2-D (``load_catalog`` reads 3 or 5 columns)
+        dimension = p["f0"].dimension
+        phis = test_functions_1d() if dimension == 1 else test_functions_2d()
+        if p["phi_index"] >= len(phis):
+            raise ConfigError(
+                "phi_index", f"only {len(phis)} test functions in dimension {dimension}"
+            )
+        p["phi"] = phis[p["phi_index"]]
 
 
 def _check_cell_bits(key: str, bits: int) -> None:
@@ -369,48 +388,37 @@ def _sized_by(key: str) -> Iterator[None]:
 # velocity resolution (simplex kinds)
 
 
-def _resolve_velocities(params: dict, allow_sweep: bool) -> list[tuple[float | None, TangentVector]]:
-    """(tau, velocity) pairs from exactly one of tau / tau_count / w_raw.
+def _resolve_velocities(params: dict) -> list[tuple[float | None, TangentVector]]:
+    """(tau, velocity) pairs at ``params["p0"]`` from exactly one of tau /
+    tau_count / w_raw.
 
     The tau parametrization covers the unit Fisher sphere at the barycenter
     of the 2-simplex only; anywhere else a raw direction must be given.
-    With nothing specified, simplex-geodesic sweeps 12 values of tau and
-    oracle-compare takes tau = 1.
+    With nothing specified, simplex-geodesic (the kind with a tau_count
+    key) sweeps 12 values of tau and oracle-compare takes tau = 1.
     """
-    theta0 = params["theta0"]
+    p0 = params["p0"]
     given = [k for k in ("tau", "tau_count", "w_raw") if params.get(k) is not None]
     if len(given) > 1:
         raise ConfigError(given[1], "give only one of tau, tau_count, w_raw")
-    choice = given[0] if given else ("tau_count" if allow_sweep else "tau")
-
-    if choice in ("tau", "tau_count"):
-        at_barycenter = theta0.size == 2 and np.allclose(
-            theta0, 1.0 / 3.0, rtol=0.0, atol=1e-12
+    choice = given[0] if given else ("tau_count" if "tau_count" in params else "tau")
+    if choice == "w_raw":
+        return [(None, ellipsoid_tangent(p0, params["w_raw"]))]
+    if not (p0.n == 2 and np.allclose(p0.theta, 1.0 / 3.0, rtol=0.0, atol=1e-12)):
+        raise ConfigError(
+            choice,
+            "tau parametrizes velocities at theta0 = (1/3, 1/3) only; use w_raw elsewhere",
         )
-        if not at_barycenter:
-            raise ConfigError(
-                choice,
-                "tau parametrizes velocities at theta0 = (1/3, 1/3) only; "
-                "use w_raw elsewhere",
-            )
     if choice == "tau":
-        tau = params["tau"] if params.get("tau") is not None else 1.0
-        return [(float(tau), TangentVector(ellipse_param_n2(tau)))]
-    if choice == "tau_count":
-        count = params["tau_count"] if params.get("tau_count") is not None else 12
+        taus = [1.0 if params["tau"] is None else params["tau"]]
+    else:  # tau_count >= 1 is checked
+        count = params["tau_count"] or 12
         taus = [2.0 * math.pi * k / count for k in range(count)]
-        return [(t, TangentVector(ellipse_param_n2(t))) for t in taus]
-    p0 = SimplexPoint(theta0)
-    return [(None, ellipsoid_tangent(p0, params["w_raw"]))]
+    return [(t, TangentVector(ellipse_param_n2(t))) for t in taus]
 
 
 # ---------------------------------------------------------------------------
 # output helpers
-
-
-# CSV rows or JSON float-list items formatted per write: bounds the text
-# held in memory whatever the output's length
-_ITEMS_PER_WRITE = 1024
 
 
 # CSV files open at once: density frames, or simplex sweep trajectories.  A
@@ -435,12 +443,6 @@ def _csv_files(paths: list[Path], header: list[str]) -> Iterator[list[BinaryIO]]
         for fh in files:
             fh.write(line)
         yield files
-
-
-def _block_rows(width: int) -> int:
-    """Rows per write of a table ``width`` values wide, as CSV or as a 2-D
-    JSON array: about ``_ITEMS_PER_WRITE`` values, and at least one row."""
-    return max(1, _ITEMS_PER_WRITE // width)
 
 
 @dataclass(frozen=True)
@@ -474,12 +476,12 @@ def _write_table(path: Path, header: list[str], columns: list[np.ndarray]) -> No
     """All-float CSV table of ``columns`` side by side, one column per
     header name: 1-D arrays are one column, 2-D arrays one per array column.
 
-    Rows are written ``_block_rows(len(header))`` at a time: the block's
+    Rows are written ``block_rows(len(header))`` at a time: the block's
     slices of the columns are stacked into one array and filled, one
     ``%.17g`` slot per value, into the block's line template, so no copy of
     the whole table is made.
     """
-    m, n = _block_rows(len(header)), len(columns[0])
+    m, n = block_rows(len(header)), len(columns[0])
     line = ",".join([FLOAT_FMT] * len(header)) + "\r\n"
     full = line * m
     with _csv_files([path], header) as (fh,):
@@ -564,12 +566,12 @@ def _json_chunks(obj, indent: str):
         and obj.dtype.kind == "f" and obj.itemsize <= 8 and obj.size
     ):
         if obj.ndim == 1:
-            item, per_block = "%r", _ITEMS_PER_WRITE
+            item, per_block = "%r", VALUES_PER_BLOCK
         else:
             row = inner + "  "
             cells = (",\n" + row).join(["%r"] * obj.shape[1])
             item = "[\n" + row + cells + "\n" + inner + "]"
-            per_block = _block_rows(obj.shape[1])
+            per_block = block_rows(obj.shape[1])
         keyed = getattr(obj, "keyed", False)
         if keyed:
             item = '"%r": ' + item
@@ -618,8 +620,7 @@ def _run_simplex_geodesic(cfg: ExperimentConfig) -> list[Path]:
     texts are filled into its template once per group, its theta slots
     (left ``%.17g``) once per file, and no other block's text is held."""
     p = cfg.params
-    p0 = SimplexPoint(p["theta0"])
-    pairs = _resolve_velocities(p, allow_sweep=True)
+    p0, pairs = p["p0"], p["velocities"]
     states = []
     with _sized_by("n_times"):
         times = np.linspace(0.0, p["t_end"], p["n_times"])
@@ -630,7 +631,7 @@ def _run_simplex_geodesic(cfg: ExperimentConfig) -> list[Path]:
     if cfg.fmt == "csv":
         header = ["t"] + [f"theta_{i + 1}" for i in range(p0.n)]
         line = FLOAT_FMT + ("," + FLOAT_FMT.replace("%", "%%")) * p0.n + "\r\n"
-        m = _block_rows(p0.n + 1)
+        m = block_rows(p0.n + 1)
         written = [
             cfg.out_dir / _indexed_name("trajectory", k, len(pairs), "csv")
             for k in range(len(pairs))
@@ -673,17 +674,19 @@ def _catalog_state(f0_cat: BoxFunction, g0_cat: BoxFunction, level: int) -> Geod
     The classes are products of per-axis runs on which both catalogs'
     averages are constant, and the flow is one scalar geodesic per class, so
     projection, normalization, the state's checks and ``moments`` cost
-    O(per-axis cell types), whatever the level.
+    O(per-axis cell types), whatever the level.  A projection that is no
+    density, or a state that fails its own checks (an f0 so small that its
+    amplitude underflows to 0), is a ConfigError on ``f0``.
     """
     try:
         f0, g_raw = project_pair(f0_cat, g0_cat, level)
+        return geodesic_flow(f0, normalize_velocity(f0, g_raw))
     except ValueError as exc:
         raise ConfigError("f0", str(exc))
-    return geodesic_flow(f0, normalize_velocity(f0, g_raw))
 
 
 def _class_runs(classes: CellClasses) -> list[tuple[list[int], list[int], list[int]]]:
-    """Per block of ``_ITEMS_PER_WRITE`` cells, its runs of one class in
+    """Per block of ``VALUES_PER_BLOCK`` cells, its runs of one class in
     cell order: the runs' classes, first cells and lengths (three lists).
 
     In cell order the cells fall into runs of one class: each grid row (a
@@ -697,7 +700,7 @@ def _class_runs(classes: CellClasses) -> list[tuple[list[int], list[int], list[i
     for e in classes.edges[:-1]:
         run_of = [i for i in range(len(e) - 1) for _ in range(e[i], e[i + 1])]
         rows = [c * (len(e) - 1) + run_of[k] for c in rows for k in range(side)]
-    m, per_row = _ITEMS_PER_WRITE, len(last) - 1
+    m, per_row = VALUES_PER_BLOCK, len(last) - 1
     blocks = [([], [], []) for _ in range(0, grid.cell_count, m)]
     for r, c in enumerate(rows):
         for i in range(per_row):
@@ -751,12 +754,25 @@ def _run_density_geodesic(cfg: ExperimentConfig) -> list[Path]:
     ``alpha``/``beta``) is evaluated and formatted once per class, and a
     class's text written for each cell of its runs, so the bytes are those
     of evaluating and formatting cell by cell.
+
+    Every frame is checked to be a density (``FiniteDensity``) before any
+    file is opened, its values evaluated as ``density_at`` evaluates them
+    (``positions_at``, the same bits): at a large ``t_end`` the phases
+    t/2 - beta lose beta's low bits, and the first frame whose mass misses
+    1 is a ConfigError on ``t_end``.
     """
     p = cfg.params
     state = _catalog_state(p["f0"], p["g0"], p["level"])
     grid: DyadicGrid = state.space.grid
     with _sized_by("n_frames"):
         times = np.linspace(0.0, p["t_end"], p["n_frames"])
+    m = block_rows(state.alpha.size)
+    for s in range(0, times.size, m):  # density_at's values, a block of frames at a time
+        for t, y in zip(times[s : s + m], positions_at(state, times[s : s + m])):
+            try:
+                FiniteDensity(state.space, y)
+            except ValueError as exc:
+                raise ConfigError("t_end", f"the frame at t={float(t)!r} is not a density: {exc}")
     runs = _class_runs(state.space)
 
     written: list[Path] = []
@@ -809,19 +825,7 @@ def _run_density_geodesic(cfg: ExperimentConfig) -> list[Path]:
 
 
 def _run_pixelation_convergence(cfg: ExperimentConfig) -> list[Path]:
-    p = cfg.params
-    dimension = p["f0"].dimension
-    if dimension == 1:
-        phis = test_functions_1d()
-    elif dimension == 2:
-        phis = test_functions_2d()
-    else:
-        raise ConfigError("f0", "test functions exist for dimensions 1 and 2 only")
-    if p["phi_index"] >= len(phis):
-        raise ConfigError(
-            "phi_index", f"only {len(phis)} test functions in dimension {dimension}"
-        )
-    phi = phis[p["phi_index"]]
+    p, phi = cfg.params, cfg.params["phi"]
     ladder = build_ladder(p["f0"], p["g0"], p["levels"], delta=p["delta"])
     if cfg.fmt == "csv":
         path = cfg.out_dir / "ladder.csv"
@@ -868,10 +872,9 @@ def _oracle_compare_arrays(cfg: ExperimentConfig):
     The RK4 table, and the (T,) differences, are sized by ``step``.
     """
     p = cfg.params
-    p0 = SimplexPoint(p["theta0"])
-    ((tau, v),) = _resolve_velocities(p, allow_sweep=False)
+    p0, ((tau, v),) = p["p0"], p["velocities"]
     with _sized_by("step"):  # the RK4 table is allocated before the first step
-        traj = integrate_coupled(p0, v, IntegratorConfig(p["step"], p["t_end"]))
+        traj = integrate_coupled(p0, v, p["integrator"])
         closed = _ClosedForm(simplex_state(p0, v), traj.times, p0.n)
         diff = _row_deviations(closed, traj.positions)
     return tau, traj.times, closed, traj.positions, diff

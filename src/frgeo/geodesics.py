@@ -45,7 +45,8 @@ from .errors import (
     ZeroDirection,
 )
 from .spaces import (
-    FiniteDensity, FiniteMeasureSpace, SignedFunction, exact_dot, frozen_floats, integrate,
+    FiniteDensity, FiniteMeasureSpace, SignedFunction, block_rows, exact_dot, frozen_floats,
+    integrate,
 )
 
 ALPHA_MASS_TOL = 1e-12
@@ -53,10 +54,6 @@ CENTERING_TOL = 1e-10
 UNIT_SPEED_TOL = 1e-10
 UNIT_VELOCITY_MEAN_TOL = 1e-12
 DEGENERATE_ENERGY = 1e-14
-
-# values per evaluation of the simplex closed form: bounds its temporaries
-# whatever the number of sample times
-_VALUES_PER_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -223,7 +220,7 @@ def simplex_flow_samples(
 
     Returns arrays of shape (T, n+1); no boundary policing is applied, the
     closed form is global in time.  The arrays are filled a block of about
-    ``_VALUES_PER_BLOCK`` values at a time, one ``evaluate_scalar`` call per
+    ``spaces.VALUES_PER_BLOCK`` values at a time, one ``evaluate_scalar`` call per
     block, so its temporaries take one block, not T rows; every operation is
     elementwise, so the bits are those of one call on the whole grid.
     """
@@ -231,7 +228,7 @@ def simplex_flow_samples(
     times = np.atleast_1d(np.asarray(times, dtype=float))
     y = np.empty((times.size, state.alpha.size))
     ydot = np.empty_like(y)
-    m = max(1, _VALUES_PER_BLOCK // state.alpha.size)
+    m = block_rows(state.alpha.size)
     for s in range(0, times.size, m):
         y[s : s + m], ydot[s : s + m], _ = evaluate_scalar(
             state.alpha, state.beta, times[s : s + m, None]
@@ -255,7 +252,7 @@ def simplex_position_blocks(
     state: GeodesicState, times: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
     """(first row, ``positions_at`` rows) of the 1-D ``times``, a block of
-    about ``_VALUES_PER_BLOCK`` values at a time, each checked against the
+    about ``spaces.VALUES_PER_BLOCK`` values at a time, each checked against the
     boundary floor.
 
     The first sample where any coordinate falls below the floor raises
@@ -263,7 +260,7 @@ def simplex_position_blocks(
     is the sample and coordinate a check of the whole (T, n+1) grid names.
     Detection happens at the given times only, no root-finding between them.
     """
-    m = max(1, _VALUES_PER_BLOCK // state.alpha.size)
+    m = block_rows(state.alpha.size)
     for s in range(0, times.size, m):
         y = positions_at(state, times[s : s + m])
         bad = y < sx.BOUNDARY_FLOOR

@@ -26,7 +26,7 @@ one per coordinate, that ``_coupled_source`` unrolls for each coordinate
 count n.  It is compiled the first time n is seen, at about 0.4 ms per
 coordinate, before the output arrays are allocated, and cached in
 ``_COUPLED_LOOPS``.  It buffers its rows as Python floats, about
-``_VALUES_PER_FLUSH`` = 1,024 of them (93 rows at n = 5), between slice
+``spaces.VALUES_PER_BLOCK`` = 1,024 of them (93 rows at n = 5), between slice
 writes into the preallocated arrays.  A step calls no builtin:
 each domain check is one chain of comparisons and the step's end one
 clamp.  It takes about 2.5 us at n = 2 and 5.5 us at n = 5 (2-vCPU VM,
@@ -60,6 +60,7 @@ import numpy as np
 
 from .errors import LeftDomain
 from .simplex import SimplexPoint, TangentVector
+from .spaces import block_rows
 
 DOMAIN_EPS = 1e-9
 
@@ -182,17 +183,8 @@ def _make_coupled(accel, low):
 rk4_decoupled = _make_coupled(_decoupled_accel, _first_low)
 
 
-# Python floats the float loop holds at most between writes into its arrays
-_VALUES_PER_FLUSH = 1024
-
 # the float loop of each coordinate count, compiled on first use
 _COUPLED_LOOPS: dict = {}
-
-
-def _flush_rows(n):
-    """Rows the float loop for n coordinates buffers between writes: a row
-    is its time, n positions and n velocities."""
-    return max(1, _VALUES_PER_FLUSH // (2 * n + 1))
 
 
 def _flush(times, pos, vel, row, tb, pb, vb):
@@ -261,6 +253,7 @@ def _coupled_source(n):
             f"pb += ({names('p')},)", f"vb += ({names('u')},)",
         ),
     ]
+    rows = block_rows(2 * n + 1)  # rows buffered: a row is t, n positions, n velocities
     lines = [
         "def loop(th, v, step, t_end, eps, n_steps, times, pos, vel):",
         f"    {names('p')}, = th",
@@ -270,9 +263,9 @@ def _coupled_source(n):
         f"    if {low('p')}:",
         "        return 0, 0.0",
         "    t = 0.0",
-        f"    for i0 in range(0, n_steps, {_flush_rows(n)}):",
+        f"    for i0 in range(0, n_steps, {rows}):",
         "        tb, pb, vb = [], [], []",
-        f"        for i in range(i0, min(i0 + {_flush_rows(n)}, n_steps)):",
+        f"        for i in range(i0, min(i0 + {rows}, n_steps)):",
         *("            " + line for line in step),
         "        _flush(times, pos, vel, i0 + 1, tb, pb, vb)",
         "    return n_steps + 1, t_end",
@@ -301,8 +294,8 @@ def rk4_coupled(theta0, v0, step, t_end, eps):
     Only there does it differ from ``min(p_0, ...) <= eps``, which keeps a
     first NaN and skips later ones (the reference never exits on a NaN).
     The loop is compiled before the arrays are allocated.  Rows are written
-    into them every ``_flush_rows(n)`` steps (about ``_VALUES_PER_FLUSH``
-    buffered floats) and on exit.
+    into them every ``block_rows(2 * n + 1)`` steps (about
+    ``spaces.VALUES_PER_BLOCK`` buffered floats) and on exit.
     """
     loop = _coupled_loop(theta0.size)
     n_steps = step_count(step, t_end)

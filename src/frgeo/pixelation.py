@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -138,25 +139,34 @@ class PixelationLadder:
         return max(self.levels)
 
 
+def _value_text(x: Fraction) -> str:
+    """``str(float(x))``, or where x is beyond the float range (g0^2/f0 of
+    float catalogs may reach 1e940), x to 17 significant digits."""
+    try:
+        return str(float(x))
+    except OverflowError:
+        return f"{Decimal(x.numerator) / Decimal(x.denominator):.17g}"
+
+
 def _check_hypotheses(f0: BoxFunction, g0: BoxFunction, delta) -> tuple:
     delta = Fraction(delta)
     if delta <= 0:
         raise HypothesisViolation("delta", "lower density bound must be positive")
     if f0.min_value() < delta:
         raise HypothesisViolation(
-            "density-floor", f"min f0 = {float(f0.min_value())} below delta"
+            "density-floor", f"min f0 = {_value_text(f0.min_value())} below delta"
         )
     mass = f0.integral()
     if abs(mass - 1) > HYPOTHESIS_TOL:
-        raise HypothesisViolation("unit-mass", f"integral f0 = {float(mass)}")
+        raise HypothesisViolation("unit-mass", f"integral f0 = {_value_text(mass)}")
     mean = g0.integral()
     if abs(mean) > HYPOTHESIS_TOL:
-        raise HypothesisViolation("zero-mean", f"integral g0 = {float(mean)}")
+        raise HypothesisViolation("zero-mean", f"integral g0 = {_value_text(mean)}")
     regions = overlay(f0, g0)
     energy = regions_energy(regions)
     if abs(energy - 1) > HYPOTHESIS_TOL:
         raise HypothesisViolation(
-            "unit-energy", f"integral g0^2/f0 = {float(energy)}"
+            "unit-energy", f"integral g0^2/f0 = {_value_text(energy)}"
         )
     return regions
 

@@ -28,6 +28,17 @@ import numpy as np
 
 NORMALIZATION_TOL = 1e-12
 
+# values in one block of a table filled, buffered or written piecewise (the
+# simplex closed form, the RK4 float loop's buffer, CSV and JSON output):
+# bounds what is held whatever the table's length
+VALUES_PER_BLOCK = 1024
+
+
+def block_rows(width: int) -> int:
+    """Rows of a table ``width`` values wide per block: about
+    ``VALUES_PER_BLOCK`` values, and at least one row."""
+    return max(1, VALUES_PER_BLOCK // width)
+
 
 def frozen_floats(a) -> np.ndarray:
     """A read-only float copy of ``a``, at least 1-D."""

@@ -40,7 +40,6 @@ from frgeo.catalogs import BUILTIN_CATALOGS
 from frgeo.cli import (
     KIND_KEYS,
     _FRAMES_PER_GROUP,
-    _ITEMS_PER_WRITE,
     _catalog_state,
     _class_runs,
     _csv_floats,
@@ -49,7 +48,6 @@ from frgeo.cli import (
     _json_chunks,
     _json_floats,
     _parse_levels,
-    _resolve_velocities,
     _write_json,
     build_parser,
     main,
@@ -61,6 +59,7 @@ from frgeo.cli import (
 from frgeo.errors import ConfigError
 from frgeo.geodesics import evaluate_scalar
 from frgeo.simplex import TangentVector
+from frgeo.spaces import VALUES_PER_BLOCK
 
 
 def run_cli(*argv):
@@ -1023,7 +1022,7 @@ def test_density_csv_runs_match_per_cell_reference(tmp_path, f0, g0, level):
     starts = [a for _, block_starts, _ in runs for a in block_starts]
     ends = [a + n for _, block_starts, lengths in runs for a, n in zip(block_starts, lengths)]
     assert starts == [0] + ends[:-1]
-    assert all(n == _ITEMS_PER_WRITE for n in lines[:-1]) and lines[-1] <= _ITEMS_PER_WRITE
+    assert all(n == VALUES_PER_BLOCK for n in lines[:-1]) and lines[-1] <= VALUES_PER_BLOCK
     header = ",".join(
         ["cell_index", *(f"x_center_{d + 1}" for d in range(grid.dimension)), "f_value"]
     )
@@ -1039,7 +1038,7 @@ def test_frame_runs_are_cut_at_block_ends():
     # 1-D level 12: class edges 0, 512, 1024, 2048, 4096 and 1,024-line blocks
     catalogs = BUILTIN_CATALOGS["uniform1d"](), BUILTIN_CATALOGS["g01_1d"]()
     state = _catalog_state(*catalogs, 12)
-    assert _ITEMS_PER_WRITE == 1024 and state.space.edges == ((0, 512, 1024, 2048, 4096),)
+    assert VALUES_PER_BLOCK == 1024 and state.space.edges == ((0, 512, 1024, 2048, 4096),)
     blocks = _class_runs(state.space)
     runs = [[(c, n) for c, _, n in zip(*block)] for block in blocks]
     # class 2 starts on a block boundary; class 3 spans two blocks
@@ -1130,7 +1129,7 @@ def test_sweep_json_matches_json_dump(tmp_path, argv):
     )
     p0 = SimplexPoint(cfg.params["theta0"])
     times = np.linspace(0.0, cfg.params["t_end"], cfg.params["n_times"])
-    for k, (tau, v) in enumerate(_resolve_velocities(cfg.params, allow_sweep=True)):
+    for k, (tau, v) in enumerate(cfg.params["velocities"]):
         y, _ = simplex_flow_samples(p0, v, times)
         state = frgeo.simplex_state(p0, v)
         obj = {
@@ -1247,7 +1246,7 @@ def test_2d_float_array_json_matches_json_dumps(shape):
     assert "".join(chunks) == json.dumps(matrix.tolist(), indent=2)
     if matrix.size:
         # one encoder call per block of whole rows, then the closing bracket
-        rows = max(1, _ITEMS_PER_WRITE // shape[1])
+        rows = max(1, VALUES_PER_BLOCK // shape[1])
         assert len(chunks) == -(-shape[0] // rows) + 1
     # nested in a dict and in a list, at deeper indents
     for obj in ({"m": matrix, "after": [matrix, 1.5]}, [matrix, {"m": matrix[:2]}]):
@@ -1274,8 +1273,8 @@ def _non_finite(shape, dtype):
     rng = np.random.default_rng(shape[0] + 7 * shape[-1])
     values = rng.standard_normal(shape).astype(dtype)
     flat = values.reshape(-1)
-    per_block = _ITEMS_PER_WRITE if values.ndim == 1 else (
-        max(1, _ITEMS_PER_WRITE // shape[1]) * shape[1]
+    per_block = VALUES_PER_BLOCK if values.ndim == 1 else (
+        max(1, VALUES_PER_BLOCK // shape[1]) * shape[1]
     )
     edge = min(per_block, flat.size - 1)
     for k, x in zip((0, edge - 1, edge, -1), (np.nan, np.inf, -np.inf, np.nan)):
@@ -1587,3 +1586,73 @@ def test_out_directory_is_created(tmp_path):
     nested = tmp_path / "a" / "b" / "c"
     assert run_cli("moments", "n_times=3", "--out", str(nested)) == 0
     assert (nested / "moments.csv").exists()
+
+
+# (argv, exit code, error, field or condition, decided by validate_config);
+# {sub} and {big} are catalog files: f0 = 1e-320 on [0, 1/2), whose
+# amplitude squares to 0 beside g01_1d, and g0 = +-1e300, whose energy
+# g0^2/f0 is 1e600, beyond the floats
+EXIT_CONTRACT = {
+    "theta0_band_simplex": (
+        ("simplex-geodesic", "theta0=0.5,0.499999999999", "w_raw=1,-1"),
+        2, "ConfigError", "theta0", True),
+    "theta0_band_oracle": (
+        ("oracle-compare", "theta0=0.5,0.499999999999", "w_raw=1,-1"),
+        2, "ConfigError", "theta0", True),
+    "tau_off_barycenter": (
+        ("simplex-geodesic", "theta0=0.2,0.3", "tau=1"), 2, "ConfigError", "tau", True),
+    "tau_and_w_raw": (
+        ("oracle-compare", "tau=1", "w_raw=1,-1"), 2, "ConfigError", "w_raw", True),
+    "zero_w_raw": (
+        ("simplex-geodesic", "w_raw=0,0"), 3, "ZeroDirection", None, True),
+    "phi_index_12": (
+        ("pixelation-convergence", "phi_index=12", "levels=3"),
+        2, "ConfigError", "phi_index", True),
+    "t_end_1e6_csv": (
+        ("density-geodesic", "t_end=1e6", "level=3"), 2, "ConfigError", "t_end", False),
+    "t_end_1e6_json": (
+        ("density-geodesic", "t_end=1e6", "level=3", "--format", "json"),
+        2, "ConfigError", "t_end", False),
+    "subnormal_f0_density": (
+        ("density-geodesic", "f0={sub}", "g0=g01_1d", "level=3"),
+        2, "ConfigError", "f0", False),
+    "subnormal_f0_moments": (
+        ("moments", "f0={sub}", "g0=g01_1d", "level=3"), 2, "ConfigError", "f0", False),
+    "huge_g0_ladder": (
+        ("pixelation-convergence", "f0=uniform1d", "g0={big}", "levels=3"),
+        3, "HypothesisViolation", "unit-energy", False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CONTRACT))
+def test_errors_exit_with_one_json_object_and_no_file(tmp_path, capsys, case):
+    argv, code, error, name, validated = EXIT_CONTRACT[case]
+    sub, big = tmp_path / "sub.cat", tmp_path / "big.cat"
+    sub.write_text("1e-320 0 1/2\n2 1/2 1\n")
+    big.write_text("1e300 0 1/2\n-1e300 1/2 1\n")
+    out = tmp_path / "out"
+    argv = [a.format(sub=sub, big=big) for a in argv]
+    assert run_cli(*argv, "--out", str(out)) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == error
+    if name is not None:
+        assert payload["condition" if error == "HypothesisViolation" else "field"] == name
+    assert not out.exists() if validated else not any(out.iterdir())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_density_frames_past_the_mass_limit_name_the_first(tmp_path, capsys, fmt):
+    # the default pair's frames lose mass from about t = 1e5: the first
+    # failing frame is named before any file is opened
+    out = tmp_path / "out"
+    argv = ("density-geodesic", "t_end=1e6", "n_frames=12", "--format", fmt)
+    assert run_cli(*argv, "--out", str(out)) == 2
+    payload = stderr_payload(capsys)
+    assert payload["field"] == "t_end"
+    assert "t=90909.09090909091 " in payload["message"]
+    assert "density integrates to 0.99999999999" in payload["message"]
+    assert not any(out.iterdir())
+    assert run_cli("density-geodesic", "t_end=1e4", "--format", fmt, "--out", str(out)) == 0

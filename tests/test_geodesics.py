@@ -37,10 +37,9 @@ from frgeo import (
     simplex_trajectory,
 )
 from frgeo.catalogs import g01_1d, uniform1d
-from frgeo.geodesics import (
-    _VALUES_PER_BLOCK, positions_at, simplex_position_blocks, simplex_positions,
-)
+from frgeo.geodesics import positions_at, simplex_position_blocks, simplex_positions
 from frgeo.simplex import BOUNDARY_FLOOR
+from frgeo.spaces import VALUES_PER_BLOCK
 from conftest import random_interior_point, random_unit_tangent
 from oracles import geodesic_residual_coupled, geodesic_residual_decoupled, solve_scalar_ivp
 
@@ -372,7 +371,7 @@ def test_flow_samples_blocks_match_one_whole_grid_evaluation(n):
     p0 = random_interior_point(rng, n)
     v0 = random_unit_tangent(rng, p0)
     state = simplex_state(p0, v0)
-    rows = _VALUES_PER_BLOCK // (n + 1)
+    rows = VALUES_PER_BLOCK // (n + 1)
     for count in (1, rows - 1, rows, rows + 1, 10_001):
         times = np.linspace(0.0, 7.0, count)  # past the touch and the period
         y, ydot = simplex_flow_samples(p0, v0, times)
@@ -393,7 +392,7 @@ def test_positions_equal_evaluate_scalar_bit_for_bit(n):
     p0 = random_interior_point(rng, n)
     v0 = random_unit_tangent(rng, p0)
     state = simplex_state(p0, v0)
-    rows = _VALUES_PER_BLOCK // (n + 1)
+    rows = VALUES_PER_BLOCK // (n + 1)
     touch = boundary_touch_time(p0, v0)
     for count in (1, rows - 1, rows, rows + 1, 10_001):
         times = np.linspace(0.0, 7.0, count)  # past the touch and the period
@@ -429,7 +428,7 @@ def test_block_floor_check_names_the_whole_grid_touch():
     v = ellipsoid_tangent(BARY, np.array([1.0, 1.0]))
     state = simplex_state(BARY, v)
     t_star = boundary_touch_time(BARY, v)
-    rows = _VALUES_PER_BLOCK // 3
+    rows = VALUES_PER_BLOCK // 3
     # the only sample on the floor is the last of a block, the first of the
     # next, or the first of the grid's last, short, block
     for count, extra in ((rows, 5), (rows + 1, 5), (2 * rows + 1, 0)):

@@ -11,6 +11,7 @@ import pytest
 import frgeo
 from conftest import within_a_second
 from frgeo import kernels
+from frgeo.spaces import block_rows
 
 
 def test_backend_reports_a_known_name():
@@ -224,7 +225,7 @@ def test_float_loop_keeps_full_length_arrays_on_every_exit_branch(n):
 
 def test_float_loop_equals_reference_across_flush_blocks():
     theta0, v0 = _interior_start(3, seed=3)
-    blocks = kernels._flush_rows(3)
+    blocks = block_rows(2 * 3 + 1)  # the float loop's buffered rows at n = 3
     # two and a half blocks of steps: two full blocks and a partial one
     steps = 5 * blocks // 2
     ref = _assert_same_run((theta0, v0, 0.25 / steps, 0.25, 1e-9))

@@ -671,3 +671,13 @@ def test_class_rows_match_per_cell_reference(make_ladder, phi, j_ref):
             assert (a is None) == (b is None)
             if a is not None:
                 assert abs(a - b) <= 1e-15, (row["j"], a, b)
+
+
+def test_hypothesis_message_beyond_float_range():
+    # g0^2 / f0 integrates to 1e600: float() of it raised OverflowError
+    big = Fraction(10**300)
+    g0 = BoxFunction.from_rows(1, [(big, 0, Fraction(1, 2)), (-big, Fraction(1, 2), 1)])
+    with pytest.raises(HypothesisViolation) as info:
+        build_ladder(uniform1d(), g0, [3])
+    assert info.value.condition == "unit-energy"
+    assert str(info.value) == "unit-energy: integral g0^2/f0 = 1.0000000000000000e+600"
