@@ -10,8 +10,9 @@ the arrays of one run (``frgeo.cli._oracle_compare_arrays``):
 * ``rk4 kernel``: ``kernels.rk4_coupled``, in µs per step;
 * ``closed form``: the runner's check pass
   (``frgeo.cli._row_deviations``), which evaluates the closed form at the
-  RK4 times a block at a time, checks it against the boundary floor and
-  keeps each row's largest deviation from RK4, in µs per row;
+  RK4 times a block at a time, checks each row against the boundary floor
+  and for mass 1 (``frgeo.geodesics.flow_blocks``) and keeps each row's
+  largest deviation from RK4, in µs per row;
 * ``csv writer`` and ``json writer``: the runner's writer
   (``frgeo.cli._write_oracle_compare``) for ``oracle_compare.csv`` and
   ``oracle_compare.json``, in ns per float written.  The closed form is a

@@ -39,7 +39,6 @@ from .geodesics import (
     geodesic_flow,
     normalize_velocity,
     simplex_flow_samples,
-    simplex_positions,
     simplex_state,
     simplex_trajectory,
 )

@@ -27,8 +27,9 @@ runners take (the start point, the velocities, the ladder's test function,
 the RK4 configuration), so every error it finds comes before ``--out`` is
 created.  Errors found at run time may leave an empty output directory: a
 time grid or RK4 table too large to allocate, a projected f0 whose state
-fails its checks, a ``density-geodesic`` ``t_end`` at which a frame is no
-longer a density (its mass off by more than 1e-12), and domain failures.
+fails its checks, a ``t_end`` at which a sampled density frame or simplex
+point is no longer a density (its mass off by more than 1e-12; ``moments``
+has no such limit), and domain failures.
 """
 
 from __future__ import annotations
@@ -59,11 +60,11 @@ from .geodesics import (
     density_at,
     ellipse_param_n2,
     ellipsoid_tangent,
+    flow_blocks,
     geodesic_flow,
     normalize_velocity,
     positions_at,
     simplex_flow_samples,  # noqa: F401  (perfbench/spans.py wraps it by name)
-    simplex_position_blocks,
     simplex_state,
     simplex_trajectory,  # noqa: F401  (perfbench/spans.py wraps it by name)
 )
@@ -79,8 +80,8 @@ from .pixelation import (
     test_functions_1d,
     test_functions_2d,
 )
-from .simplex import SimplexPoint, TangentVector
-from .spaces import VALUES_PER_BLOCK, CellClasses, DyadicGrid, FiniteDensity, block_rows
+from .simplex import BOUNDARY_FLOOR, SimplexPoint, TangentVector
+from .spaces import VALUES_PER_BLOCK, CellClasses, DyadicGrid, block_rows
 
 # CSV floats carry 17 significant digits and JSON floats are their repr, so
 # re-importing loses nothing; the same configuration gives the same bytes
@@ -128,16 +129,19 @@ def _parse_vector(token: str) -> np.ndarray:
 
 
 def _parse_levels(token: str) -> list[int]:
-    """Grid levels, either ``3-8`` (inclusive range) or ``3,5,7``."""
+    """Grid levels, either ``3-8`` (inclusive range) or ``3,5,7``; the
+    deepest has at most 2^62 cells per axis (``_check_cell_bits``)."""
     token = token.strip()
     m = re.match(r"^([0-9]+)\s*-\s*([0-9]+)$", token)
     if m:
         lo, hi = int(m.group(1)), int(m.group(2))
         if hi < lo:
             raise ValueError(f"empty level range {token!r}")
-        _check_cell_bits("levels", hi)  # before expanding: level hi has >= 2^hi cells
-        return list(range(lo, hi + 1))
-    return sorted({int(p) for p in token.split(",") if p.strip()})
+        levels = range(lo, hi + 1)
+    else:
+        levels = sorted({int(p) for p in token.split(",") if p.strip()})
+    _check_cell_bits("levels", levels[-1] if levels else 0)  # a range before expanding it
+    return list(levels)
 
 
 def _parse_catalog(token: str) -> BoxFunction:
@@ -332,13 +336,14 @@ def _check_preconditions(p: dict) -> None:
     if "level" in p:
         if p["level"] < 1:
             raise ConfigError("level", "grid level must be >= 1")
-        _check_cell_bits("level", p["f0"].dimension * p["level"])
+        # density-geodesic (with frames) indexes cells; moments only axes
+        indexed_axes = p["f0"].dimension if "n_frames" in p else 1
+        _check_cell_bits("level", indexed_axes * p["level"])
     if "levels" in p:
         if not p["levels"]:
             raise ConfigError("levels", "need at least one level")
         if min(p["levels"]) < 1:
             raise ConfigError("levels", "grid levels must be >= 1")
-        _check_cell_bits("levels", p["f0"].dimension * max(p["levels"]))
     if "delta" in p and not p["delta"] > 0:
         raise ConfigError("delta", "density floor must be positive")
     if "j_ref" in p and p["j_ref"] is not None and "levels" in p:
@@ -367,8 +372,8 @@ def _check_preconditions(p: dict) -> None:
 
 
 def _check_cell_bits(key: str, bits: int) -> None:
-    """ConfigError on ``key`` if 2^bits grid cells exceed the largest numpy
-    index, 2^(index bits) - 1."""
+    """ConfigError on ``key`` if 2^bits grid cells (a grid's, or an axis's)
+    exceed the largest numpy index, 2^(index bits) - 1."""
     if bits >= np.iinfo(np.intp).max.bit_length():
         raise ConfigError(key, f"2^{bits} grid cells are more than numpy can index")
 
@@ -382,6 +387,15 @@ def _sized_by(key: str) -> Iterator[None]:
         yield
     except MemoryError as exc:
         raise ConfigError(key, f"the time grid does not fit in memory: {exc}")
+
+
+def _checked_blocks(*args) -> Iterator[tuple[int, np.ndarray]]:
+    """``flow_blocks(*args)``, with a sampled row that is no density (its phases
+    past float precision at a large ``t_end``) as a ConfigError on ``t_end``."""
+    try:
+        yield from flow_blocks(*args)
+    except ValueError as exc:
+        raise ConfigError("t_end", str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -613,12 +627,13 @@ def _indexed_name(stem: str, k: int, count: int, suffix: str) -> str:
 
 def _run_simplex_geodesic(cfg: ExperimentConfig) -> list[Path]:
     """One file per trajectory.  Every trajectory is checked for a boundary
-    touch before any file is written, keeping no positions; each is then
-    evaluated again, a block at a time, as it is written.  The evaluations
-    are sized by ``n_times``.  CSV files share the t column, so they are
-    written in lockstep groups of up to ``_FRAMES_PER_GROUP``: a block's t
-    texts are filled into its template once per group, its theta slots
-    (left ``%.17g``) once per file, and no other block's text is held."""
+    touch and for mass 1 (``_checked_blocks``) before any file is written,
+    keeping no positions; each is then evaluated again, a block at a time,
+    as it is written.  The evaluations are sized by ``n_times``.  CSV files
+    share the t column, so they are written in lockstep groups of up to
+    ``_FRAMES_PER_GROUP``: a block's t texts are filled into its template
+    once per group, its theta slots (left ``%.17g``) once per file, and no
+    other block's text is held."""
     p = cfg.params
     p0, pairs = p["p0"], p["velocities"]
     states = []
@@ -626,7 +641,7 @@ def _run_simplex_geodesic(cfg: ExperimentConfig) -> list[Path]:
         times = np.linspace(0.0, p["t_end"], p["n_times"])
         for _, v in pairs:
             states.append(simplex_state(p0, v))
-            for _ in simplex_position_blocks(states[-1], times):
+            for _ in _checked_blocks(states[-1], times, BOUNDARY_FLOOR):
                 pass
     if cfg.fmt == "csv":
         header = ["t"] + [f"theta_{i + 1}" for i in range(p0.n)]
@@ -755,24 +770,16 @@ def _run_density_geodesic(cfg: ExperimentConfig) -> list[Path]:
     class's text written for each cell of its runs, so the bytes are those
     of evaluating and formatting cell by cell.
 
-    Every frame is checked to be a density (``FiniteDensity``) before any
-    file is opened, its values evaluated as ``density_at`` evaluates them
-    (``positions_at``, the same bits): at a large ``t_end`` the phases
-    t/2 - beta lose beta's low bits, and the first frame whose mass misses
-    1 is a ConfigError on ``t_end``.
+    Every frame is checked to be a density (``_checked_blocks``) before any
+    file is opened.
     """
     p = cfg.params
     state = _catalog_state(p["f0"], p["g0"], p["level"])
     grid: DyadicGrid = state.space.grid
     with _sized_by("n_frames"):
         times = np.linspace(0.0, p["t_end"], p["n_frames"])
-    m = block_rows(state.alpha.size)
-    for s in range(0, times.size, m):  # density_at's values, a block of frames at a time
-        for t, y in zip(times[s : s + m], positions_at(state, times[s : s + m])):
-            try:
-                FiniteDensity(state.space, y)
-            except ValueError as exc:
-                raise ConfigError("t_end", f"the frame at t={float(t)!r} is not a density: {exc}")
+    for _ in _checked_blocks(state, times):
+        pass
     runs = _class_runs(state.space)
 
     written: list[Path] = []
@@ -882,9 +889,9 @@ def _oracle_compare_arrays(cfg: ExperimentConfig):
 
 def _row_deviations(closed: _ClosedForm, rk4: np.ndarray) -> np.ndarray:
     """Each row's largest |closed - rk4|, the closed form evaluated and
-    checked against the boundary floor a block at a time, before any write."""
+    checked (``_checked_blocks``) a block at a time, before any write."""
     diff = np.empty(len(closed))
-    for s, y in simplex_position_blocks(closed.state, closed.times):
+    for s, y in _checked_blocks(closed.state, closed.times, BOUNDARY_FLOOR):
         d = np.subtract(y[:, : closed.width], rk4[s : s + len(y)])
         diff[s : s + len(y)] = np.abs(d, out=d).max(axis=1)
     return diff

@@ -22,8 +22,9 @@ total mass and the kinetic integral are conserved (= 1), the period is 2 pi,
 and integral alpha dmu = 2.
 
 The probability simplex is the special case of the counting measure on the
-n+1 category probabilities; ``simplex_trajectory`` evaluates the same flow
-in free coordinates.
+n+1 category probabilities.  ``positions_at`` evaluates the flow at sampled
+times on either space, and ``flow_blocks`` checks each sampled row, a block
+at a time: against a floor (the simplex boundary) and for mass 1.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from .errors import (
     ZeroDirection,
 )
 from .spaces import (
-    FiniteDensity, FiniteMeasureSpace, SignedFunction, block_rows, exact_dot, frozen_floats,
-    integrate,
+    NORMALIZATION_TOL, FiniteDensity, FiniteMeasureSpace, SignedFunction, block_rows, exact_dot,
+    frozen_floats, integrate,
 )
 
 ALPHA_MASS_TOL = 1e-12
@@ -188,8 +189,52 @@ def geodesic_flow(f0: FiniteDensity, g0: UnitVelocity) -> GeodesicState:
 
 def density_at(state: GeodesicState, t: float) -> FiniteDensity:
     """The flowing density at time t (period 2 pi, mass conserved)."""
-    y, _, _ = evaluate_scalar(state.alpha, state.beta, t)
-    return FiniteDensity(state.space, y)
+    return FiniteDensity(state.space, positions_at(state, np.array([float(t)]))[0])
+
+
+def positions_at(state: GeodesicState, times: np.ndarray) -> np.ndarray:
+    """alpha cos^2(t/2 - beta) at each of the 1-D ``times``, one row per time.
+
+    The operations of ``evaluate_scalar``'s y, in its order, so the bits are
+    its first result's; the derivative and kinetic terms are not formed.
+    """
+    c = np.cos(times[:, None] / 2.0 - state.beta)
+    y = state.alpha * c
+    y *= c
+    return y
+
+
+def flow_blocks(
+    state: GeodesicState, times: np.ndarray, floor: float = -math.inf
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(first row, ``positions_at`` rows) of the 1-D ``times``, a block of
+    about ``spaces.VALUES_PER_BLOCK`` values at a time, each row checked, in
+    time order, before its block is handed out: a value below ``floor``
+    raises BoundaryTouch naming the first such coordinate, and a row that
+    is no density (``FiniteDensity``; at a large t the phases t/2 - beta
+    lose beta's low bits) raises ValueError naming its time and mass.  The
+    floor is checked first within a row, and the earliest failing row
+    raises, as a check of the whole (T, n+1) grid would.  Detection happens
+    at the given times only, no root-finding between them.
+    """
+    m, weights = block_rows(state.alpha.size), state.space.weights
+    for s in range(0, times.size, m):
+        y = positions_at(state, times[s : s + m])
+        # whole-block tests first, then FiniteDensity decides each flagged
+        # row; half its tolerance covers the rounding of these row masses
+        drift = np.abs(y.dot(weights) - 1.0)
+        if y.min() < floor or not drift.max() <= NORMALIZATION_TOL / 2:
+            flagged = (y < floor).any(axis=1) | ~(drift <= NORMALIZATION_TOL / 2)
+            for k in np.flatnonzero(flagged).tolist():
+                t = float(times[s + k])
+                below = np.flatnonzero(y[k] < floor)
+                if below.size:
+                    raise BoundaryTouch(int(below[0]) + 1, t)
+                try:
+                    FiniteDensity(state.space, y[k])
+                except ValueError as exc:
+                    raise ValueError(f"the frame at t={t!r} is not a density: {exc}")
+        yield s, y
 
 
 # ---------------------------------------------------------------------------
@@ -218,82 +263,29 @@ def simplex_flow_samples(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full-coordinate positions and velocities of a simplex geodesic.
 
-    Returns arrays of shape (T, n+1); no boundary policing is applied, the
-    closed form is global in time.  The arrays are filled a block of about
-    ``spaces.VALUES_PER_BLOCK`` values at a time, one ``evaluate_scalar`` call per
-    block, so its temporaries take one block, not T rows; every operation is
-    elementwise, so the bits are those of one call on the whole grid.
+    Returns arrays of shape (T, n+1), from one ``evaluate_scalar`` call; no
+    boundary policing is applied, the closed form is global in time.
     """
     state = simplex_state(p0, v0)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    y = np.empty((times.size, state.alpha.size))
-    ydot = np.empty_like(y)
-    m = block_rows(state.alpha.size)
-    for s in range(0, times.size, m):
-        y[s : s + m], ydot[s : s + m], _ = evaluate_scalar(
-            state.alpha, state.beta, times[s : s + m, None]
-        )
+    y, ydot, _ = evaluate_scalar(state.alpha, state.beta, times[:, None])
     return y, ydot
-
-
-def positions_at(state: GeodesicState, times: np.ndarray) -> np.ndarray:
-    """alpha cos^2(t/2 - beta) at each of the 1-D ``times``, one row per time.
-
-    The operations of ``evaluate_scalar``'s y, in its order, so the bits are
-    its first result's; the derivative and kinetic terms are not formed.
-    """
-    c = np.cos(times[:, None] / 2.0 - state.beta)
-    y = state.alpha * c
-    y *= c
-    return y
-
-
-def simplex_position_blocks(
-    state: GeodesicState, times: np.ndarray
-) -> Iterator[tuple[int, np.ndarray]]:
-    """(first row, ``positions_at`` rows) of the 1-D ``times``, a block of
-    about ``spaces.VALUES_PER_BLOCK`` values at a time, each checked against the
-    boundary floor.
-
-    The first sample where any coordinate falls below the floor raises
-    BoundaryTouch naming the coordinate; blocks are checked in order, so it
-    is the sample and coordinate a check of the whole (T, n+1) grid names.
-    Detection happens at the given times only, no root-finding between them.
-    """
-    m = block_rows(state.alpha.size)
-    for s in range(0, times.size, m):
-        y = positions_at(state, times[s : s + m])
-        bad = y < sx.BOUNDARY_FLOOR
-        if np.any(bad):
-            t_idx, k_idx = np.argwhere(bad)[0]
-            raise BoundaryTouch(int(k_idx) + 1, float(times[s + t_idx]))
-        yield s, y
-
-
-def simplex_positions(
-    p0: sx.SimplexPoint, v0: sx.TangentVector, times: np.ndarray
-) -> np.ndarray:
-    """Closed-form geodesic through (p0, v0) at the given times, shape (T, n+1).
-
-    theta_i(t) = theta_i cos^2(t/2) + (v_i^2 / theta_i) sin^2(t/2)
-                 + v_i sin(t)   for i = 1..n+1,
-
-    evaluated in the non-negative amplitude/phase form and checked against
-    the boundary floor a block at a time (``simplex_position_blocks``).
-    """
-    state = simplex_state(p0, v0)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    y = np.empty((times.size, state.alpha.size))
-    for s, rows in simplex_position_blocks(state, times):
-        y[s : s + len(rows)] = rows
-    return y
 
 
 def simplex_trajectory(
     p0: sx.SimplexPoint, v0: sx.TangentVector, times: np.ndarray
 ) -> list[sx.SimplexPoint]:
-    """``simplex_positions`` as one SimplexPoint per sample time."""
-    return [sx.SimplexPoint(row[:-1]) for row in simplex_positions(p0, v0, times)]
+    """Closed-form geodesic through (p0, v0), one SimplexPoint per sample time.
+
+    theta_i(t) = theta_i cos^2(t/2) + (v_i^2 / theta_i) sin^2(t/2)
+                 + v_i sin(t)   for i = 1..n+1,
+
+    evaluated in the non-negative amplitude/phase form, every sample checked
+    against the boundary floor and for mass 1 (``flow_blocks``).
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    blocks = flow_blocks(simplex_state(p0, v0), times, sx.BOUNDARY_FLOOR)
+    return [sx.SimplexPoint(row[:-1]) for _, y in blocks for row in y]
 
 
 def boundary_touch_time(p0: sx.SimplexPoint, v0: sx.TangentVector) -> float:

@@ -582,14 +582,18 @@ def test_catalog_value_beyond_float_range_exits_2(tmp_path, capsys, argv):
         (("oracle-compare", "step=1e-300"), "step"),
         (("oracle-compare", "step=5e-324"), "step"),
         (("oracle-compare", "step=1e-3", "t_end=1e16"), "step"),
+        (("moments", "f0=uniform2d", "g0=g01_2d", "level=63"), "level"),
+        (("pixelation-convergence", "f0=misaligned_f0_2d", "g0=misaligned_g0_2d",
+          "levels=3-63"), "levels"),
     ],
     ids=["density_1d_64", "density_1d_63", "moments_1d_64", "ladder_3_64",
          "density_2d_40", "oracle_1e300_steps", "oracle_subnormal_step",
-         "oracle_1e19_steps"],
+         "oracle_1e19_steps", "moments_2d_63", "ladder_2d_3_63"],
 )
 def test_grid_beyond_numpy_index_range_exits_2(tmp_path, capsys, argv, field):
-    # every case has more than 2^63 - 1 cells, or more than 2^53 RK4 steps
-    # (whose count used to spin forever), so no grid is ever allocated
+    # every case has more than 2^63 - 1 cells (on one axis, for moments and
+    # ladders, which index only axes), or more than 2^53 RK4 steps (whose
+    # count used to spin forever), so no grid is ever allocated
     assert within_a_second(run_cli, *argv, "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
@@ -597,6 +601,21 @@ def test_grid_beyond_numpy_index_range_exits_2(tmp_path, capsys, argv, field):
     assert payload["error"] == "ConfigError"
     assert payload["field"] == field
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moments", "f0=uniform2d", "g0=g01_2d", "level=62"),
+        ("pixelation-convergence", "f0=misaligned_f0_2d", "g0=misaligned_g0_2d",
+         "levels=3-62"),
+    ],
+    ids=["moments_2d_62", "ladder_2d_3_62"],
+)
+def test_axis_levels_up_to_62_run_in_2d(tmp_path, argv):
+    # 2^124 cells, but moments and ladders work on each axis's class edges,
+    # which stay int64 up to level 62 per axis
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
 
 
 def test_rk4_table_beyond_memory_exits_2(tmp_path, capsys):
@@ -1613,6 +1632,14 @@ EXIT_CONTRACT = {
     "t_end_1e6_json": (
         ("density-geodesic", "t_end=1e6", "level=3", "--format", "json"),
         2, "ConfigError", "t_end", False),
+    "simplex_t_end_1e300_csv": (
+        ("simplex-geodesic", "tau=1", "t_end=1e300", "n_times=2"),
+        2, "ConfigError", "t_end", False),
+    "simplex_t_end_1e300_json": (
+        ("simplex-geodesic", "tau=1", "t_end=1e300", "n_times=2", "--format", "json"),
+        2, "ConfigError", "t_end", False),
+    "sweep_t_end_1e5": (
+        ("simplex-geodesic", "t_end=1e5"), 2, "ConfigError", "t_end", False),
     "subnormal_f0_density": (
         ("density-geodesic", "f0={sub}", "g0=g01_1d", "level=3"),
         2, "ConfigError", "f0", False),
@@ -1656,3 +1683,35 @@ def test_density_frames_past_the_mass_limit_name_the_first(tmp_path, capsys, fmt
     assert "density integrates to 0.99999999999" in payload["message"]
     assert not any(out.iterdir())
     assert run_cli("density-geodesic", "t_end=1e4", "--format", fmt, "--out", str(out)) == 0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_samples_past_the_mass_limit_name_the_first(tmp_path, capsys, fmt):
+    # the simplex kinds check each sample's mass as density frames are
+    # checked: the default sweep's samples drift from 1 by about 5e-12 at
+    # t_end = 1e5, and by under 5e-13 at 1e4
+    out = tmp_path / "out"
+    argv = ("simplex-geodesic", "t_end=1e5", "--format", fmt)
+    assert run_cli(*argv, "--out", str(out)) == 2
+    payload = stderr_payload(capsys)
+    assert payload["field"] == "t_end"
+    assert "t=65656.56565656565 " in payload["message"]
+    assert "density integrates to 1.00000000000" in payload["message"]
+    assert not any(out.iterdir())
+    assert run_cli("simplex-geodesic", "t_end=1e4", "--format", fmt, "--out", str(out)) == 0
+
+
+def test_moments_keep_full_precision_at_a_large_t_end(tmp_path):
+    # the three-term identity never forms t/2 - beta, so moments need no
+    # mass limit.  The expected values are the curve of the run's own
+    # projected (f0, g0), its three terms summed over the 64 cell centers
+    # with mpmath at 60 digits, rounded to 17 digits
+    assert run_cli("moments", "t_end=1e17", "n_times=3", "--out", str(tmp_path)) == 0
+    rows = list(csv.reader(io.StringIO((tmp_path / "moments.csv").read_text())))
+    values = np.array(rows[2:], dtype=float)
+    expected = np.array([
+        [5e16, 0.38769458731016349, 0.071718115653995576],
+        [1e17, 0.16097456672029964, 0.016410986047983353],
+    ])
+    assert np.array_equal(values[:, 0], expected[:, 0])
+    assert np.max(np.abs(values[:, 1:] - expected[:, 1:])) <= 1e-15

@@ -37,7 +37,7 @@ from frgeo import (
     simplex_trajectory,
 )
 from frgeo.catalogs import g01_1d, uniform1d
-from frgeo.geodesics import positions_at, simplex_position_blocks, simplex_positions
+from frgeo.geodesics import flow_blocks, positions_at
 from frgeo.simplex import BOUNDARY_FLOOR
 from frgeo.spaces import VALUES_PER_BLOCK
 from conftest import random_interior_point, random_unit_tangent
@@ -365,8 +365,8 @@ def test_flow_samples_shapes_and_velocity():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_flow_samples_blocks_match_one_whole_grid_evaluation(n):
-    # simplex_flow_samples evaluates a block of rows at a time; JSON
-    # re-evaluation checks rely on the bits of one whole-grid call
+    # JSON re-evaluation checks rely on simplex_flow_samples giving the
+    # bits of one whole-grid evaluate_scalar call, at any sample count
     rng = np.random.default_rng(100 + n)
     p0 = random_interior_point(rng, n)
     v0 = random_unit_tangent(rng, p0)
@@ -398,29 +398,35 @@ def test_positions_equal_evaluate_scalar_bit_for_bit(n):
         times = np.linspace(0.0, 7.0, count)  # past the touch and the period
         y_ref = evaluate_scalar(state.alpha[None, :], state.beta[None, :], times[:, None])[0]
         assert positions_at(state, times).tobytes() == y_ref.tobytes()
-        # blocks of samples before the touch, as simplex_positions fills them
+        # checked blocks of samples before the touch, as simplex_trajectory
+        # collects them
         inside = np.linspace(0.0, 0.9 * touch, count)
         y_ref = evaluate_scalar(state.alpha[None, :], state.beta[None, :], inside[:, None])[0]
-        blocks = list(simplex_position_blocks(state, inside))
+        blocks = list(flow_blocks(state, inside, BOUNDARY_FLOOR))
         assert [s for s, _ in blocks] == list(range(0, count, rows))
         assert np.concatenate([y for _, y in blocks]).tobytes() == y_ref.tobytes()
-        assert simplex_positions(p0, v0, inside).tobytes() == y_ref.tobytes()
+        points = simplex_trajectory(p0, v0, inside)
+        assert np.array([q.theta for q in points]).tobytes() == y_ref[:, :-1].tobytes()
 
 
 def whole_grid_touch(state, times):
-    """(coordinate, time) of the first floor touch of one whole-grid check."""
+    """("touch", coordinate, time) of the first floor touch of one
+    whole-grid check."""
     y = evaluate_scalar(state.alpha[None, :], state.beta[None, :], times[:, None])[0]
     bad = np.argwhere(y < BOUNDARY_FLOOR)
-    return None if not bad.size else (int(bad[0][1]) + 1, float(times[bad[0][0]]))
+    return None if not bad.size else ("touch", int(bad[0][1]) + 1, float(times[bad[0][0]]))
 
 
-def block_touch(state, times):
-    """(coordinate, time) of the BoundaryTouch of the block-wise check."""
+def first_failure(state, times, floor):
+    """The verdict of the block-wise check: None, ("touch", coordinate,
+    time) or ("mass", message)."""
     try:
-        for _ in simplex_position_blocks(state, times):
+        for _ in flow_blocks(state, times, floor):
             pass
     except BoundaryTouch as exc:
-        return exc.coordinate, exc.time
+        return "touch", exc.coordinate, exc.time
+    except ValueError as exc:
+        return "mass", str(exc)
     return None
 
 
@@ -434,17 +440,69 @@ def test_block_floor_check_names_the_whole_grid_touch():
     for count, extra in ((rows, 5), (rows + 1, 5), (2 * rows + 1, 0)):
         times = np.concatenate([np.linspace(0.0, t_star, count), t_star + np.arange(1, extra + 1)])
         expected = whole_grid_touch(state, times)
-        assert expected == (3, t_star)
-        assert block_touch(state, times) == expected
+        assert expected == ("touch", 3, t_star)
+        assert first_failure(state, times, BOUNDARY_FLOOR) == expected
     # the perfbench sweep_touch configuration: 64 directions, 1,000 samples
     times = np.linspace(0.0, math.pi / 2.0, 1000)
     touches = 0
     for k in range(64):
         state = simplex_state(BARY, TangentVector(ellipse_param_n2(2.0 * math.pi * k / 64)))
         expected = whole_grid_touch(state, times)
-        assert block_touch(state, times) == expected
+        assert first_failure(state, times, BOUNDARY_FLOOR) == expected
         touches += expected is not None
     assert touches > 0
+
+
+def test_flow_blocks_report_the_earlier_of_a_mass_failure_and_a_touch():
+    # at t = 1e300 the tau = 1 phases have lost every bit of beta: the
+    # coordinates (0.0711, 0.1825, 0.1710) stay above the floor but sum to
+    # 0.4246, while the sample at t* touches the floor
+    v = TangentVector(ellipse_param_n2(1.0))
+    state = simplex_state(BARY, v)
+    t_star = boundary_touch_time(BARY, v)
+    mass = "the frame at t=1e+300 is not a density: density integrates to 0.424613888042451"
+    rows = VALUES_PER_BLOCK // 3
+    for pad in (0, rows - 2, rows - 1):  # both in one block, or in two
+        lead = np.zeros(pad)
+        verdict = first_failure(state, np.concatenate([lead, [1e300, t_star]]), BOUNDARY_FLOOR)
+        assert verdict[0] == "mass" and verdict[1].startswith(mass)
+        verdict = first_failure(state, np.concatenate([lead, [t_star, 1e300]]), BOUNDARY_FLOOR)
+        assert verdict[0] == "touch" and verdict[2] == t_star
+    # within a row the floor comes first
+    assert first_failure(state, np.array([1e300]), 0.1) == ("touch", 1, 1e300)
+
+
+def test_flow_blocks_without_a_floor_raise_no_touch():
+    # past t* the closed form reflects off the zero: without a floor only
+    # the mass is checked, and every row is handed out as positions_at gives it
+    touched = 0
+    for k in range(12):
+        v = TangentVector(ellipse_param_n2(2.0 * math.pi * k / 12))
+        state = simplex_state(BARY, v)
+        times = np.concatenate([np.linspace(0.0, 7.0, 2001), [boundary_touch_time(BARY, v)]])
+        assert first_failure(state, times, -math.inf) is None
+        rows = np.concatenate([y for _, y in flow_blocks(state, times)])
+        assert rows.tobytes() == positions_at(state, times).tobytes()
+        touched += first_failure(state, times, BOUNDARY_FLOOR) is not None
+    assert touched == 12
+
+
+@pytest.mark.parametrize("level", [3, 6])
+def test_flow_blocks_name_the_first_row_finite_density_rejects(level):
+    # the whole-block tests only flag rows; each row's verdict is
+    # FiniteDensity's, and the first rejected row is named
+    state = g01_state(level)
+    times = np.linspace(0.0, 1e7, 3001)
+    expected = None
+    for t, y in zip(times.tolist(), positions_at(state, times)):
+        try:
+            FiniteDensity(state.space, y)
+        except ValueError as exc:
+            expected = ("mass", f"the frame at t={t!r} is not a density: {exc}")
+            break
+    assert expected is not None
+    assert first_failure(state, times, -math.inf) == expected
+    assert first_failure(state, times[times < 1e4], -math.inf) is None
 
 
 def test_ellipsoid_tangent():
