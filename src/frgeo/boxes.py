@@ -379,7 +379,8 @@ def load_catalog(path: str | Path) -> BoxFunction:
     """Read a box catalog descriptor file (see module docstring)."""
     rows = []
     dimension = None
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    text = Path(path).read_text(encoding="utf-8-sig")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

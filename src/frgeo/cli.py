@@ -9,12 +9,13 @@ Five experiment kinds are exposed as subcommands of ``frgeo``:
 * ``moments``                 mean/variance curves of a grid geodesic
 * ``oracle-compare``          closed form vs fixed-step RK4, side by side
 
-Configuration is a flat ``key = value`` text file (``--config PATH``) plus
-``key=value`` command-line overrides; every key must belong to the chosen
-subcommand, and unknown or duplicate keys are rejected.  Numeric values
-accept plain floats, exact fractions (``1/3``), and multiples of pi
-(``pi``, ``pi/2``, ``3pi/4``); NaN, infinities and overflowing values are
-rejected.
+Configuration is a flat ``key = value`` text file (``--config PATH``; UTF-8,
+a byte-order mark allowed, as in catalog files) plus ``key=value``
+command-line overrides; every key must belong to the chosen subcommand, and
+unknown or duplicate keys are rejected.  Numeric values accept plain
+floats, exact fractions (``1/3``), and signed or unsigned multiples of pi
+(``pi``, ``-pi/2``, ``3pi/4``); NaN, infinities and overflowing values are
+rejected.  Vectors are comma lists with no empty entry.
 
 Exit codes: 0 on success; 2 for a configuration error (a rejected key or
 value, or a request too large to allocate); 3 for a domain failure of a
@@ -92,7 +93,8 @@ FLOAT_FMT = "%.17g"
 
 
 _PI_TOKEN = re.compile(
-    r"^(?P<num>[0-9]+(?:\.[0-9]+)?)?\s*\*?\s*pi(?:\s*/\s*(?P<den>[0-9]+(?:\.[0-9]+)?))?$",
+    r"^(?P<sign>[+-]?)(?P<num>[0-9]+(?:\.[0-9]+)?)?\s*\*?\s*pi"
+    r"(?:\s*/\s*(?P<den>[0-9]+(?:\.[0-9]+)?))?$",
     re.IGNORECASE,
 )
 
@@ -107,7 +109,7 @@ def parse_number(token: str) -> float:
     m = _PI_TOKEN.match(token)
     try:
         if m:
-            num = float(m.group("num")) if m.group("num") else 1.0
+            num = float(m.group("sign") + (m.group("num") or "1"))
             den = float(m.group("den")) if m.group("den") else 1.0
             value = num * math.pi / den
         elif "/" in token:
@@ -122,9 +124,9 @@ def parse_number(token: str) -> float:
 
 
 def _parse_vector(token: str) -> np.ndarray:
-    parts = [p for p in token.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty vector")
+    parts = token.split(",")
+    if not all(p.strip() for p in parts):
+        raise ValueError(f"empty entry in {token!r}")
     return np.array([parse_number(p) for p in parts])
 
 
@@ -227,8 +229,8 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     """Flat ``key = value`` pairs; ``#`` comments; duplicates rejected."""
     pairs: dict[str, str] = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -418,6 +420,7 @@ def _resolve_velocities(params: dict) -> list[tuple[float | None, TangentVector]
     choice = given[0] if given else ("tau_count" if "tau_count" in params else "tau")
     if choice == "w_raw":
         return [(None, ellipsoid_tangent(p0, params["w_raw"]))]
+    # 1e-12 admits 1/3 typed as a decimal of 12 or more digits
     if not (p0.n == 2 and np.allclose(p0.theta, 1.0 / 3.0, rtol=0.0, atol=1e-12)):
         raise ConfigError(
             choice,

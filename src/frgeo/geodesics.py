@@ -50,10 +50,17 @@ from .spaces import (
     frozen_floats, integrate,
 )
 
+# integral alpha = mass + energy, each 1 up to rounding once normalized
 ALPHA_MASS_TOL = 1e-12
+# a first screen of the raw candidate, before scaling; the scaled velocity
+# must still pass UNIT_VELOCITY_MEAN_TOL
 CENTERING_TOL = 1e-10
+# energy (and Fisher speed) sums g^2 / f0, terms that grow as f0 shrinks, so
+# its rounding gets a hundred times the mass tolerance
 UNIT_SPEED_TOL = 1e-10
+# the scaled velocity's mean is 0 up to rounding, as tight as a density's mass
 UNIT_VELOCITY_MEAN_TOL = 1e-12
+# at or below it, scaling to unit energy would magnify g's rounding over 1e7 times
 DEGENERATE_ENERGY = 1e-14
 
 
@@ -104,7 +111,9 @@ class GeodesicState:
         mass = float(np.dot(self.alpha, self.space.weights))
         if not abs(mass - 2.0) <= ALPHA_MASS_TOL:
             raise ValueError(f"integral of alpha is {mass!r}, expected 2")
-        # the amplitude/phase pair must reconstruct the initial data
+        # the amplitude/phase pair must reconstruct the initial data.  The
+        # bound (ALPHA_MASS_TOL) is absolute, so a tiny f0 rebuilt far off in
+        # relative terms passes (1e-320 comes back as 7.5e-33 at beta = +-pi/2)
         y0, z0, _ = evaluate_scalar(self.alpha, self.beta, 0.0)
         gap = np.max(np.abs(np.concatenate([y0 - self.f0, z0 - self.g0])))
         if not gap <= ALPHA_MASS_TOL:

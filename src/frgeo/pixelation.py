@@ -52,6 +52,8 @@ from .geodesics import (
 )
 from .spaces import CellClasses, DyadicGrid, FiniteDensity, SignedFunction, outer
 
+# catalog integrals are exact rationals; the slack admits values written as
+# rounded decimals, as NORMALIZATION_TOL admits float rounding
 HYPOTHESIS_TOL = 1e-12
 J_REF_OFFSET = 4
 # columns of a ladder summary row, in CSV and JSON order

@@ -26,6 +26,8 @@ import numpy as np
 
 from .spaces import frozen_floats
 
+# nearer the boundary the metric's 1/theta terms pass 1e12, and the dependent
+# coordinate 1 - sum theta keeps about 4 significant digits
 BOUNDARY_FLOOR = 1e-12
 
 

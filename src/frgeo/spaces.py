@@ -1,6 +1,6 @@
 """Finite measure spaces and dyadic pixel grids.
 
-Two concrete carriers are used everywhere else in the package:
+Three concrete carriers are used everywhere else in the package:
 
 * :class:`FiniteMeasureSpace` -- N abstract atoms 0..N-1 with strictly
   positive weights.  The probability simplex lives here via the counting
@@ -21,11 +21,13 @@ Functions on a space are thin wrappers around a value vector:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+# a density's weighted sum is 1 up to rounding far below 1e-12; a flow
+# sampled at a large t, whose phases lose beta's low bits, drifts beyond it
 NORMALIZATION_TOL = 1e-12
 
 # values in one block of a table filled, buffered or written piecewise (the
@@ -47,9 +49,13 @@ def frozen_floats(a) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteMeasureSpace:
-    """Atoms 0..N-1 carrying strictly positive weights."""
+    """Atoms 0..N-1 carrying strictly positive weights.
+
+    Two spaces are equal when they are of the same class and their
+    ``_key()``s are equal; each class states its key.
+    """
 
     weights: np.ndarray
 
@@ -73,19 +79,18 @@ class FiniteMeasureSpace:
     def total_mass(self) -> float:
         return float(np.sum(self.weights))
 
+    def _key(self):
+        # weights are positive and finite, so equal bytes are equal values
+        return self.weights.tobytes()
+
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FiniteMeasureSpace)
-            and not isinstance(other, (DyadicGrid, CellClasses))
-            and self.weights.shape == other.weights.shape
-            and bool(np.array_equal(self.weights, other.weights))
-        )
+        return type(other) is type(self) and self._key() == other._key()
 
     def __hash__(self):
-        return hash(("fms", self.weights.tobytes()))
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DyadicGrid(FiniteMeasureSpace):
     """Level-``level`` dyadic grid on [0,1)^``dimension``.
 
@@ -94,9 +99,6 @@ class DyadicGrid(FiniteMeasureSpace):
     numpy's C order.  Cell k is the half-open box
     prod_i [k_i 2^-level, (k_i+1) 2^-level).  ``weights`` is built on first use.
     """
-
-    dimension: int = 1
-    level: int = 0
 
     def __init__(self, dimension: int, level: int):
         if dimension < 1:
@@ -118,6 +120,9 @@ class DyadicGrid(FiniteMeasureSpace):
     @property
     def n_points(self) -> int:
         return self.cell_count
+
+    def _key(self):
+        return (self.dimension, self.level)
 
     def __repr__(self) -> str:
         return f"DyadicGrid(dimension={self.dimension}, level={self.level})"
@@ -148,16 +153,6 @@ class DyadicGrid(FiniteMeasureSpace):
         """The 2^level cell centers (k + 1/2) 2^-level along one axis."""
         return (np.arange(self.side_count) + 0.5) * self.cell_side
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DyadicGrid)
-            and self.dimension == other.dimension
-            and self.level == other.level
-        )
-
-    def __hash__(self):
-        return hash(("grid", self.dimension, self.level))
-
 
 def outer(factors: list[np.ndarray]) -> np.ndarray:
     """Flattened outer product of per-axis factors, in C order."""
@@ -167,7 +162,7 @@ def outer(factors: list[np.ndarray]) -> np.ndarray:
     return out.reshape(-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellClasses(FiniteMeasureSpace):
     """The cells of a dyadic grid grouped into products of per-axis runs.
 
@@ -176,10 +171,6 @@ class CellClasses(FiniteMeasureSpace):
     is the product of run i_d on every axis and weighs its cell count times
     the cell weight (exact while m * level <= 53).
     """
-
-    weights: np.ndarray = field(default=None, repr=False, compare=False)  # derived
-    grid: DyadicGrid = None
-    edges: tuple[tuple[int, ...], ...] = ()
 
     def __init__(self, grid: DyadicGrid, edges):
         edges = tuple(tuple(int(k) for k in e) for e in edges)
@@ -190,6 +181,12 @@ class CellClasses(FiniteMeasureSpace):
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "edges", edges)
         FiniteMeasureSpace.__init__(self, outer([np.diff(e) * grid.cell_side for e in edges]))
+
+    def _key(self):
+        return (self.grid, self.edges)
+
+    def __repr__(self) -> str:
+        return f"CellClasses(grid={self.grid!r}, edges={self.edges!r})"
 
     def axis_sums(self, axis: int, power: int) -> np.ndarray:
         """Per run along ``axis``, the sum over its cells of the center

@@ -154,15 +154,21 @@ def test_parse_number_forms():
     assert parse_number("3pi/4") == 3.0 * math.pi / 4.0
     assert parse_number("2.5pi") == 2.5 * math.pi
     assert parse_number("2 * pi") == 2.0 * math.pi
-    with pytest.raises(ValueError):
-        parse_number("two")
+    assert parse_number("-pi/2") == -math.pi / 2.0
+    assert parse_number("+pi") == math.pi
+    assert parse_number("-3pi/4") == -3.0 * math.pi / 4.0
+    assert parse_number("-2.5 * pi") == -2.5 * math.pi
+    for bad in ("two", "--pi", "+-pi", "pi-"):
+        with pytest.raises(ValueError):
+            parse_number(bad)
 
 
 @pytest.mark.parametrize(
     "token",
     ["nan", "-NaN", "inf", "-inf", "Infinity", "1e400", "1" + "0" * 400 + "/3",
-     "1" + "0" * 400 + "pi"],
-    ids=["nan", "-NaN", "inf", "-inf", "Infinity", "1e400", "huge_fraction", "huge_pi"],
+     "1" + "0" * 400 + "pi", "-1" + "0" * 400 + "pi/2"],
+    ids=["nan", "-NaN", "inf", "-inf", "Infinity", "1e400", "huge_fraction", "huge_pi",
+         "signed_huge_pi"],
 )
 def test_parse_number_rejects_non_finite(token):
     with pytest.raises(ValueError):
@@ -190,6 +196,34 @@ def test_read_config_file(tmp_path):
         read_config_file(cfg)
     with pytest.raises(ConfigError):
         read_config_file(tmp_path / "missing.cfg")
+
+
+def test_config_and_catalog_files_may_start_with_a_bom(tmp_path, monkeypatch):
+    # a UTF-8 byte-order mark is skipped: the run writes the same bytes
+    outputs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        run_dir = tmp_path / f"bom{len(bom)}"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        Path("run.cfg").write_bytes(bom + b"f0 = f0.cat\nlevel = 3\nn_frames = 3\n")
+        Path("f0.cat").write_bytes(bom + b"1/2 0 1/2\n3/2 1/2 1\n")
+        for fmt in ("csv", "json"):
+            assert run_cli("density-geodesic", "--config", "run.cfg", "--format", fmt,
+                           "--out", fmt) == 0
+        outputs.append({p.as_posix(): p.read_bytes() for p in sorted(Path().rglob("*"))
+                        if p.parent.name in ("csv", "json")})
+    assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
+
+
+def test_signed_pi_multiple_runs_as_its_float(tmp_path):
+    for fmt in ("csv", "json"):
+        written = []
+        for tau in ("-pi/2", "-1.5707963267948966"):
+            out = tmp_path / fmt / tau
+            assert run_cli("simplex-geodesic", f"tau={tau}", "--format", fmt,
+                           "--out", str(out)) == 0
+            written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert written[0] and written[0] == written[1]
 
 
 # ---------------------------------------------------------------------------
@@ -1610,7 +1644,7 @@ def test_out_directory_is_created(tmp_path):
 # (argv, exit code, error, field or condition, decided by validate_config);
 # {sub} and {big} are catalog files: f0 = 1e-320 on [0, 1/2), whose
 # amplitude squares to 0 beside g01_1d, and g0 = +-1e300, whose energy
-# g0^2/f0 is 1e600, beyond the floats
+# g0^2/f0 is 1e600, beyond the floats; {bad} is a config file that is not UTF-8
 EXIT_CONTRACT = {
     "theta0_band_simplex": (
         ("simplex-geodesic", "theta0=0.5,0.499999999999", "w_raw=1,-1"),
@@ -1645,6 +1679,16 @@ EXIT_CONTRACT = {
         2, "ConfigError", "f0", False),
     "subnormal_f0_moments": (
         ("moments", "f0={sub}", "g0=g01_1d", "level=3"), 2, "ConfigError", "f0", False),
+    "config_not_utf8": (
+        ("simplex-geodesic", "--config", "{bad}"), 2, "ConfigError", "config", True),
+    "theta0_empty_entry": (
+        ("simplex-geodesic", "theta0=0.2,,0.3", "w_raw=1,-1"),
+        2, "ConfigError", "theta0", True),
+    "theta0_empty_entry_w_raw_3": (
+        ("simplex-geodesic", "theta0=0.2,,0.3", "w_raw=1,0,-1"),
+        2, "ConfigError", "theta0", True),
+    "w_raw_trailing_comma": (
+        ("oracle-compare", "w_raw=1,-1,"), 2, "ConfigError", "w_raw", True),
     "huge_g0_ladder": (
         ("pixelation-convergence", "f0=uniform1d", "g0={big}", "levels=3"),
         3, "HypothesisViolation", "unit-energy", False),
@@ -1654,11 +1698,12 @@ EXIT_CONTRACT = {
 @pytest.mark.parametrize("case", sorted(EXIT_CONTRACT))
 def test_errors_exit_with_one_json_object_and_no_file(tmp_path, capsys, case):
     argv, code, error, name, validated = EXIT_CONTRACT[case]
-    sub, big = tmp_path / "sub.cat", tmp_path / "big.cat"
+    sub, big, bad = tmp_path / "sub.cat", tmp_path / "big.cat", tmp_path / "bad.cfg"
     sub.write_text("1e-320 0 1/2\n2 1/2 1\n")
     big.write_text("1e300 0 1/2\n-1e300 1/2 1\n")
+    bad.write_bytes(b"n_times = 5 # \xe9\n")
     out = tmp_path / "out"
-    argv = [a.format(sub=sub, big=big) for a in argv]
+    argv = [a.format(sub=sub, big=big, bad=bad) for a in argv]
     assert run_cli(*argv, "--out", str(out)) == code
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -78,9 +79,25 @@ def test_grid_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != DyadicGrid(1, 4)
     assert a != DyadicGrid(2, 3)
-    # same weights, but an abstract space is not a grid
+    assert repr(a) == "DyadicGrid(dimension=1, level=3)"
+    # same weights, but an abstract space, a grid and cell classes are three
+    # different spaces, whichever side is asked
     flat = FiniteMeasureSpace(np.full(8, 0.125))
-    assert a != flat and flat != a
+    cells = CellClasses(a, [range(9)])
+    assert np.array_equal(cells.weights, flat.weights)
+    for x, y in ((a, flat), (a, cells), (flat, cells)):
+        assert x != y and y != x
+    twin = FiniteMeasureSpace(np.full(8, 0.125))
+    assert flat == twin and hash(flat) == hash(twin)
+    for space, attr in ((a, "level"), (a, "dimension"), (flat, "weights")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(space, attr, 4)
+    # a grid is compared, hashed and printed without its per-cell weights
+    deep = DyadicGrid(2, 40)
+    assert deep == DyadicGrid(2, 40) and hash(deep) == hash(DyadicGrid(2, 40))
+    assert deep != a and deep != flat and flat != deep
+    assert repr(deep) == "DyadicGrid(dimension=2, level=40)"
+    assert "weights" not in deep.__dict__
 
 
 def test_cell_classes_weights_layout_and_run_sums():
@@ -95,6 +112,20 @@ def test_cell_classes_weights_layout_and_run_sums():
     assert hash(classes) == hash(CellClasses(grid, [[0, 3, 4, 8], [0, 4, 8]]))
     assert classes != CellClasses(grid, [[0, 4, 8], [0, 4, 8]])
     assert classes != FiniteMeasureSpace(classes.weights)
+    assert FiniteMeasureSpace(classes.weights) != classes
+    assert repr(classes) == (
+        "CellClasses(grid=DyadicGrid(dimension=2, level=3), edges=((0, 3, 4, 8), (0, 4, 8)))"
+    )
+    for attr, value in (("edges", ()), ("grid", DyadicGrid(2, 4)), ("weights", None)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(classes, attr, value)
+    # nor do classes build their grid's per-cell weights to be compared
+    deep_grid = DyadicGrid(2, 40)
+    deep_classes = CellClasses(deep_grid, [(0, 1 << 40), (0, 1, 1 << 40)])
+    assert deep_classes == CellClasses(DyadicGrid(2, 40), [(0, 1 << 40), (0, 1, 1 << 40)])
+    assert hash(deep_classes) == hash(CellClasses(deep_grid, [(0, 1 << 40), (0, 1, 1 << 40)]))
+    assert repr(deep_classes).startswith("CellClasses(grid=DyadicGrid(dimension=2, level=40)")
+    assert "weights" not in deep_grid.__dict__
     x = grid.axis_centers()
     for power in (0, 1, 2):
         assert np.array_equal(classes.axis_sums(0, power), np.add.reduceat(x**power, [0, 3, 4]))
