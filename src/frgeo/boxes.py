@@ -6,11 +6,13 @@ half-open boxes tiling [0,1)^m.  Bounds and values enter as
 rational).  A ``BoxFunction`` turns its bounds once into integers over each
 axis's lcm of bound denominators (``integer_bounds``), and every exact step
 runs on those: the tiling checks, the sweep, the integral, the overlay and
-its energy, and each level's projection.  Fractions remain at the edges:
-parsed boxes, values, overlay regions' ``lo``, ``hi`` and ``volume``, and
-error messages.  This is what makes alignment statements like "the
-projection reproduces the function exactly at level j" hold to the last
-bit instead of to quadrature error.
+its energy, and each level's projection.  The integral and the energy also
+take the values as integer numerators over one common denominator, and
+build a single Fraction at the end (``_ratio_sum``).  Fractions remain at
+the edges: parsed boxes and their values, those two results, overlay
+regions' ``lo``, ``hi`` and ``volume``, and error messages.  This is what
+makes alignment statements like "the projection reproduces the function
+exactly at level j" hold to the last bit instead of to quadrature error.
 
 The on-disk descriptor format is one box per line::
 
@@ -55,7 +57,6 @@ Span = tuple[tuple[int, ...], tuple[int, ...]]
 # per axis the common denominator, and each box's span over them
 IntBounds = tuple[tuple[int, ...], list[Span]]
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -195,8 +196,11 @@ class BoxFunction:
 
     def integral(self) -> Fraction:
         dens, spans = self.int_bounds
-        total = sum((b.value * _span_volume(s) for b, s in zip(self.boxes, spans)), _ZERO)
-        return total / math.prod(dens)
+        terms = [
+            (b.value.numerator, b.value.denominator, _span_volume(s))
+            for b, s in zip(self.boxes, spans)
+        ]
+        return _ratio_sum(terms, math.prod(dens))
 
     def scaled(self, factor: FractionLike) -> "BoxFunction":
         f = _frac(factor)
@@ -366,13 +370,24 @@ def overlay(f: BoxFunction, g: BoxFunction) -> tuple[OverlayRegion, ...]:
 
 def regions_energy(regions: tuple[OverlayRegion, ...]) -> Fraction:
     """Exact integral of g^2 / f over the regions of an overlay (f nonzero
-    on each), summed over the integer volumes and divided once."""
+    on each): each g^2 / f as the integer ratio (g_n^2 f_d) / (g_d^2 f_n)
+    of the values' numerators and denominators, the sign moved up, summed
+    by ``_ratio_sum``."""
     if any(r.f_value == 0 for r in regions):
         raise InvalidCatalogFunction("division by a zero-valued f region")
-    total = sum(
-        (r.g_value * r.g_value / r.f_value * _span_volume(r.span) for r in regions), _ZERO
-    )
-    return total / math.prod(regions[0].dens)
+    terms = []
+    for r in regions:
+        (gn, gd), (fn, fd) = r.g_value.as_integer_ratio(), r.f_value.as_integer_ratio()
+        sign = 1 if fn > 0 else -1
+        terms.append((sign * gn * gn * fd, gd * gd * abs(fn), _span_volume(r.span)))
+    return _ratio_sum(terms, math.prod(regions[0].dens))
+
+
+def _ratio_sum(terms: list[tuple[int, int, int]], den: int) -> Fraction:
+    """sum n / d * w over integer terms (n, d, w), d > 0, divided by ``den``,
+    exactly: the numerators over the lcm of the d's, and one Fraction."""
+    common = math.lcm(*(d for _, d, _ in terms))
+    return Fraction(sum(n * (common // d) * w for n, d, w in terms), common * den)
 
 
 def load_catalog(path: str | Path) -> BoxFunction:

@@ -106,7 +106,7 @@ class GeodesicState:
             object.__setattr__(self, name, arr)
             if arr.shape != (self.space.n_points,):
                 raise ValueError(f"{name} does not match the space")
-        if not np.all(self.alpha > 0):
+        if not (self.alpha > 0).all():
             raise ValueError("alpha must be strictly positive")
         mass = float(np.dot(self.alpha, self.space.weights))
         if not abs(mass - 2.0) <= ALPHA_MASS_TOL:
@@ -115,7 +115,7 @@ class GeodesicState:
         # bound (ALPHA_MASS_TOL) is absolute, so a tiny f0 rebuilt far off in
         # relative terms passes (1e-320 comes back as 7.5e-33 at beta = +-pi/2)
         y0, z0, _ = evaluate_scalar(self.alpha, self.beta, 0.0)
-        gap = np.max(np.abs(np.concatenate([y0 - self.f0, z0 - self.g0])))
+        gap = np.abs(np.concatenate([y0 - self.f0, z0 - self.g0])).max()
         if not gap <= ALPHA_MASS_TOL:
             raise ValueError("(alpha, beta) do not reconstruct (f0, g0)")
 
@@ -152,6 +152,12 @@ def normalize_velocity(f0: FiniteDensity, g_raw: SignedFunction) -> UnitVelocity
     DegenerateVelocity is raised if the energy still overflows, or if it
     (times 2^2e when scaled) is at most DEGENERATE_ENERGY.
     """
+    return _normalized(f0, g_raw)[0]
+
+
+def _normalized(f0: FiniteDensity, g_raw: SignedFunction) -> tuple[UnitVelocity, float]:
+    """``normalize_velocity``, and the energy of ``g_raw`` it takes first,
+    ``velocity_energy(f0, g_raw.values)`` (not finite where it overflows)."""
     if g_raw.space != f0.space:
         raise SpaceMismatch("velocity candidate and density spaces differ")
     mean = integrate(g_raw)
@@ -161,10 +167,10 @@ def normalize_velocity(f0: FiniteDensity, g_raw: SignedFunction) -> UnitVelocity
         raise NonpositiveInitialDensity("density must be strictly positive")
     g, e = g_raw.values, 0
     with np.errstate(over="ignore", invalid="ignore"):
-        energy = velocity_energy(f0, g)
+        energy = raw = velocity_energy(f0, g)
         if not math.isfinite(energy):
-            m = math.frexp(float(np.max(np.abs(g))))[1]
-            ratio = np.max(np.abs(np.ldexp(g, -m)) / np.sqrt(f0.values))
+            m = math.frexp(float(np.abs(g).max()))[1]
+            ratio = (np.abs(np.ldexp(g, -m)) / np.sqrt(f0.values)).max()
             e = m + math.frexp(float(ratio))[1]
             g = np.ldexp(g, -e)
             energy = velocity_energy(f0, g)
@@ -178,7 +184,7 @@ def normalize_velocity(f0: FiniteDensity, g_raw: SignedFunction) -> UnitVelocity
     g = g / math.sqrt(energy)
     # one refinement pass tightens the float rounding of the first scaling
     g = g / math.sqrt(velocity_energy(f0, g))
-    return UnitVelocity(SignedFunction(f0.space, g), f0)
+    return UnitVelocity(SignedFunction(f0.space, g), f0), raw
 
 
 def velocity_energy(f0: FiniteDensity, g: np.ndarray) -> float:

@@ -16,6 +16,13 @@ By the per-cell Cauchy-Schwarz inequality alpha_j <= 1, with equality iff
 g0/f0 is constant on every cell; alpha_j increases to 1 under refinement.
 A level is degenerate, and carries no geodesic state, exactly where
 ``normalize_velocity`` refuses g0_j (alpha_j vanishes numerically).
+alpha_j is the energy it takes of g0_j before scaling, kept, so only a
+degenerate level takes that energy twice.
+
+Fractions remain only in the hypothesis checks, before any level: the
+exact mass, mean and energy of the catalogs, each one Fraction, compared
+with ``HYPOTHESIS_TOL`` held as a Fraction.  Projections, levels and
+errors are floats.
 
 Weak errors compare the discrete flow with the exact continuum flow, which
 is constant on each region of the overlay of the two catalogs.  A test
@@ -47,14 +54,15 @@ from .boxes import (
 )
 from .errors import DegenerateVelocity, HypothesisViolation
 from .geodesics import (
-    GeodesicState, amplitude_phase, evaluate_scalar, geodesic_flow, normalize_velocity,
+    GeodesicState, _normalized, amplitude_phase, evaluate_scalar, geodesic_flow,
     velocity_energy,
 )
 from .spaces import CellClasses, DyadicGrid, FiniteDensity, SignedFunction, outer
 
 # catalog integrals are exact rationals; the slack admits values written as
-# rounded decimals, as NORMALIZATION_TOL admits float rounding
-HYPOTHESIS_TOL = 1e-12
+# rounded decimals, as NORMALIZATION_TOL admits float rounding.  The float
+# 1e-12, held as the exact Fraction, so no comparison converts it again
+HYPOTHESIS_TOL = Fraction(1e-12)
 J_REF_OFFSET = 4
 # columns of a ladder summary row, in CSV and JSON order
 LADDER_FIELDS = (
@@ -201,10 +209,11 @@ def build_ladder(
     for j in sorted(set(int(j) for j in levels)):
         fd, g_raw = project_pair(f0, g0, j)
         try:
-            state = geodesic_flow(fd, normalize_velocity(fd, g_raw))
+            g_unit, alpha = _normalized(fd, g_raw)
+            state = geodesic_flow(fd, g_unit)
         except DegenerateVelocity:
-            state = None
-        out[j] = LadderLevel(j, fd, velocity_energy(fd, g_raw.values), state)
+            state, alpha = None, velocity_energy(fd, g_raw.values)
+        out[j] = LadderLevel(j, fd, alpha, state)
     return PixelationLadder(f0.dimension, f0, g0, tuple(regions), out)
 
 

@@ -44,7 +44,7 @@ def block_rows(width: int) -> int:
 
 def frozen_floats(a) -> np.ndarray:
     """A read-only float copy of ``a``, at least 1-D."""
-    out = np.atleast_1d(np.array(a, dtype=float))
+    out = np.array(a, dtype=float, ndmin=1)
     out.flags.writeable = False
     return out
 
@@ -63,7 +63,7 @@ class FiniteMeasureSpace:
         object.__setattr__(self, "weights", frozen_floats(self.weights))
         if self.weights.ndim != 1 or self.weights.size < 2:
             raise ValueError("a measure space needs at least two atoms")
-        if not np.all(self.weights > 0):
+        if not (self.weights > 0).all():
             raise ValueError("all atom weights must be strictly positive")
 
     @classmethod
@@ -175,7 +175,8 @@ class CellClasses(FiniteMeasureSpace):
     def __init__(self, grid: DyadicGrid, edges):
         edges = tuple(tuple(int(k) for k in e) for e in edges)
         if len(edges) != grid.dimension or any(
-            e[0] != 0 or e[-1] != grid.side_count or list(e) != sorted(set(e)) for e in edges
+            e[0] != 0 or e[-1] != grid.side_count or any(a >= b for a, b in zip(e, e[1:]))
+            for e in edges
         ):
             raise ValueError("run edges must rise strictly from 0 to 2^level on each axis")
         object.__setattr__(self, "grid", grid)
@@ -224,7 +225,7 @@ class FiniteDensity(SignedFunction):
 
     def __post_init__(self):
         super().__post_init__()
-        if not np.all(self.values >= 0):
+        if not (self.values >= 0).all():
             raise ValueError("density values must be non-negative")
         total = float(np.dot(self.values, self.space.weights))
         if not abs(total - 1.0) <= NORMALIZATION_TOL:
@@ -234,7 +235,7 @@ class FiniteDensity(SignedFunction):
 
     @property
     def min_value(self) -> float:
-        return float(np.min(self.values))
+        return float(self.values.min())
 
 
 def integrate(h: SignedFunction) -> float:

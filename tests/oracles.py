@@ -11,8 +11,9 @@ result the library computes another way:
 - the scalar geodesic through one (y0, z0);
 - least-squares mean-curve coefficients, against the direct integrals of
   ``frgeo.moments``, and conic classification of planar trajectories;
-- exact moments, squares and point values of box catalogs, and the tent
-  test functions and their staircases on a grid.
+- exact integrals, energies, moments, squares and point values of box
+  catalogs, the first two Fraction by Fraction, and the tent test
+  functions and their staircases on a grid.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from frgeo.boxes import Box, BoxFunction
-from frgeo.errors import FrgeoError, NonpositiveInitialDensity
+from frgeo.boxes import Box, BoxFunction, OverlayRegion, _span_volume
+from frgeo.errors import FrgeoError, InvalidCatalogFunction, NonpositiveInitialDensity
 from frgeo.moments import _time_design
 from frgeo.pixelation import PixelationLadder, TentFunction
 from frgeo.simplex import SimplexPoint, TangentVector
@@ -328,6 +329,25 @@ def axis_moment(box: Box, axis: int, power: int = 1) -> Fraction:
         if d != axis:
             m *= hi - lo
     return m
+
+
+def fraction_integral(f: BoxFunction) -> Fraction:
+    """``BoxFunction.integral`` summed Fraction by Fraction, one normalizing
+    operation per box."""
+    dens, spans = f.int_bounds
+    total = sum((b.value * _span_volume(s) for b, s in zip(f.boxes, spans)), _ZERO)
+    return total / math.prod(dens)
+
+
+def fraction_regions_energy(regions: tuple[OverlayRegion, ...]) -> Fraction:
+    """``boxes.regions_energy`` summed Fraction by Fraction, one
+    normalizing operation per region."""
+    if any(r.f_value == 0 for r in regions):
+        raise InvalidCatalogFunction("division by a zero-valued f region")
+    total = sum(
+        (r.g_value * r.g_value / r.f_value * _span_volume(r.span) for r in regions), _ZERO
+    )
+    return total / math.prod(regions[0].dens)
 
 
 def square_integral(f: BoxFunction) -> Fraction:

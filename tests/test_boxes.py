@@ -258,7 +258,7 @@ def test_overlay_regions_and_energy():
 
 def test_overlay_energy_rejects_zero_density_region():
     f = BoxFunction.from_rows(1, [(0, 0, F(1, 2)), (2, F(1, 2), 1)])
-    with pytest.raises(InvalidCatalogFunction):
+    with pytest.raises(InvalidCatalogFunction, match="^division by a zero-valued f region$"):
         regions_energy(overlay(f, uniform1d()))
 
 

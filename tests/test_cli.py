@@ -1641,10 +1641,18 @@ def test_out_directory_is_created(tmp_path):
     assert (nested / "moments.csv").exists()
 
 
-# (argv, exit code, error, field or condition, decided by validate_config);
-# {sub} and {big} are catalog files: f0 = 1e-320 on [0, 1/2), whose
-# amplitude squares to 0 beside g01_1d, and g0 = +-1e300, whose energy
-# g0^2/f0 is 1e600, beyond the floats; {bad} is a config file that is not UTF-8
+# the files EXIT_CONTRACT's {sub}, {big} and {bad} stand for, as (file name,
+# bytes): catalogs with f0 = 1e-320 on [0, 1/2), whose amplitude squares to 0
+# beside g01_1d, and g0 = +-1e300, whose energy g0^2/f0 is 1e600, beyond the
+# floats, and a config file that is not UTF-8.  benchmarks/same_behaviour.py
+# reads both tables as literals
+EXIT_FILES = {
+    "sub": ("sub.cat", b"1e-320 0 1/2\n2 1/2 1\n"),
+    "big": ("big.cat", b"1e300 0 1/2\n-1e300 1/2 1\n"),
+    "bad": ("bad.cfg", b"n_times = 5 # \xe9\n"),
+}
+
+# (argv, exit code, error, field or condition, decided by validate_config)
 EXIT_CONTRACT = {
     "theta0_band_simplex": (
         ("simplex-geodesic", "theta0=0.5,0.499999999999", "w_raw=1,-1"),
@@ -1698,12 +1706,11 @@ EXIT_CONTRACT = {
 @pytest.mark.parametrize("case", sorted(EXIT_CONTRACT))
 def test_errors_exit_with_one_json_object_and_no_file(tmp_path, capsys, case):
     argv, code, error, name, validated = EXIT_CONTRACT[case]
-    sub, big, bad = tmp_path / "sub.cat", tmp_path / "big.cat", tmp_path / "bad.cfg"
-    sub.write_text("1e-320 0 1/2\n2 1/2 1\n")
-    big.write_text("1e300 0 1/2\n-1e300 1/2 1\n")
-    bad.write_bytes(b"n_times = 5 # \xe9\n")
+    files = {key: tmp_path / file for key, (file, _) in EXIT_FILES.items()}
+    for key, (_, data) in EXIT_FILES.items():
+        files[key].write_bytes(data)
     out = tmp_path / "out"
-    argv = [a.format(sub=sub, big=big, bad=bad) for a in argv]
+    argv = [a.format(**files) for a in argv]
     assert run_cli(*argv, "--out", str(out)) == code
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -21,9 +21,12 @@ from frgeo import (
     weak_error,
 )
 from frgeo.catalogs import (
+    BUILTIN_CATALOGS,
     g01_1d,
     g01_2d,
     g02_1d,
+    g02_2d,
+    g03_2d,
     misaligned_f0_1d,
     misaligned_f0_2d,
     misaligned_g0_1d,
@@ -32,24 +35,29 @@ from frgeo.catalogs import (
     uniform1d,
     uniform2d,
 )
-from frgeo.boxes import overlay
+from frgeo.boxes import overlay, regions_energy
 from frgeo.cli import _catalog_state, write_ladder_csv
 from frgeo.pixelation import (
     LADDER_FIELDS,
     _block_values,
+    _check_hypotheses,
     _pairing,
     _phi_coarse,
     _separable_phi,
     _stair_integrals,
     continuum_cell_averages,
     ladder_summary_rows,
+    project_pair,
     region_flow_values,
 )
 from frgeo.pixelation import test_functions_1d as tents_1d
 from frgeo.pixelation import test_functions_2d as tents_2d
 from frgeo.geodesics import normalize_velocity, velocity_energy
 from frgeo.spaces import CellClasses, DyadicGrid, FiniteDensity, SignedFunction
-from oracles import alpha_sequence, phi_staircase, square_integral, tent_values
+from oracles import (
+    alpha_sequence, fraction_integral, fraction_regions_energy, phi_staircase, square_integral,
+    tent_values,
+)
 
 
 def misaligned_ladder(levels, dimension=1):
@@ -335,18 +343,22 @@ def test_hypothesis_violations_are_named():
     with pytest.raises(HypothesisViolation) as info:
         build_ladder(BoxFunction.from_rows(1, [(2, 0, 1)]), g01_1d(), [3])
     assert info.value.condition == "unit-mass"
+    assert str(info.value) == "unit-mass: integral f0 = 2.0"
 
     with pytest.raises(HypothesisViolation) as info:
         build_ladder(uniform1d(), misaligned_f0_1d(), [3])  # mean is 1
     assert info.value.condition == "zero-mean"
+    assert str(info.value) == "zero-mean: integral g0 = 1.0"
 
     with pytest.raises(HypothesisViolation) as info:
         build_ladder(misaligned_f0_1d(), misaligned_g0_1d(), [3], delta=1)
     assert info.value.condition == "density-floor"
+    assert str(info.value) == "density-floor: min f0 = 0.75 below delta"
 
     with pytest.raises(HypothesisViolation) as info:
         build_ladder(uniform1d(), g01_1d().scaled(Fraction(1, 2)), [3])
     assert info.value.condition == "unit-energy"
+    assert str(info.value) == "unit-energy: integral g0^2/f0 = 0.25"
 
     with pytest.raises(HypothesisViolation) as info:
         build_ladder(uniform1d(), g01_2d(), [3])
@@ -355,6 +367,61 @@ def test_hypothesis_violations_are_named():
     with pytest.raises(HypothesisViolation) as info:
         build_ladder(uniform1d(), g01_1d(), [3], delta=0)
     assert info.value.condition == "delta"
+
+
+def test_hypothesis_slack_is_the_float_1e_12_exactly():
+    # a mass off by the float 1e-12 itself passes, one more part in 10^40
+    # fails; beside a mass 1 - 1e-12, g01_1d's energy is off by 1e-12 + 1e-24
+    tol = Fraction(1e-12)
+    f0 = BoxFunction.from_rows(1, [(1 + tol, 0, 1)])
+    assert _check_hypotheses(f0, g01_1d(), Fraction(1, 1000)) == overlay(f0, g01_1d())
+    for mass, message in (
+        (1 + tol + Fraction(1, 10**40), "unit-mass: integral f0 = 1.000000000001"),
+        (1 - tol, "unit-energy: integral g0^2/f0 = 1.000000000001"),
+    ):
+        with pytest.raises(HypothesisViolation) as info:
+            _check_hypotheses(BoxFunction.from_rows(1, [(mass, 0, 1)]), g01_1d(), Fraction(1, 1000))
+        assert str(info.value) == message
+
+
+def test_exact_sums_match_fraction_by_fraction_references():
+    # integral and regions_energy sum integer numerators over one common
+    # denominator; the references add one Fraction per box or region
+    pairs = [_seeded_pair(seed) for seed in range(1, 21)]
+    catalogs = [make() for make in BUILTIN_CATALOGS.values()]
+    negative_f = BoxFunction.from_rows(1, [(-1, 0, Fraction(1, 3)), (Fraction(5, 2), Fraction(1, 3), 1)])
+    for f in [c for pair in pairs for c in pair] + catalogs + [negative_f]:
+        assert f.integral() == fraction_integral(f)
+    overlays = [overlay(f0, g0) for f0, g0 in pairs] + [
+        overlay(f, g) for f in catalogs for g in catalogs
+        if f.dimension == g.dimension and all(b.value != 0 for b in f.boxes)
+    ]
+    for regions in overlays:
+        assert regions_energy(regions) == fraction_regions_energy(regions)
+    regions = overlay(negative_f, misaligned_g0_1d())
+    assert regions[0].f_value < 0
+    assert regions_energy(regions) == fraction_regions_energy(regions)
+
+
+# the built-in (f0, g0) pairs that satisfy the ladder's hypotheses
+BUILTIN_PAIRS = [
+    (uniform1d, g01_1d), (uniform1d, g02_1d), (uniform1d, single_break_g0_1d),
+    (misaligned_f0_1d, misaligned_g0_1d), (uniform2d, g01_2d), (uniform2d, g02_2d),
+    (uniform2d, g03_2d), (misaligned_f0_2d, misaligned_g0_2d),
+]
+
+
+@pytest.mark.parametrize("make_f0, make_g0", BUILTIN_PAIRS, ids=lambda make: make.__name__)
+def test_ladder_alpha_is_the_raw_velocity_energy(make_f0, make_g0):
+    # build_ladder takes alpha_j from normalize_velocity's first energy, or
+    # at a degenerate level from velocity_energy itself: the same bits
+    f0, g0 = make_f0(), make_g0()
+    ladder = build_ladder(f0, g0, list(range(1, 13)))
+    for j, level in ladder.levels.items():
+        fd, g_raw = project_pair(f0, g0, j)
+        assert level.alpha.hex() == velocity_energy(fd, g_raw.values).hex(), j
+    # level 1 is degenerate for every pair but the single break at 1/3
+    assert ladder.levels[1].degenerate == (make_g0 is not single_break_g0_1d)
 
 
 # ---------------------------------------------------------------------------

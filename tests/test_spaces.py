@@ -135,8 +135,15 @@ def test_cell_classes_weights_layout_and_run_sums():
     deep = CellClasses(DyadicGrid(1, 60), [(0, n, side)])
     assert deep.axis_sums(0, 1)[0] == float(Fraction(n * n, 2 * side))
     assert deep.axis_sums(0, 2)[0] == float((Fraction(n**3, 3) - Fraction(n, 12)) / side**2)
-    for bad in ([(0, 4, 8)], [(0, 4, 4, 8), (0, 8)], [(1, 8), (0, 8)], [(0, 7), (0, 8)]):
-        with pytest.raises(ValueError):
+    # wrong axis count, repeated, unsorted and out-of-range edges, and ends
+    # other than 0 and 2^level
+    for bad in (
+        [(0, 4, 8)], [(0, 4, 4, 8), (0, 8)], [(0, 8), (0, 2, 6, 6, 8)],
+        [(0, 5, 3, 8), (0, 8)], [(0, 4, 2, 4, 8), (0, 8)], [(0, 8), (0, 9, 8)],
+        [(0, -1, 8), (0, 8)], [(0, 4, 8, 8), (0, 8)], [(1, 8), (0, 8)], [(0, 7), (0, 8)],
+        [(0, 4, 9), (0, 8)], [(-1, 4, 8), (0, 8)],
+    ):
+        with pytest.raises(ValueError, match="^run edges must rise strictly from 0 to 2"):
             CellClasses(grid, bad)
 
 
