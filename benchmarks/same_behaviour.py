@@ -7,7 +7,7 @@ same command line.  The script builds the parent's tree from
 ``frgeo`` command lines, each in a fresh child interpreter of either tree:
 
 - every experiment of ``perfbench/workloads.py`` (workloads ``grid``,
-  ``ladder`` and ``oracle``) at each seed, from this checkout's copy of
+  ``ladder`` and ``oracle``) at seeds 1 and 7, from this checkout's copy of
   that file, whose catalog files both trees then read;
 - each kind's default run, in CSV and in JSON;
 - the error cases of ``EXIT_CONTRACT`` in ``tests/test_cli.py``, with the
@@ -21,7 +21,7 @@ tree runs what ``REV`` committed; this side runs the working tree,
 uncommitted edits included.
 
     python3 benchmarks/same_behaviour.py --parent HEAD~1
-    python3 benchmarks/same_behaviour.py --parent main --toy --seeds 1 --match ladder
+    python3 benchmarks/same_behaviour.py --parent main --toy --match '^ladder/seed1/'
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ import workloads  # noqa: E402
 from frgeo.cli import KIND_KEYS  # noqa: E402
 
 WORKLOADS = ("grid", "ladder", "oracle")
+SEEDS = (1, 7)
 RUN_TIMEOUT_S = 600
 SHOWN = 120  # characters of a differing stdout or stderr shown
 
@@ -61,10 +62,10 @@ def literal_tables(path: Path, *names: str) -> list:
     return [values[name] for name in names]
 
 
-def cases(inputs: Path, seeds: list[int], toy: bool) -> list[tuple[str, tuple[str, ...]]]:
+def cases(inputs: Path, toy: bool) -> list[tuple[str, tuple[str, ...]]]:
     """(name, argv) of every run, in order; input files go to ``inputs``."""
     out = []
-    for seed in seeds:
+    for seed in SEEDS:
         for workload in WORKLOADS:
             folder = inputs / f"{workload}_seed{seed}"
             folder.mkdir(parents=True)
@@ -135,16 +136,14 @@ def parent_tree(rev: str, dest: Path) -> Path:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, metavar="REV", help="git revision")
-    parser.add_argument("--seeds", default="1,7", help="workload seeds (default 1,7)")
     parser.add_argument("--toy", action="store_true", help="workloads at their toy sizes")
     parser.add_argument("--match", default="", metavar="REGEX", help="only runs whose name matches")
     args = parser.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",")]
     with tempfile.TemporaryDirectory(prefix="same_behaviour_") as tmp:
         tmp = Path(tmp)
         trees = {"parent": parent_tree(args.parent, tmp / "parent"), "change": ROOT}
         selected = [
-            (name, case) for name, case in cases(tmp / "inputs", seeds, args.toy)
+            (name, case) for name, case in cases(tmp / "inputs", args.toy)
             if re.search(args.match, name)
         ]
         found, n_files = [], 0
