@@ -23,6 +23,17 @@ that both give every class value with the same bits.  Each line is the
 median over PROJECTION_REPEATS sweeps of the levels, in microseconds per
 level; each catalog's integer bounds are built with the catalog.
 
+The per-level lines split a ladder level of each ``perfbench`` ``ladder``
+experiment's pair (misaligned 1-D at levels 3-10, misaligned 2-D at 3-6 and
+the seeded pair of ``perfbench/workloads.py`` at 3-9, each with test
+function 0) into its stages, in microseconds per level: ``project_pair``,
+``_normalized`` and ``geodesic_flow`` (which ``build_ladder`` runs per
+level), and the summary's per-level work (phi's class weights and the
+pairings, ``_level_errors`` over all levels less its run over none).  The
+summary's once-per-ladder work (phi's region weights and the continuum
+pairings) is its own column, per summary.  Each is the median over
+LEVEL_REPEATS sweeps of the levels.
+
 Exits non-zero if any run fails, any overlay differs or any class value
 differs.
 
@@ -34,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import math
 import os
 import random
 import statistics
@@ -44,8 +56,9 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-sys.path.insert(0, str(SRC))
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+sys.path[:0] = [str(SRC), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 
@@ -54,12 +67,24 @@ from frgeo.boxes import grid_classes  # noqa: E402
 from frgeo.catalogs import (  # noqa: E402
     misaligned_f0_1d, misaligned_f0_2d, misaligned_g0_1d, misaligned_g0_2d,
 )
-from frgeo.pixelation import project_pair  # noqa: E402
+from frgeo.errors import DegenerateVelocity  # noqa: E402
+from frgeo.geodesics import _normalized, geodesic_flow  # noqa: E402
+from frgeo.pixelation import (  # noqa: E402
+    _level_errors, build_ladder, project_pair, test_functions_1d, test_functions_2d,
+)
+from workloads import seeded_pair as workload_pair  # noqa: E402
 
 OVERLAY_BOXES = (16, 64, 256)
 OVERLAY_REPEATS = 3
 PROJECTION_LEVELS = range(3, 13)
 PROJECTION_REPEATS = 5
+LEVEL_REPEATS = 41
+# the pairs and levels of the ladder workload's experiments (seed 1)
+LEVEL_PAIRS = {
+    "ladder_1d": (lambda: (misaligned_f0_1d(), misaligned_g0_1d()), range(3, 11)),
+    "ladder_2d": (lambda: (misaligned_f0_2d(), misaligned_g0_2d()), range(3, 7)),
+    "ladder_seeded": (lambda: workload_pair(1), range(3, 10)),
+}
 
 
 def run_ladder(levels: str, out: Path) -> tuple[int, float, float]:
@@ -161,6 +186,43 @@ def us_per_level(project, f0: BoxFunction, g0: BoxFunction) -> tuple[float, list
     return 1e6 * statistics.median(times) / len(PROJECTION_LEVELS), values
 
 
+def median_us(fn, count: int) -> float:
+    """Median over LEVEL_REPEATS calls of ``fn``, in microseconds per one of
+    the ``count`` items each call handles."""
+    times = []
+    for _ in range(LEVEL_REPEATS):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return 1e6 * statistics.median(times) / count
+
+
+def level_stages(f0: BoxFunction, g0: BoxFunction, levels: range) -> list[float]:
+    """Microseconds per level of each ladder stage, and per summary of its
+    once-per-ladder work (see the module docstring)."""
+    live, normalized = [], []  # the levels that are not degenerate
+    for j in levels:
+        fd, g = project_pair(f0, g0, j)
+        try:
+            normalized.append((fd, _normalized(fd, g)[0]))
+        except DegenerateVelocity:
+            continue
+        live.append((fd, g))
+    ladder = build_ladder(f0, g0, list(levels))
+    phi = (test_functions_1d() if f0.dimension == 1 else test_functions_2d())[0]
+    times = (0.0, math.pi / 2)
+    n = len(levels)
+    once = median_us(lambda: list(_level_errors(ladder, phi, None, [], times)), 1)
+    summary = median_us(lambda: list(_level_errors(ladder, phi, None, levels, times)), n)
+    return [
+        median_us(lambda: [project_pair(f0, g0, j) for j in levels], n),
+        median_us(lambda: [_normalized(fd, g) for fd, g in live], len(live)),
+        median_us(lambda: [geodesic_flow(fd, u) for fd, u in normalized], len(live)),
+        summary - once / n,
+        once,
+    ]
+
+
 def nested_overlay(f: BoxFunction, g: BoxFunction) -> list[tuple]:
     """Every f box against every g box: (f value, g value, lo, hi) of each
     non-empty intersection, in that loop order."""
@@ -218,6 +280,13 @@ def main() -> int:
         )
         print(f"{name:>13} {plain_us:11.1f} {numpy_us:9.1f} {same}", flush=True)
         failed += not same
+    print(f"{'experiment':>13} {'project_us':>11} {'normalize_us':>12} {'flow_us':>8} "
+          f"{'summary_us':>10} {'continuum_us':>12}")
+    for name, (pair, levels) in LEVEL_PAIRS.items():
+        stages = level_stages(*pair(), levels)
+        print(f"{name:>13} " + " ".join(
+            f"{x:{w}.1f}" for x, w in zip(stages, (11, 12, 8, 10, 12))
+        ), flush=True)
     return 1 if failed else 0
 
 

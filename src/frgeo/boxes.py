@@ -262,7 +262,8 @@ def project_classes(
     classes: CellClasses, *catalogs: tuple[IntBounds, list[float]]
 ) -> list[np.ndarray]:
     """Per (bounds, values) catalog, the averages of sum_r values[r] *
-    indicator(region r) on each class.
+    indicator(region r) on each class; ``values`` are Python floats, as
+    ``BoxFunction.floats`` holds them.
 
     ``classes`` must be cut at every region bound (``grid_classes``).  Each
     region adds val * (o_1 * ... * o_m) to the sum of every class it
@@ -285,7 +286,7 @@ def project_classes(
     out = []
     for (dens, spans), values in catalogs:
         acc = [0.0] * math.prod(runs)
-        for (lo, hi), val in zip(spans, np.asarray(values).tolist()):
+        for (lo, hi), val in zip(spans, values):
             if val == 0.0:
                 continue
             covered = None  # (flat class index, product of overlaps) pairs
@@ -314,7 +315,8 @@ def project_regions(grid: DyadicGrid, bounds: Bounds, values: np.ndarray) -> np.
     ``project_classes`` on the classes of ``bounds``, scattered to cells."""
     int_bounds = integer_bounds(bounds, grid.dimension)
     classes = grid_classes(grid, int_bounds)
-    return project_classes(classes, (int_bounds, values))[0][classes.cell_classes()]
+    averages = project_classes(classes, (int_bounds, np.asarray(values).tolist()))[0]
+    return averages[classes.cell_classes()]
 
 
 @dataclass(frozen=True)

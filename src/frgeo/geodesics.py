@@ -46,8 +46,8 @@ from .errors import (
     ZeroDirection,
 )
 from .spaces import (
-    NORMALIZATION_TOL, FiniteDensity, FiniteMeasureSpace, SignedFunction, block_rows, exact_dot,
-    frozen_floats, integrate,
+    NORMALIZATION_TOL, FiniteDensity, FiniteMeasureSpace, SignedFunction, _split, block_rows,
+    exact_dot, frozen_floats, integrate,
 )
 
 # integral alpha = mass + energy, each 1 up to rounding once normalized
@@ -111,10 +111,11 @@ class GeodesicState:
         mass = float(np.dot(self.alpha, self.space.weights))
         if not abs(mass - 2.0) <= ALPHA_MASS_TOL:
             raise ValueError(f"integral of alpha is {mass!r}, expected 2")
-        # the amplitude/phase pair must reconstruct the initial data.  The
-        # bound (ALPHA_MASS_TOL) is absolute, so a tiny f0 rebuilt far off in
-        # relative terms passes (1e-320 comes back as 7.5e-33 at beta = +-pi/2)
-        y0, z0, _ = evaluate_scalar(self.alpha, self.beta, 0.0)
+        # the amplitude/phase pair must reconstruct the initial data, y(0)
+        # and y'(0) (``initial_values``).  The bound (ALPHA_MASS_TOL) is
+        # absolute, so a tiny f0 rebuilt far off in relative terms passes
+        # (1e-320 comes back as 7.5e-33 at beta = +-pi/2)
+        y0, z0 = initial_values(self.alpha, self.beta)
         gap = np.abs(np.concatenate([y0 - self.f0, z0 - self.g0])).max()
         if not gap <= ALPHA_MASS_TOL:
             raise ValueError("(alpha, beta) do not reconstruct (f0, g0)")
@@ -142,6 +143,15 @@ def evaluate_scalar(alpha, beta, t):
     return y, ydot, kinetic
 
 
+def initial_values(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """y(0) and y'(0) of scalar geodesics: the operations of
+    ``evaluate_scalar`` at t = 0, in its order, so the bits are its first two
+    results'; the kinetic term is not formed."""
+    phase = 0.0 - beta
+    c, s = np.cos(phase), np.sin(phase)
+    return alpha * c * c, -alpha * c * s
+
+
 def normalize_velocity(f0: FiniteDensity, g_raw: SignedFunction) -> UnitVelocity:
     """Scale a centered velocity candidate to unit energy against f0.
 
@@ -167,13 +177,14 @@ def _normalized(f0: FiniteDensity, g_raw: SignedFunction) -> tuple[UnitVelocity,
         raise NonpositiveInitialDensity("density must be strictly positive")
     g, e = g_raw.values, 0
     with np.errstate(over="ignore", invalid="ignore"):
-        energy = raw = velocity_energy(f0, g)
+        halves = _split(f0.space.weights)
+        energy = raw = velocity_energy(f0, g, halves)
         if not math.isfinite(energy):
             m = math.frexp(float(np.abs(g).max()))[1]
             ratio = (np.abs(np.ldexp(g, -m)) / np.sqrt(f0.values)).max()
             e = m + math.frexp(float(ratio))[1]
             g = np.ldexp(g, -e)
-            energy = velocity_energy(f0, g)
+            energy = velocity_energy(f0, g, halves)
         unscaled = float(np.ldexp(energy, 2 * e))
     if not math.isfinite(energy):
         raise DegenerateVelocity(f"velocity energy overflows even with g scaled by 2^{-e}")
@@ -183,20 +194,21 @@ def _normalized(f0: FiniteDensity, g_raw: SignedFunction) -> tuple[UnitVelocity,
         )
     g = g / math.sqrt(energy)
     # one refinement pass tightens the float rounding of the first scaling
-    g = g / math.sqrt(velocity_energy(f0, g))
+    g = g / math.sqrt(velocity_energy(f0, g, halves))
     return UnitVelocity(SignedFunction(f0.space, g), f0), raw
 
 
-def velocity_energy(f0: FiniteDensity, g: np.ndarray) -> float:
-    """integral g^2 / f0 dmu, correctly rounded (see ``exact_dot``)."""
-    return exact_dot(g**2 / f0.values, f0.space.weights)
+def velocity_energy(f0: FiniteDensity, g: np.ndarray, w_halves=None) -> float:
+    """integral g^2 / f0 dmu, correctly rounded (see ``exact_dot``, which
+    takes ``w_halves``)."""
+    return exact_dot(g**2 / f0.values, f0.space.weights, w_halves)
 
 
 def geodesic_flow(f0: FiniteDensity, g0: UnitVelocity) -> GeodesicState:
     """Amplitude/phase state of the geodesic through (f0, g0)."""
     if g0.space != f0.space:
         raise SpaceMismatch("density and velocity live on different spaces")
-    if not np.array_equal(g0.f0.values, f0.values):
+    if g0.f0 is not f0 and not np.array_equal(g0.f0.values, f0.values):
         raise SpaceMismatch("velocity was normalized against a different density")
     y0, z0 = f0.values, g0.g.values
     return GeodesicState(f0.space, *amplitude_phase(y0, z0), y0, z0)

@@ -29,10 +29,14 @@ coordinate, before the output arrays are allocated, and cached in
 ``spaces.VALUES_PER_BLOCK`` = 1,024 of them (93 rows at n = 5), between slice
 writes into the preallocated arrays.  A step calls no builtin:
 each domain check is one chain of comparisons and the step's end one
-clamp.  It takes about 2.5 us at n = 2 and 5.5 us at n = 5 (2-vCPU VM,
-Python 3.11; 1.5-9.2 us for n = 1..7).  Every operation runs in
-the order of ``_coupled_accel`` and the numpy loop, each sum left to right
-(one statement per term) as ``np.sum`` adds fewer than 8 items: below 8
+clamp.  It takes about 2 us at n = 2 and 4.5 us at n = 5 (2-vCPU VM,
+Python 3.11; 1.1-5.9 us for n = 1..7).  Every operation runs in
+the order of ``_coupled_accel`` and the numpy loop, each sum one expression
+left to right from its first term.  ``np.sum`` adds fewer than 8 items left
+to right from 0.0, which differs from that only where every term is -0.0
+(it gives +0.0), and no result here depends on it: the terms w_k =
+u_k^2 / p_k are never -0.0, a -0.0 position fails its domain check, and the
+sign of the velocity sum sv enters only as sv * sv.  So below 8
 coordinates the two loops agree bit for bit, and from 8 on ``np.sum`` adds
 pairwise and they differ in the last bits.  The numpy loop stays as the
 tests' reference; ``benchmarks/bench_kernels.py`` times both loops at
@@ -213,8 +217,8 @@ def _coupled_source(n):
     def names(stem):
         return ", ".join(f"{stem}_{k}" for k in ks)
 
-    def total(name, stem):  # left to right from 0.0, one statement per term
-        return [f"{name} = 0.0", *each(f"{name} += {stem}_$")]
+    def total(name, stem):  # one expression, left to right from the first term
+        return [f"{name} = " + " + ".join(each(f"{stem}_$"))]
 
     def low(x):  # any coordinate or the dependent one at the floor, no min()
         return " or ".join([*each(f"{x}_$ <= eps"), "last <= eps"])

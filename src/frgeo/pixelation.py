@@ -33,10 +33,10 @@ are boxes, so each side is sum_b v_b W_b over boxes b, with v constant per
 box and W_b the product over axes of the staircase's integral over the
 box's side.  A tent is linear between its kinks c - r, c and c + r, so that
 integral is two arithmetic series in the boxes' integer bounds, rounded
-once (``_stair_integrals``); the sums are math.fsum's, so each pairing is
-within a few ulp of its exact value.  ``_level_errors`` pairs the continuum
-side once per ladder, so a summary costs O(regions + classes), whatever
-J_ref is.
+once (``_axis_staircase``); the sums are math.fsum's, so each pairing is
+within a few ulp of its exact value.  ``_level_errors`` builds phi's
+staircase and pairs the continuum side once per ladder, so a summary costs
+O(regions + classes), whatever J_ref is.
 """
 
 from __future__ import annotations
@@ -217,11 +217,12 @@ def build_ladder(
     return PixelationLadder(f0.dimension, f0, g0, tuple(regions), out)
 
 
-def _stair_integrals(phi: TentFunction, axis: int, j_ref: int, points) -> list[float]:
-    """Integrals over [points[i], points[i + 1]) of phi's level-j_ref
-    midpoint staircase on axis ``axis``, for points given as integer pairs
-    (n, D), the point n / D: exact, then rounded once (int division is
-    correctly rounded, like ``float(Fraction)``).
+def _axis_staircase(phi: TentFunction, axis: int, j_ref: int):
+    """phi's level-j_ref midpoint staircase on axis ``axis``, as the function
+    ``integrals(den, intervals)``: for integer pairs (a, b), the integrals
+    over [a / den, b / den), exact, then rounded once (int division is
+    correctly rounded, like ``float(Fraction)``).  Its constants are built
+    once, for every call.
 
     Times 2^shift, the tent's center and radius (floats, so dyadic) are
     integers C and R and cell k's midpoint is (2k + 1) g, so the cell's value
@@ -243,10 +244,12 @@ def _stair_integrals(phi: TentFunction, axis: int, j_ref: int, points) -> list[f
         below += (R + C) * (b - k_mid) - g * (b * b - k_mid * k_mid)
         return q * below + (p * side - k * q) * max(0, R - abs((2 * k + 1) * g - C))
 
-    ends = [(upto(p, q), q) for p, q in points]
-    return [
-        (n1 * q0 - n0 * q1) / (q0 * q1 * R * side) for (n0, q0), (n1, q1) in zip(ends, ends[1:])
-    ]
+    def integrals(den: int, intervals: list[tuple[int, int]]) -> list[float]:
+        ends = {p: upto(p, den) for p in {p for ab in intervals for p in ab}}
+        unit = den * R * side
+        return [(ends[b] - ends[a]) / unit for a, b in intervals]
+
+    return integrals
 
 
 def region_flow_values(regions, t: float) -> np.ndarray:
@@ -265,31 +268,36 @@ def continuum_cell_averages(
     return project_regions(grid, bounds, values)
 
 
-def _separable_phi(ladder: PixelationLadder, phi: TentFunction, j_ref):
-    """Resolved j_ref (default: max + 4) and phi's region weights W_r, the
-    integrals of its level-j_ref staircase over each overlay region."""
+def _phi_stairs(ladder: PixelationLadder, phi: TentFunction, j_ref) -> list:
+    """phi's ``_axis_staircase`` on each axis at j_ref (default: max + 4)."""
     j_ref = ladder.max_level + J_REF_OFFSET if j_ref is None else j_ref
     if j_ref <= ladder.max_level:
         raise ValueError("j_ref must exceed the deepest ladder level")
     if phi.dimension != ladder.dimension:
         raise ValueError("test function dimension mismatch")
-    weights = [
-        math.prod(
-            _stair_integrals(phi, d, j_ref, [(a, den), (b, den)])[0]
-            for d, (a, b, den) in enumerate(zip(*r.span, r.dens))
-        )
-        for r in ladder.regions
-    ]
-    return j_ref, np.array(weights)
+    return [_axis_staircase(phi, d, j_ref) for d in range(phi.dimension)]
 
 
-def _phi_coarse(phi: TentFunction, j_ref: int, classes: CellClasses) -> np.ndarray:
-    """phi's class weights: the integrals of its level-j_ref staircase over
-    each class, the outer product of the per-axis integrals over the runs."""
+def _separable_phi(regions, stairs) -> np.ndarray:
+    """phi's region weights W_r, the integrals of its staircase over each
+    overlay region: one call of each axis's staircase, over the distinct
+    region intervals on that axis."""
+    axes = []
+    for d, (integrals, den) in enumerate(zip(stairs, regions[0].dens)):
+        intervals = list(dict.fromkeys((r.span[0][d], r.span[1][d]) for r in regions))
+        axes.append(dict(zip(intervals, integrals(den, intervals))))
+    return np.array([
+        math.prod(axis[ab] for axis, ab in zip(axes, zip(*r.span))) for r in regions
+    ])
+
+
+def _phi_coarse(stairs, classes: CellClasses) -> np.ndarray:
+    """phi's class weights: the integrals of its staircase over each class,
+    the outer product of the per-axis integrals over the runs."""
     side = classes.grid.side_count
     return outer([
-        np.array(_stair_integrals(phi, d, j_ref, [(k, side) for k in e]))
-        for d, e in enumerate(classes.edges)
+        np.array(integrals(side, list(zip(e, e[1:]))))
+        for integrals, e in zip(stairs, classes.edges)
     ])
 
 
@@ -333,13 +341,15 @@ def _flow_error(level: LadderLevel, t: float, phi_coarse, cont: float) -> float:
 def _level_errors(ladder: PixelationLadder, phi: TentFunction, j_ref, levels, times=()):
     """Per level of ``levels``: its LadderLevel, e_f, e_g, e_q and the weak
     errors at ``times``, None where a degenerate level has no state.  phi's
-    region weights and the continuum pairings are built once for all levels."""
-    j_ref, weights = _separable_phi(ladder, phi, j_ref)
+    staircase, region weights and the continuum pairings are built once for
+    all levels."""
+    stairs = _phi_stairs(ladder, phi, j_ref)
+    weights = _separable_phi(ladder.regions, stairs)
     flows = [region_flow_values(ladder.regions, t) for t in times]
     cont = [_pairing(v, weights) for v in (*_block_values(ladder.regions), *flows)]
     for j in levels:
         level = _ladder_level(ladder, j)
-        phi_coarse = _phi_coarse(phi, j_ref, level.density.space)
+        phi_coarse = _phi_coarse(stairs, level.density.space)
         e_f, e_g, e_q = _block_errors(level, phi_coarse, cont[:3])
         flow = [
             None if level.degenerate else _flow_error(level, t, phi_coarse, c)

@@ -84,7 +84,7 @@ class FiniteMeasureSpace:
         return self.weights.tobytes()
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self._key() == other._key()
+        return other is self or (type(other) is type(self) and self._key() == other._key())
 
     def __hash__(self):
         return hash(self._key())
@@ -181,7 +181,9 @@ class CellClasses(FiniteMeasureSpace):
             raise ValueError("run edges must rise strictly from 0 to 2^level on each axis")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "edges", edges)
-        FiniteMeasureSpace.__init__(self, outer([np.diff(e) * grid.cell_side for e in edges]))
+        side = grid.cell_side
+        runs = [np.array([(b - a) * side for a, b in zip(e, e[1:])]) for e in edges]
+        FiniteMeasureSpace.__init__(self, outer(runs))
 
     def _key(self):
         return (self.grid, self.edges)
@@ -243,12 +245,13 @@ def integrate(h: SignedFunction) -> float:
     return float(np.dot(h.values, h.space.weights))
 
 
-def exact_dot(x: np.ndarray, w: np.ndarray) -> float:
+def exact_dot(x: np.ndarray, w: np.ndarray, w_halves=None) -> float:
     """sum_a x_a w_a, correctly rounded (Dekker's exact products, then one
     math.fsum), so independent of how atoms are ordered or grouped into
-    classes; exact unless a product over- or underflows."""
+    classes; exact unless a product over- or underflows.  ``w_halves``, if
+    given, is ``_split(w)``, for a caller that dots several x with one w."""
     p = x * w
-    (xh, xl), (wh, wl) = _split(x), _split(w)
+    (xh, xl), (wh, wl) = _split(x), _split(w) if w_halves is None else w_halves
     e = ((xh * wh - p) + xh * wl + xl * wh) + xl * wl
     return math.fsum(np.concatenate([p, e]).tolist())
 

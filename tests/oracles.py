@@ -13,7 +13,12 @@ result the library computes another way:
   ``frgeo.moments``, and conic classification of planar trajectories;
 - exact integrals, energies, moments, squares and point values of box
   catalogs, the first two Fraction by Fraction, and the tent test
-  functions and their staircases on a grid.
+  functions and their staircases on a grid;
+- the per-level work of a ladder as written before it reused what the
+  ladder holds: phi's staircase integrals with their constants built per
+  call and its region weights one call per region and axis, cell-class
+  weights from ``np.diff``, and the reconstruction check from all three
+  results of ``evaluate_scalar``.
 """
 
 from __future__ import annotations
@@ -26,10 +31,11 @@ import numpy as np
 
 from frgeo.boxes import Box, BoxFunction, OverlayRegion, _span_volume
 from frgeo.errors import FrgeoError, InvalidCatalogFunction, NonpositiveInitialDensity
+from frgeo.geodesics import evaluate_scalar
 from frgeo.moments import _time_design
 from frgeo.pixelation import PixelationLadder, TentFunction
 from frgeo.simplex import SimplexPoint, TangentVector
-from frgeo.spaces import DyadicGrid, outer
+from frgeo.spaces import CellClasses, DyadicGrid, outer
 
 
 class InvalidAtom(FrgeoError):
@@ -400,3 +406,65 @@ def phi_staircase(phi: TentFunction, dimension: int, j_ref: int) -> np.ndarray:
 def alpha_sequence(ladder: PixelationLadder) -> list[tuple[int, float]]:
     """(level, alpha_j) pairs in increasing level order."""
     return [(j, ladder.levels[j].alpha) for j in sorted(ladder.levels)]
+
+
+# ---------------------------------------------------------------------------
+# a ladder level's work, one call per region, axis and level
+
+
+def stair_integrals(phi: TentFunction, axis: int, j_ref: int, points) -> list[float]:
+    """Integrals over [points[i], points[i + 1]) of phi's level-j_ref
+    midpoint staircase on axis ``axis``, for points given as integer pairs
+    (n, D), the point n / D: exact, then rounded once.  The constants are
+    built on every call."""
+    (cn, cd), (rn, rd) = (v[axis].as_integer_ratio() for v in (phi.centers, phi.radii))
+    side = 1 << j_ref
+    shift = max(j_ref + 1, cd.bit_length() - 1, rd.bit_length() - 1)
+    C, R = ((n << shift) // d for n, d in ((cn, cd), (rn, rd)))
+    g = 1 << (shift - j_ref - 1)
+    k_lo, k_mid, k_hi = (-((g - x) // (2 * g)) for x in (C - R, C, C + R))
+
+    def upto(p: int, q: int) -> int:  # q * R * side * the integral over [0, p / q)
+        k = p * side // q
+        a, b = min(max(k, k_lo), k_mid), min(max(k, k_mid), k_hi)
+        below = g * (a * a - k_lo * k_lo) + (R - C) * (a - k_lo)
+        below += (R + C) * (b - k_mid) - g * (b * b - k_mid * k_mid)
+        return q * below + (p * side - k * q) * max(0, R - abs((2 * k + 1) * g - C))
+
+    ends = [(upto(p, q), q) for p, q in points]
+    return [
+        (n1 * q0 - n0 * q1) / (q0 * q1 * R * side) for (n0, q0), (n1, q1) in zip(ends, ends[1:])
+    ]
+
+
+def region_phi_weights(regions, phi: TentFunction, j_ref: int) -> np.ndarray:
+    """phi's region weights, one ``stair_integrals`` call per region and axis."""
+    return np.array([
+        math.prod(
+            stair_integrals(phi, d, j_ref, [(a, den), (b, den)])[0]
+            for d, (a, b, den) in enumerate(zip(*r.span, r.dens))
+        )
+        for r in regions
+    ])
+
+
+def class_phi_weights(phi: TentFunction, j_ref: int, classes: CellClasses) -> np.ndarray:
+    """phi's class weights, one ``stair_integrals`` call per axis."""
+    side = classes.grid.side_count
+    return outer([
+        np.array(stair_integrals(phi, d, j_ref, [(k, side) for k in e]))
+        for d, e in enumerate(classes.edges)
+    ])
+
+
+def class_weights(classes: CellClasses) -> np.ndarray:
+    """The class weights: per axis ``np.diff`` of the run edges times the
+    cell side, then their outer product."""
+    return outer([np.diff(e) * classes.grid.cell_side for e in classes.edges])
+
+
+def reconstruction(alpha, beta, f0, g0) -> tuple[np.ndarray, np.ndarray, float]:
+    """y(0), y'(0) from all three results of ``evaluate_scalar`` at t = 0,
+    and their largest distance from (f0, g0)."""
+    y0, z0, _ = evaluate_scalar(alpha, beta, 0.0)
+    return y0, z0, float(np.abs(np.concatenate([y0 - f0, z0 - g0])).max())

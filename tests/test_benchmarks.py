@@ -12,12 +12,16 @@ import pytest
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
-# each script's smallest run; together about 7 s
+# each script's smallest run; together about 9 s
 SMALLEST = {
     "bench_frames.py": ["--cases", "staggered32:5", "--repeat", "1"],
     "bench_kernels.py": ["--n", "2", "--step", "1e-2", "--repeats", "1"],
     "bench_ladder.py": ["--levels", "3-6"],
     "bench_oracle.py": ["--n", "2", "--step", "1e-2", "--repeats", "1"],
+    "pairs.py": [
+        "--parent", "HEAD", "--pairs", "1", "--workload", "ladder", "--size", "toy",
+        "--seconds", "1",
+    ],
     "same_behaviour.py": ["--parent", "HEAD", "--toy", "--match", "^ladder/seed1/|pixel"],
     "src_lines.py": [],
 }
@@ -29,9 +33,9 @@ def test_every_script_has_a_smoke_run():
 
 @pytest.mark.parametrize("script", sorted(SMALLEST))
 def test_script_runs_from_a_checkout(tmp_path, script):
-    # same_behaviour.py compares the working tree with git archive HEAD, so
-    # it needs a git checkout
-    if script == "same_behaviour.py" and not (BENCHMARKS.parent / ".git").exists():
+    # same_behaviour.py and pairs.py compare the working tree with git
+    # archive HEAD, so they need a git checkout
+    if script in ("same_behaviour.py", "pairs.py") and not (BENCHMARKS.parent / ".git").exists():
         pytest.skip("not a git checkout")
     # as README runs them: no PYTHONPATH, from outside the source tree
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}

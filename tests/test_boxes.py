@@ -29,7 +29,7 @@ from frgeo.catalogs import (
     misaligned_g0_2d,
     uniform1d,
 )
-from frgeo.pixelation import _phi_coarse, project_pair
+from frgeo.pixelation import _axis_staircase, _phi_coarse, project_pair
 from frgeo.pixelation import test_functions_1d as tents_1d
 from frgeo.pixelation import test_functions_2d as tents_2d
 from oracles import axis_moment, evaluate, moment, square_integral
@@ -685,6 +685,7 @@ def test_ladder_levels_use_no_fractions(monkeypatch, pair):
     # hashes none
     f0, g0 = _LADDER_PAIRS[pair]()
     phi = (tents_1d() if f0.dimension == 1 else tents_2d())[0]
+    stairs = [_axis_staircase(phi, d, 16) for d in range(phi.dimension)]
     built, touched = [], []
     new = F.__new__
 
@@ -695,7 +696,7 @@ def test_ladder_levels_use_no_fractions(monkeypatch, pair):
     def levels():
         for level in range(3, 13):
             fd, _ = project_pair(f0, g0, level)
-            _phi_coarse(phi, 16, fd.space)
+            _phi_coarse(stairs, fd.space)
 
     monkeypatch.setattr(F, "__new__", staticmethod(counting_new))
     levels()

@@ -38,13 +38,15 @@ from frgeo.catalogs import (
 from frgeo.boxes import overlay, regions_energy
 from frgeo.cli import _catalog_state, write_ladder_csv
 from frgeo.pixelation import (
+    J_REF_OFFSET,
     LADDER_FIELDS,
     _block_values,
     _check_hypotheses,
+    _axis_staircase,
     _pairing,
     _phi_coarse,
+    _phi_stairs,
     _separable_phi,
-    _stair_integrals,
     continuum_cell_averages,
     ladder_summary_rows,
     project_pair,
@@ -52,11 +54,15 @@ from frgeo.pixelation import (
 )
 from frgeo.pixelation import test_functions_1d as tents_1d
 from frgeo.pixelation import test_functions_2d as tents_2d
-from frgeo.geodesics import normalize_velocity, velocity_energy
+from frgeo.errors import DegenerateVelocity
+from frgeo.geodesics import (
+    ALPHA_MASS_TOL, GeodesicState, geodesic_flow, initial_values, normalize_velocity,
+    velocity_energy,
+)
 from frgeo.spaces import CellClasses, DyadicGrid, FiniteDensity, SignedFunction
 from oracles import (
-    alpha_sequence, fraction_integral, fraction_regions_energy, phi_staircase, square_integral,
-    tent_values,
+    alpha_sequence, class_phi_weights, class_weights, fraction_integral, fraction_regions_energy,
+    phi_staircase, reconstruction, region_phi_weights, square_integral, tent_values,
 )
 
 
@@ -138,7 +144,8 @@ def test_separable_phi_coarse_matches_block_means(dimension):
             # one class per cell: the class sums are the block means
             cells = np.arange((1 << j) + 1)
             classes = CellClasses(DyadicGrid(dimension, j), [cells] * dimension)
-            got = _phi_coarse(phi, j_ref, classes) / classes.grid.cell_weight
+            stairs = [_axis_staircase(phi, d, j_ref) for d in range(dimension)]
+            got = _phi_coarse(stairs, classes) / classes.grid.cell_weight
             want = _coarsen_mean(fine, dimension, j_ref, j)
             assert np.allclose(got, want, rtol=0.0, atol=1e-15)
             if dimension == 1:
@@ -206,8 +213,9 @@ def test_axis_integrals_are_correctly_rounded(j_ref):
     for phi in (*tents_1d(), *tents_2d(), on_midpoints):
         for axis in range(phi.dimension):
             for points in _stair_points(rng, phi, axis, j_ref):
-                pairs = [x.as_integer_ratio() for x in points]
-                got = _stair_integrals(phi, axis, j_ref, pairs)
+                den = math.lcm(*(x.denominator for x in points))
+                ends = [int(x * den) for x in points]
+                got = _axis_staircase(phi, axis, j_ref)(den, list(zip(ends, ends[1:])))
                 want = [
                     float(_exact_stair_integral(phi, axis, j_ref, a, b))
                     for a, b in zip(points, points[1:])
@@ -597,7 +605,7 @@ def test_continuum_pairings_match_exact_reference(make_ladder, phis, j_ref):
     ]
     side = 1 << j_ref
     for phi in phis:
-        _, weights = _separable_phi(ladder, phi, j_ref)
+        weights = _separable_phi(ladder.regions, _phi_stairs(ladder, phi, j_ref))
         stairs = _axis_stairs(phi, j_ref)
         exact_weights = [
             math.prod(
@@ -679,7 +687,8 @@ def test_write_ladder_csv(tmp_path):
 def _per_cell_rows(ladder, phi, j_ref):
     """Summary rows computed cell by cell: per-cell projection and
     normalisation, phi's block means on every cell, np.dot pairings."""
-    j_ref, weights = _separable_phi(ladder, phi, j_ref)
+    weights = _separable_phi(ladder.regions, _phi_stairs(ladder, phi, j_ref))
+    j_ref = ladder.max_level + J_REF_OFFSET if j_ref is None else j_ref
     stairs = _axis_stairs(phi, j_ref)
     times = (0.0, math.pi / 2.0)
     flows = [region_flow_values(ladder.regions, t) for t in times]
@@ -748,3 +757,84 @@ def test_hypothesis_message_beyond_float_range():
         build_ladder(uniform1d(), g0, [3])
     assert info.value.condition == "unit-energy"
     assert str(info.value) == "unit-energy: integral g0^2/f0 = 1.0000000000000000e+600"
+
+
+# ---------------------------------------------------------------------------
+# a level's work against the references that redo it per call
+
+_REFERENCE_DIMENSIONS = {
+    1: (("uniform1d", "misaligned_f0_1d"),
+        ("g01_1d", "g02_1d", "misaligned_g0_1d", "single_break_g0_1d")),
+    2: (("uniform2d", "misaligned_f0_2d"), ("g01_2d", "g02_2d", "g03_2d", "misaligned_g0_2d")),
+}
+
+
+@pytest.fixture(scope="module")
+def reference_pairs():
+    """Every built-in (density, velocity) pair of one dimension, and the
+    seeded pairs of seeds 1-20."""
+    pairs = [
+        (BUILTIN_CATALOGS[f](), BUILTIN_CATALOGS[g]())
+        for fs, gs in _REFERENCE_DIMENSIONS.values() for f in fs for g in gs
+    ]
+    return pairs + [_seeded_pair(seed) for seed in range(1, 21)]
+
+
+def _levels(pairs):
+    """(f0, g0, projected density, projected velocity) at levels 1-12."""
+    for f0, g0 in pairs:
+        for j in range(1, 13):
+            yield (f0, g0, *project_pair(f0, g0, j))
+
+
+def test_class_weights_match_np_diff_reference(reference_pairs):
+    for *_, fd, _ in _levels(reference_pairs):
+        assert fd.space.weights.tobytes() == class_weights(fd.space).tobytes(), fd.space
+
+
+def test_phi_weights_match_per_call_reference(reference_pairs):
+    # one staircase per axis for all regions and levels, against constants
+    # rebuilt for every region, axis and level
+    j_ref = 16
+    for f0, g0 in reference_pairs:
+        regions = overlay(f0, g0)
+        phis = tents_1d() if f0.dimension == 1 else tents_2d()
+        stairs = {
+            phi: [_axis_staircase(phi, d, j_ref) for d in range(phi.dimension)] for phi in phis
+        }
+        for phi in phis:
+            got = _separable_phi(regions, stairs[phi])
+            assert got.tobytes() == region_phi_weights(regions, phi, j_ref).tobytes(), phi
+        for *_, fd, _ in _levels([(f0, g0)]):
+            for phi in phis:
+                got = _phi_coarse(stairs[phi], fd.space)
+                want = class_phi_weights(phi, j_ref, fd.space)
+                assert got.tobytes() == want.tobytes(), (phi, fd.space)
+
+
+def test_reconstruction_matches_three_result_reference(reference_pairs):
+    # y(0) and y'(0) bit for bit, and the same verdict on data moved off by
+    # half and by twice the bound
+    states = 0
+    for *_, fd, g in _levels(reference_pairs):
+        try:
+            state = geodesic_flow(fd, normalize_velocity(fd, g))
+        except DegenerateVelocity:
+            continue
+        states += 1
+        y0, z0 = initial_values(state.alpha, state.beta)
+        ry0, rz0, gap = reconstruction(state.alpha, state.beta, state.f0, state.g0)
+        assert (y0.tobytes(), z0.tobytes()) == (ry0.tobytes(), rz0.tobytes())
+        assert gap <= ALPHA_MASS_TOL
+        for shift in (0.5 * ALPHA_MASS_TOL, 2.0 * ALPHA_MASS_TOL):
+            moved = state.f0.copy()
+            moved[0] += shift
+            want = reconstruction(state.alpha, state.beta, moved, state.g0)[2] <= ALPHA_MASS_TOL
+            try:
+                GeodesicState(state.space, state.alpha, state.beta, moved, state.g0)
+                got = True
+            except ValueError as exc:
+                assert "do not reconstruct" in str(exc)
+                got = False
+            assert got == want, (state.space, shift)
+    assert states > 300

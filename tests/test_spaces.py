@@ -16,6 +16,7 @@ from frgeo import (
     SignedFunction,
     integrate,
 )
+from frgeo.spaces import _split, exact_dot
 
 
 def test_counting_measure_basics():
@@ -195,3 +196,33 @@ def test_integrate_is_linear():
             SignedFunction(grid, b)
         )
         assert abs(lhs - rhs) < 1e-12
+
+
+def _outcome(fn):
+    """A float's hex, or the type and message of what it raised."""
+    try:
+        return fn().hex()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_exact_dot_takes_pre_split_weights():
+    # the same result, or the same exception, whether exact_dot splits w or
+    # is given w's halves, over subnormal, tiny, huge and near-overflow values
+    rng = np.random.default_rng(32)
+    extremes = np.array([
+        5e-324, -5e-324, 2.2e-308, 1e-300, 0.0, -0.0, 1.0, -3.0, 1e150, 1e300, -1e300,
+        1.3e300, 1.7e308, -1.7e308, 8.9e307,
+    ])
+    weights = np.abs(extremes[np.abs(extremes) > 0.0])
+    outcomes = set()
+    with np.errstate(all="ignore"):
+        for n in (1, 2, 3, 7, 16):
+            for _ in range(300):
+                x = rng.choice(extremes, n) * rng.uniform(0.5, 2.0, n)
+                w = rng.choice(weights, n) * rng.uniform(0.5, 1.0, n)
+                plain = _outcome(lambda: exact_dot(x, w))
+                assert plain == _outcome(lambda: exact_dot(x, w, _split(w))), (x, w)
+                outcomes.add(type(plain))
+    # finite results, nans and exceptions were all met
+    assert {str, tuple} <= outcomes
