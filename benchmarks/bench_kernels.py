@@ -6,8 +6,8 @@ kernels timed on the same unit-speed geodesic data:
 
 * coupled: the float loop ``rk4_coupled``, whose straight-line loop is
   generated and compiled once per n, and the same loop over numpy arrays
-  (``_make_coupled(_coupled_accel, _coupled_low)``, the reference);
-* decoupled: ``rk4_decoupled``, over numpy arrays.
+  (``rk4_coupled_reference`` of ``tests/oracles.py``, the reference);
+* decoupled: ``rk4_decoupled`` of ``tests/oracles.py``, over numpy arrays.
 
 The kernels run round-robin: each of ``--repeats`` rounds runs every kernel
 once, starting one kernel further on each round, so that a change in host
@@ -33,12 +33,15 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = SRC.parent / "tests"
 sys.path.insert(0, str(SRC))
+sys.path.insert(0, str(TESTS))
 
 import numpy as np  # noqa: E402
 
 from frgeo import SimplexPoint, boundary_touch_time, ellipsoid_tangent  # noqa: E402
 from frgeo import kernels  # noqa: E402
+from oracles import rk4_coupled_reference, rk4_decoupled  # noqa: E402
 
 PAIRWISE_SUM_FROM = 8  # np.sum adds pairwise from this many items
 FLOAT_LOOP_TOL = 1e-13
@@ -95,16 +98,15 @@ def run_dimension(n: int, args) -> None:
     horizon = min(args.t_end, 0.9 * boundary_touch_time(p0, v0))
     n_steps = kernels.step_count(args.step, horizon)
     eps = 1e-9
-    reference = kernels._make_coupled(kernels._coupled_accel, kernels._coupled_low)
     float_tol = 0.0 if n < PAIRWISE_SUM_FROM else FLOAT_LOOP_TOL
 
     coupled_args = (p0.theta, v0.v, args.step, horizon, eps)
     decoupled_args = (p0.full, v0.full, args.step, horizon, eps)
     # (name, kernel, arguments, tolerance against the reference or None)
     cases = [
-        (REFERENCE, reference, coupled_args, None),
+        (REFERENCE, rk4_coupled_reference, coupled_args, None),
         ("coupled floats", kernels.rk4_coupled, coupled_args, float_tol),
-        ("decoupled numpy", kernels.rk4_decoupled, decoupled_args, None),
+        ("decoupled numpy", rk4_decoupled, decoupled_args, None),
     ]
 
     kernels._COUPLED_LOOPS.pop(n, None)

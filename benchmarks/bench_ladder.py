@@ -229,9 +229,10 @@ def nested_overlay(f: BoxFunction, g: BoxFunction) -> list[tuple]:
     out = []
     for bf in f.boxes:
         for bg in g.boxes:
-            inter = bf.intersection_bounds(bg)
-            if inter is not None:
-                out.append((bf.value, bg.value, *inter))
+            lo = tuple(map(max, bf.lo, bg.lo))
+            hi = tuple(map(min, bf.hi, bg.hi))
+            if all(a < b for a, b in zip(lo, hi)):
+                out.append((bf.value, bg.value, lo, hi))
     return out
 
 

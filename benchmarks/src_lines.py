@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Line counts of ``src/frgeo``, per module and in total, and of the README.
+"""Line counts of ``src/frgeo``, per module and in total, of the test
+references in ``tests/oracles.py``, and of the README.
 
 Each line of a module falls in exactly one class:
 
@@ -9,8 +10,10 @@ Each line of a module falls in exactly one class:
 - comment: a ``#`` comment and nothing else;
 - code: everything else.
 
-so lines = code + docstring + comment + blank.  The script counts the
-checkout it sits in.
+so lines = code + docstring + comment + blank.  ``tests/oracles.py`` gets
+the same split, so that code moved from the package into the test
+references shows on both sides.  The script counts the checkout it sits
+in.
 
     python3 benchmarks/src_lines.py
 """
@@ -64,6 +67,15 @@ def count(path: Path) -> dict[str, int]:
     return counts
 
 
+def split(name: str, counts: dict[str, int]) -> str:
+    """``name: lines = code / docstring / comment / blank (...)``."""
+    return (
+        f"{name}: {counts['lines']:,} = "
+        + " / ".join(f"{counts[k]:,}" for k in CLASSES)
+        + " (" + " / ".join(CLASSES) + ")"
+    )
+
+
 def main() -> int:
     modules = sorted((ROOT / "src" / "frgeo").glob("*.py"))
     header = ("module", "lines", *CLASSES)
@@ -77,11 +89,8 @@ def main() -> int:
         print(f"| {path.name} | " + " | ".join(f"{counts[k]:,}" for k in header[1:]) + " |")
     print("| total | " + " | ".join(f"**{total[k]:,}**" for k in header[1:]) + " |")
     print()
-    print(
-        f"src/frgeo: {total['lines']:,} = "
-        + " / ".join(f"{total[k]:,}" for k in CLASSES)
-        + " (" + " / ".join(CLASSES) + ")"
-    )
+    print(split("src/frgeo", total))
+    print(split("tests/oracles.py", count(ROOT / "tests" / "oracles.py")))
     readme = ROOT / "README.md"
     print(f"README.md: {len(readme.read_text().splitlines()):,} lines")
     return 0

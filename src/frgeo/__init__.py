@@ -47,7 +47,6 @@ from .kernels import (
     IntegratorConfig,
     OdeTrajectory,
     integrate_coupled,
-    integrate_decoupled,
 )
 from .moments import (
     MomentCurve,

@@ -57,8 +57,6 @@ Span = tuple[tuple[int, ...], tuple[int, ...]]
 # per axis the common denominator, and each box's span over them
 IntBounds = tuple[tuple[int, ...], list[Span]]
 
-_ONE = Fraction(1)
-
 
 def _frac(x: FractionLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
@@ -112,22 +110,6 @@ class Box:
     @property
     def dimension(self) -> int:
         return len(self.lo)
-
-    @property
-    def volume(self) -> Fraction:
-        v = _ONE
-        for a, b in zip(self.lo, self.hi):
-            v *= b - a
-        return v
-
-    def intersection_bounds(
-        self, other: "Box"
-    ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None:
-        lo = tuple(max(a1, a2) for a1, a2 in zip(self.lo, other.lo))
-        hi = tuple(min(b1, b2) for b1, b2 in zip(self.hi, other.hi))
-        if any(a >= b for a, b in zip(lo, hi)):
-            return None
-        return lo, hi
 
 
 def _sweep(spans: list[Span], dimension: int) -> Iterator[tuple[int, list[int]]]:

@@ -57,8 +57,11 @@ class BoundaryTouch(FrgeoError):
 class LeftDomain(FrgeoError):
     """Numerical integration left the open domain {theta_k > eps}.
 
-    ``coordinate`` is the offending 1-based index when known (per-coordinate
-    integrations), otherwise None.
+    ``coordinate`` is the offending 1-based index when an integrator checks
+    coordinate by coordinate, otherwise None.  ``integrate_coupled`` checks
+    the whole state at once, the dependent coordinate included, so it
+    leaves ``coordinate`` None.  The attribute stays because the CLI's JSON
+    error object lists it: ``oracle-compare`` writes ``"coordinate": null``.
     """
 
     def __init__(self, time: float, coordinate: int | None = None):

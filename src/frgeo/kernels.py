@@ -1,58 +1,44 @@
-"""Fixed-step RK4 integration of the geodesic equations, an independent
-check of the closed-form flow: the integrators and the loops they run.
+"""Fixed-step RK4 integration of the coupled geodesic equation, an
+independent check of the closed-form flow.
 
-* ``integrate_coupled`` integrates the coupled second-order system in the
-  free simplex coordinates,
+``integrate_coupled`` integrates the coupled second-order system in the
+free simplex coordinates,
 
-      2 theta_k'' + (theta_k / theta_{n+1}) (sum theta')^2
-                  - theta_k'^2 / theta_k + theta_k sum_j theta_j'^2 / theta_j = 0,
+    2 theta_k'' + (theta_k / theta_{n+1}) (sum theta')^2
+                - theta_k'^2 / theta_k + theta_k sum_j theta_j'^2 / theta_j = 0,
 
-  where theta_{n+1} = 1 - sum theta_k is recomputed at every stage (never
-  integrated), which keeps the total mass exactly one along the numerical
-  trajectory.  ``rk4_coupled`` steps it over plain Python floats.
-* ``integrate_decoupled`` integrates the per-coordinate form
-  y'' = (y'^2 - y^2) / (2 y), valid for unit-speed data.
-  ``rk4_decoupled`` steps it over numpy arrays.
+where theta_{n+1} = 1 - sum theta_k is recomputed at every stage (never
+integrated), which keeps the total mass exactly one along the numerical
+trajectory.  It raises :class:`~frgeo.errors.LeftDomain` as soon as any
+coordinate, the dependent one included, falls to ``DOMAIN_EPS`` or below
+at any internal stage; the equation is singular on the boundary, so no
+step across it is attempted.
 
-Both raise :class:`~frgeo.errors.LeftDomain` as soon as any coordinate (at
-any internal stage) falls to ``DOMAIN_EPS`` or below; the geodesic
-equations are singular on the boundary, so no step across it is attempted.
+``rk4_coupled`` steps the system.  It integrates one trajectory of a few
+coordinates, where each numpy call costs about a microsecond whatever the
+array size, and a loop over numpy arrays makes about 120 calls per step.
+So it runs straight-line code over local variables, one per coordinate,
+that ``_coupled_source`` unrolls for each coordinate count n.  It is
+compiled the first time n is seen, at about 0.4 ms per coordinate, before
+the output arrays are allocated, and cached in ``_COUPLED_LOOPS``.  It
+buffers its rows as Python floats, about ``spaces.VALUES_PER_BLOCK`` =
+1,024 of them (93 rows at n = 5), between slice writes into the
+preallocated arrays.  A step calls no builtin: each domain check is one
+chain of comparisons and the step's end one clamp.  It takes about 2 us at
+n = 2 and 4.5 us at n = 5 (2-vCPU VM, Python 3.11; 1.1-5.9 us for
+n = 1..7).  ``tests/oracles.py`` holds the same loop over numpy arrays, the
+reference it agrees with bit for bit below 8 coordinates.
 
-The coupled oracle integrates one trajectory of a few coordinates, where
-each numpy call costs about a microsecond whatever the array size, and the
-same loop over numpy arrays (``_make_coupled``) makes about 120 calls per
-step.  ``rk4_coupled`` instead runs straight-line code over local variables,
-one per coordinate, that ``_coupled_source`` unrolls for each coordinate
-count n.  It is compiled the first time n is seen, at about 0.4 ms per
-coordinate, before the output arrays are allocated, and cached in
-``_COUPLED_LOOPS``.  It buffers its rows as Python floats, about
-``spaces.VALUES_PER_BLOCK`` = 1,024 of them (93 rows at n = 5), between slice
-writes into the preallocated arrays.  A step calls no builtin:
-each domain check is one chain of comparisons and the step's end one
-clamp.  It takes about 2 us at n = 2 and 4.5 us at n = 5 (2-vCPU VM,
-Python 3.11; 1.1-5.9 us for n = 1..7).  Every operation runs in
-the order of ``_coupled_accel`` and the numpy loop, each sum one expression
-left to right from its first term.  ``np.sum`` adds fewer than 8 items left
-to right from 0.0, which differs from that only where every term is -0.0
-(it gives +0.0), and no result here depends on it: the terms w_k =
-u_k^2 / p_k are never -0.0, a -0.0 position fails its domain check, and the
-sign of the velocity sum sv enters only as sv * sv.  So below 8
-coordinates the two loops agree bit for bit, and from 8 on ``np.sum`` adds
-pairwise and they differ in the last bits.  The numpy loop stays as the
-tests' reference; ``benchmarks/bench_kernels.py`` times both loops at
-n = 1..7 and checks one against the other.
-
-Step i of every loop ends at ``min((i + 1) * step, t_end)``
-(``step_count`` steps), so the time grid lands exactly on ``t_end`` with no
-empty step.  A loop returns plain arrays and an exit record, which its
-integrator turns into ``LeftDomain``:
+Step i ends at ``min((i + 1) * step, t_end)`` (``step_count`` steps), so
+the time grid lands exactly on ``t_end`` with no empty step.
+``rk4_coupled`` returns plain arrays and an exit record, which
+``integrate_coupled`` turns into ``LeftDomain``:
 
     (times, positions, velocities, n_valid, exit_coord, exit_time)
 
 ``n_valid`` counts the rows actually filled; it equals ``len(times)`` iff
-the integration stayed inside the domain.  ``exit_coord`` is the 0-based
-index of the offending coordinate (-1 when the dependent simplex coordinate
-or no single coordinate is to blame).
+the integration stayed inside the domain.  ``exit_coord`` is always -1:
+the check covers the whole state and blames no single coordinate.
 """
 
 from __future__ import annotations
@@ -97,32 +83,6 @@ def step_count(step, t_end):
     raise ValueError("the time grid has more steps than floats or numpy can index")
 
 
-def _coupled_accel(theta, v):
-    # 2 theta'' = -(theta_k/theta_last)(sum v)^2 + v_k^2/theta_k - theta_k q
-    theta_last = 1.0 - np.sum(theta)
-    sv = np.sum(v)
-    q = np.sum(v * v / theta)
-    return -0.5 * (theta / theta_last * sv * sv - v * v / theta + theta * q)
-
-
-def _coupled_low(theta, eps):
-    # any coordinate (including the dependent one) at or below the floor?
-    if theta.min() <= eps or (1.0 - np.sum(theta)) <= eps:
-        return -1  # no single coordinate to blame
-    return None
-
-
-def _decoupled_accel(y, z):
-    # y'' = (y'^2 - y^2) / (2y), each coordinate independent
-    return (z * z - y * y) / (2.0 * y)
-
-
-def _first_low(y, eps):
-    # the first coordinate at or below the floor; NaN compares false
-    low = (y <= eps).tolist()
-    return low.index(True) if True in low else None
-
-
 def _tables(x0, v0, n_steps):
     """Time, position and velocity arrays of n_steps + 1 rows, row 0 the start."""
     times = np.empty(n_steps + 1)
@@ -132,61 +92,6 @@ def _tables(x0, v0, n_steps):
     pos[0] = x0
     vel[0] = v0
     return times, pos, vel
-
-
-def _make_coupled(accel, low):
-    """The RK4 loop over numpy arrays of the system x'' = accel(x, x').
-
-    ``low(x, eps)`` is None inside the domain and the exit coordinate
-    otherwise.  The coupled loop is the reference of ``rk4_coupled``; tests
-    pass a ``low`` that records the domain checks.
-    """
-
-    def loop(theta0, v0, step, t_end, eps):
-        n_steps = step_count(step, t_end)
-        times, pos, vel = _tables(theta0, v0, n_steps)
-        bad = low(theta0, eps)
-        if bad is not None:
-            return times, pos, vel, 0, bad, 0.0
-        t = 0.0
-        for i in range(n_steps):
-            t_next = min((i + 1) * step, t_end)
-            h = t_next - t
-            th = pos[i]
-            v = vel[i]
-            a1 = accel(th, v)
-            th2 = th + 0.5 * h * v
-            v2 = v + 0.5 * h * a1
-            bad = low(th2, eps)
-            if bad is not None:
-                return times, pos, vel, i + 1, bad, t + 0.5 * h
-            a2 = accel(th2, v2)
-            th3 = th + 0.5 * h * v2
-            v3 = v + 0.5 * h * a2
-            bad = low(th3, eps)
-            if bad is not None:
-                return times, pos, vel, i + 1, bad, t + 0.5 * h
-            a3 = accel(th3, v3)
-            th4 = th + h * v3
-            v4 = v + h * a3
-            bad = low(th4, eps)
-            if bad is not None:
-                return times, pos, vel, i + 1, bad, t_next
-            a4 = accel(th4, v4)
-            t = t_next
-            times[i + 1] = t
-            pos[i + 1] = th + h / 6.0 * (v + 2.0 * v2 + 2.0 * v3 + v4)
-            vel[i + 1] = v + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-            bad = low(pos[i + 1], eps)
-            if bad is not None:
-                return times, pos, vel, i + 1, bad, t
-        return times, pos, vel, n_steps + 1, -1, t_end
-
-    return loop
-
-
-# the decoupled system y'' = (y'^2 - y^2) / (2y) over numpy arrays
-rk4_decoupled = _make_coupled(_decoupled_accel, _first_low)
 
 
 # the float loop of each coordinate count, compiled on first use
@@ -290,15 +195,15 @@ def _coupled_loop(n):
 
 
 def rk4_coupled(theta0, v0, step, t_end, eps):
-    """The coupled loop of ``_make_coupled(_coupled_accel, _coupled_low)``
-    on Python floats (see the module docstring).
+    """One run of the float loop for ``theta0.size`` coordinates (see the
+    module docstring).
 
     w_k is formed only once a stage's domain check has passed, so no
     coordinate at or below the floor is divided by.  A domain check is the
     chain ``p_0 <= eps or ... or last <= eps``: a NaN coordinate (and so
     ``last``) compares false, and the other coordinates are still checked.
     Only there does it differ from ``min(p_0, ...) <= eps``, which keeps a
-    first NaN and skips later ones (the reference never exits on a NaN).
+    first NaN and skips later ones (the numpy reference never exits on a NaN).
     The loop is compiled before the arrays are allocated.  Rows are written
     into them every ``block_rows(2 * n + 1)`` steps (about
     ``spaces.VALUES_PER_BLOCK`` buffered floats) and on exit.
@@ -351,10 +256,6 @@ class OdeTrajectory:
             if arr.shape[0] != t.size:
                 raise ValueError(f"{name} length does not match times")
 
-    @property
-    def n_samples(self) -> int:
-        return self.times.size
-
 
 def integrate_coupled(
     p0: SimplexPoint, v0: TangentVector, config: IntegratorConfig
@@ -371,27 +272,6 @@ def integrate_coupled(
     )
     if n_valid != times.size:
         raise LeftDomain(float(exit_time))
-    return OdeTrajectory(times, pos, vel)
-
-
-def integrate_decoupled(
-    y0: np.ndarray, z0: np.ndarray, config: IntegratorConfig
-) -> OdeTrajectory:
-    """RK4 integration of the scalar systems y'' = (y'^2 - y^2) / (2y).
-
-    ``y0`` and ``z0`` are equal-length vectors of initial values and
-    velocities; the coordinates evolve independently.  Raises LeftDomain
-    naming the first offending coordinate (1-based).
-    """
-    y0 = np.ascontiguousarray(np.atleast_1d(y0), dtype=float)
-    z0 = np.ascontiguousarray(np.atleast_1d(z0), dtype=float)
-    if y0.shape != z0.shape or y0.ndim != 1:
-        raise ValueError("y0 and z0 must be equal-length vectors")
-    times, pos, vel, n_valid, exit_coord, exit_time = rk4_decoupled(
-        y0, z0, float(config.step), float(config.t_end), DOMAIN_EPS
-    )
-    if n_valid != times.size:
-        raise LeftDomain(float(exit_time), int(exit_coord) + 1)
     return OdeTrajectory(times, pos, vel)
 
 

@@ -75,10 +75,6 @@ class FiniteMeasureSpace:
     def n_points(self) -> int:
         return self.weights.size
 
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.weights))
-
     def _key(self):
         # weights are positive and finite, so equal bytes are equal values
         return self.weights.tobytes()

@@ -44,7 +44,7 @@ def random_grid_state_data(rng, grid, floor=0.05):
     f_vals = f_raw / np.dot(f_raw, grid.weights)
     f0 = FiniteDensity(grid, f_vals)
     g_raw = rng.standard_normal(grid.n_points)
-    g_raw = g_raw - np.dot(g_raw, grid.weights) / grid.total_mass
+    g_raw = g_raw - np.dot(g_raw, grid.weights) / float(np.sum(grid.weights))
     g0 = normalize_velocity(f0, SignedFunction(grid, g_raw))
     return f0, g0
 

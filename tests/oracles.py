@@ -18,7 +18,11 @@ result the library computes another way:
   ladder holds: phi's staircase integrals with their constants built per
   call and its region weights one call per region and axis, cell-class
   weights from ``np.diff``, and the reconstruction check from all three
-  results of ``evaluate_scalar``.
+  results of ``evaluate_scalar``;
+- RK4 over numpy arrays: the loop of which ``frgeo.kernels.rk4_coupled``
+  is the generated float form, and the decoupled per-coordinate system
+  y'' = (y'^2 - y^2) / (2 y), stepped by the same loop, with its
+  integrator ``integrate_decoupled``.
 """
 
 from __future__ import annotations
@@ -30,8 +34,14 @@ from fractions import Fraction
 import numpy as np
 
 from frgeo.boxes import Box, BoxFunction, OverlayRegion, _span_volume
-from frgeo.errors import FrgeoError, InvalidCatalogFunction, NonpositiveInitialDensity
+from frgeo.errors import (
+    FrgeoError,
+    InvalidCatalogFunction,
+    LeftDomain,
+    NonpositiveInitialDensity,
+)
 from frgeo.geodesics import evaluate_scalar
+from frgeo.kernels import DOMAIN_EPS, IntegratorConfig, OdeTrajectory, _tables, step_count
 from frgeo.moments import _time_design
 from frgeo.pixelation import PixelationLadder, TentFunction
 from frgeo.simplex import SimplexPoint, TangentVector
@@ -356,8 +366,13 @@ def fraction_regions_energy(regions: tuple[OverlayRegion, ...]) -> Fraction:
     return total / math.prod(regions[0].dens)
 
 
+def box_volume(box: Box) -> Fraction:
+    """Exact volume of a box, Fraction by Fraction."""
+    return math.prod((b - a for a, b in zip(box.lo, box.hi)), start=Fraction(1))
+
+
 def square_integral(f: BoxFunction) -> Fraction:
-    return sum((b.value * b.value * b.volume for b in f.boxes), _ZERO)
+    return sum((b.value * b.value * box_volume(b) for b in f.boxes), _ZERO)
 
 
 def moment(f: BoxFunction, axis: int, power: int = 1) -> Fraction:
@@ -468,3 +483,126 @@ def reconstruction(alpha, beta, f0, g0) -> tuple[np.ndarray, np.ndarray, float]:
     and their largest distance from (f0, g0)."""
     y0, z0, _ = evaluate_scalar(alpha, beta, 0.0)
     return y0, z0, float(np.abs(np.concatenate([y0 - f0, z0 - g0])).max())
+
+
+# ---------------------------------------------------------------------------
+# RK4 over numpy arrays
+#
+# ``frgeo.kernels.rk4_coupled`` runs the coupled loop below as straight-line
+# code over Python floats.  Every operation runs in the order of
+# ``_coupled_accel`` and this loop, each sum one expression left to right
+# from its first term.  ``np.sum`` adds fewer than 8 items left to right
+# from 0.0, which differs from that only where every term is -0.0 (it gives
+# +0.0), and no result depends on it: the terms w_k = u_k^2 / p_k are never
+# -0.0, a -0.0 position fails its domain check, and the sign of the
+# velocity sum sv enters only as sv * sv.  So below 8 coordinates the two
+# loops agree bit for bit, and from 8 on ``np.sum`` adds pairwise and they
+# differ in the last bits.  ``benchmarks/bench_kernels.py`` times both
+# loops at n = 1..7 and checks one against the other.
+
+
+def _coupled_accel(theta, v):
+    # 2 theta'' = -(theta_k/theta_last)(sum v)^2 + v_k^2/theta_k - theta_k q
+    theta_last = 1.0 - np.sum(theta)
+    sv = np.sum(v)
+    q = np.sum(v * v / theta)
+    return -0.5 * (theta / theta_last * sv * sv - v * v / theta + theta * q)
+
+
+def _coupled_low(theta, eps):
+    # any coordinate (including the dependent one) at or below the floor?
+    if theta.min() <= eps or (1.0 - np.sum(theta)) <= eps:
+        return -1  # no single coordinate to blame
+    return None
+
+
+def _decoupled_accel(y, z):
+    # y'' = (y'^2 - y^2) / (2y), each coordinate independent
+    return (z * z - y * y) / (2.0 * y)
+
+
+def _first_low(y, eps):
+    # the first coordinate at or below the floor; NaN compares false
+    low = (y <= eps).tolist()
+    return low.index(True) if True in low else None
+
+
+def _make_coupled(accel, low):
+    """The RK4 loop over numpy arrays of the system x'' = accel(x, x').
+
+    ``low(x, eps)`` is None inside the domain and the exit coordinate
+    otherwise.  It returns the exit record of ``frgeo.kernels``
+    (times, positions, velocities, n_valid, exit_coord, exit_time).  The
+    coupled loop is the reference of ``rk4_coupled``; tests pass a ``low``
+    that records the domain checks.
+    """
+
+    def loop(theta0, v0, step, t_end, eps):
+        n_steps = step_count(step, t_end)
+        times, pos, vel = _tables(theta0, v0, n_steps)
+        bad = low(theta0, eps)
+        if bad is not None:
+            return times, pos, vel, 0, bad, 0.0
+        t = 0.0
+        for i in range(n_steps):
+            t_next = min((i + 1) * step, t_end)
+            h = t_next - t
+            th = pos[i]
+            v = vel[i]
+            a1 = accel(th, v)
+            th2 = th + 0.5 * h * v
+            v2 = v + 0.5 * h * a1
+            bad = low(th2, eps)
+            if bad is not None:
+                return times, pos, vel, i + 1, bad, t + 0.5 * h
+            a2 = accel(th2, v2)
+            th3 = th + 0.5 * h * v2
+            v3 = v + 0.5 * h * a2
+            bad = low(th3, eps)
+            if bad is not None:
+                return times, pos, vel, i + 1, bad, t + 0.5 * h
+            a3 = accel(th3, v3)
+            th4 = th + h * v3
+            v4 = v + h * a3
+            bad = low(th4, eps)
+            if bad is not None:
+                return times, pos, vel, i + 1, bad, t_next
+            a4 = accel(th4, v4)
+            t = t_next
+            times[i + 1] = t
+            pos[i + 1] = th + h / 6.0 * (v + 2.0 * v2 + 2.0 * v3 + v4)
+            vel[i + 1] = v + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            bad = low(pos[i + 1], eps)
+            if bad is not None:
+                return times, pos, vel, i + 1, bad, t
+        return times, pos, vel, n_steps + 1, -1, t_end
+
+    return loop
+
+
+# the reference of rk4_coupled
+rk4_coupled_reference = _make_coupled(_coupled_accel, _coupled_low)
+
+# the decoupled system y'' = (y'^2 - y^2) / (2y) over numpy arrays
+rk4_decoupled = _make_coupled(_decoupled_accel, _first_low)
+
+
+def integrate_decoupled(
+    y0: np.ndarray, z0: np.ndarray, config: IntegratorConfig
+) -> OdeTrajectory:
+    """RK4 integration of the scalar systems y'' = (y'^2 - y^2) / (2y).
+
+    ``y0`` and ``z0`` are equal-length vectors of initial values and
+    velocities; the coordinates evolve independently.  Raises LeftDomain
+    naming the first offending coordinate (1-based).
+    """
+    y0 = np.ascontiguousarray(np.atleast_1d(y0), dtype=float)
+    z0 = np.ascontiguousarray(np.atleast_1d(z0), dtype=float)
+    if y0.shape != z0.shape or y0.ndim != 1:
+        raise ValueError("y0 and z0 must be equal-length vectors")
+    times, pos, vel, n_valid, exit_coord, exit_time = rk4_decoupled(
+        y0, z0, float(config.step), float(config.t_end), DOMAIN_EPS
+    )
+    if n_valid != times.size:
+        raise LeftDomain(float(exit_time), int(exit_coord) + 1)
+    return OdeTrajectory(times, pos, vel)

@@ -40,9 +40,12 @@ F = Fraction
 def test_box_make_and_volume():
     b = Box.make(3, 0, F(1, 2))
     assert b.dimension == 1
-    assert b.volume == F(1, 2)
-    b2 = Box.make(1, 0, F(1, 4), F(1, 8), F(1, 2))
-    assert b2.volume == F(1, 4) * F(3, 8)
+    assert (b.lo, b.hi) == ((0,), (F(1, 2),))
+    # a box's volume is its integer span's over the axes' common denominators
+    rows = [(1, 0, F(1, 4), F(1, 8), F(1, 2)), (1, 0, F(1, 4), 0, F(1, 8)),
+            (1, 0, F(1, 4), F(1, 2), 1), (1, F(1, 4), 1, 0, 1)]
+    dens, spans = BoxFunction.from_rows(2, rows).int_bounds
+    assert F(boxes._span_volume(spans[0]), math.prod(dens)) == F(1, 4) * F(3, 8)
     with pytest.raises(InvalidCatalogFunction):
         Box.make(1, 0, F(1, 2), F(1, 4))  # odd number of bounds
 
@@ -137,7 +140,7 @@ def _overlap_verdict_matches(rows):
         (b1, b2)
         for i, b1 in enumerate(boxes_)
         for b2 in boxes_[i + 1 :]
-        if b1.intersection_bounds(b2) is not None
+        if all(max(a1, a2) < min(c1, c2) for a1, c1, a2, c2 in zip(b1.lo, b1.hi, b2.lo, b2.hi))
     ]
     try:
         BoxFunction.from_rows(2, rows)

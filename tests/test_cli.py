@@ -322,6 +322,16 @@ def test_boundary_touch_exits_3(tmp_path, capsys):
     assert abs(payload["time"] - touch) < 1e-15
 
 
+@pytest.mark.parametrize("theta_1", ["1e-8", "1e-10"])
+def test_start_near_the_boundary_floor_runs(tmp_path, theta_1):
+    # theta_1 four and two decades above BOUNDARY_FLOOR (1e-12): frame 0
+    # rebuilds it within 2.1e-11 relative, so no sample falls below the floor
+    argv = ("simplex-geodesic", f"theta0={theta_1},0.5", "w_raw=1,-0.3", "t_end=1e-3", "n_times=3")
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
+    rows = (tmp_path / "trajectory_00.csv").read_text().splitlines()
+    assert len(rows) == 4 and rows[1].startswith("0,")
+
+
 # ---------------------------------------------------------------------------
 # configuration errors (exit 2)
 
@@ -1010,7 +1020,7 @@ def test_class_frames_match_density_at(tmp_path, f0, g0, level):
     assert np.array_equal(
         classes.space.weights, np.bincount(inverse) * grid.cell_weight
     )
-    assert classes.space.total_mass == 1.0
+    assert float(np.sum(classes.space.weights)) == 1.0
     # the class state is the per-cell state, bit for bit
     for name in ("f0", "g0", "alpha", "beta"):
         got = getattr(classes, name)[inverse]
@@ -1700,6 +1710,10 @@ EXIT_CONTRACT = {
     "huge_g0_ladder": (
         ("pixelation-convergence", "f0=uniform1d", "g0={big}", "levels=3"),
         3, "HypothesisViolation", "unit-energy", False),
+    "degenerate_velocity_level_2": (
+        ("density-geodesic", "level=2"), 3, "DegenerateVelocity", None, False),
+    "oracle_left_domain": (
+        ("oracle-compare", "t_end=1.5"), 3, "LeftDomain", None, False),
 }
 
 

@@ -1,5 +1,5 @@
 """RK4 stepping kernels: exit records, the float loop against its numpy
-reference, and the time grid."""
+reference in ``oracles``, and the time grid."""
 
 from __future__ import annotations
 
@@ -12,6 +12,8 @@ import frgeo
 from conftest import within_a_second
 from frgeo import kernels
 from frgeo.spaces import block_rows
+from oracles import _coupled_accel, _coupled_low, _make_coupled, rk4_decoupled
+from oracles import rk4_coupled_reference as REFERENCE
 
 
 def test_backend_reports_a_known_name():
@@ -21,7 +23,7 @@ def test_backend_reports_a_known_name():
 def test_exit_record_initial_violation():
     y0 = np.array([1.0, 1e-12])
     z0 = np.zeros(2)
-    times, pos, vel, n_valid, coord, t_exit = kernels.rk4_decoupled(
+    times, pos, vel, n_valid, coord, t_exit = rk4_decoupled(
         y0, z0, 0.1, 1.0, 1e-9
     )
     assert n_valid == 0
@@ -31,23 +33,12 @@ def test_exit_record_initial_violation():
 
 def test_exit_record_mid_run():
     # cos^2(t/2) reaches the floor just before pi
-    times, pos, vel, n_valid, coord, t_exit = kernels.rk4_decoupled(
+    times, pos, vel, n_valid, coord, t_exit = rk4_decoupled(
         np.array([1.0]), np.array([0.0]), 1e-3, 4.0, 1e-9
     )
     assert 0 < n_valid < times.size
     assert coord == 0
     assert abs(t_exit - np.pi) < 0.05
-
-
-def _per_coordinate_low(y, eps):
-    # the domain check coordinate by coordinate, the reference of _first_low
-    for k in range(y.size):
-        if y[k] <= eps:
-            return k
-    return None
-
-
-DECOUPLED_REFERENCE = kernels._make_coupled(kernels._decoupled_accel, _per_coordinate_low)
 
 
 @pytest.mark.parametrize(
@@ -61,19 +52,13 @@ DECOUPLED_REFERENCE = kernels._make_coupled(kernels._decoupled_accel, _per_coord
     ],
 )
 def test_decoupled_exit_matches_per_coordinate_check(y0, z0, coord, t_exit):
-    args = (np.array(y0), np.array(z0), 1e-3, 4.0, 1e-9)
-    new = kernels.rk4_decoupled(*args)
-    ref = DECOUPLED_REFERENCE(*args)
-    assert new[3:] == ref[3:]
-    for a, b in zip(new[:3], ref[:3]):
-        assert np.array_equal(a[: ref[3]], b[: ref[3]], equal_nan=True)
-    assert new[4] == coord and abs(new[5] - t_exit) < 0.05
+    out = rk4_decoupled(np.array(y0), np.array(z0), 1e-3, 4.0, 1e-9)
+    assert out[4] == coord and abs(out[5] - t_exit) < 0.05
 
 
 # ---------------------------------------------------------------------------
 # the float stepping loop against the reference factory loop
 
-REFERENCE = kernels._make_coupled(kernels._coupled_accel, kernels._coupled_low)
 EXIT_BRANCHES = ("stage 2", "stage 3", "stage 4", "end of step")
 
 
@@ -116,9 +101,9 @@ def _recording_reference():
 
     def low(theta, eps):
         distances.append(min(theta.min(), 1.0 - np.sum(theta)))
-        return kernels._coupled_low(theta, eps)
+        return _coupled_low(theta, eps)
 
-    return kernels._make_coupled(kernels._coupled_accel, low), distances
+    return _make_coupled(_coupled_accel, low), distances
 
 
 def _exit_cases(n):
